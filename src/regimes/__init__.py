@@ -38,7 +38,6 @@ from .model import (
     support,
 )
 from .grecursion import (
-    GammaSupport,
     RecursionTable,
     build_dag_i,
     build_dag_i_prime,

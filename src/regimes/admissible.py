@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, InputError, ModelError
 from .graph import ancestral_closure, descendants, separated
-from .grecursion import build_dag_i
+from .grecursion import _check_int_strategy, build_dag_i
 from .model import SIGMA, InfluenceDiagram, Strategy
 
 MAX_SEARCH_ACTIONS = 8
@@ -49,19 +49,6 @@ def _the_order(diagram: InfluenceDiagram, action_order) -> tuple[str, ...]:
     if sorted(order) != sorted(diagram.actions):
         raise InputError("action order must be a permutation of the diagram's actions")
     return order
-
-
-def _check_strategy(diagram: InfluenceDiagram, strategy: Strategy | None) -> None:
-    if strategy is None:
-        return
-    diagram.validate_strategy(strategy)
-    for a, pol in strategy.policies.items():
-        extra = set(pol.parents) - set(diagram.int_parents[a])
-        if extra:
-            raise InputError(
-                f"strategy {strategy.name!r} lets {a} depend on {sorted(extra)}, "
-                f"outside its declared int-parents"
-            )
 
 
 def _interventional_dag(diagram: InfluenceDiagram):
@@ -106,7 +93,7 @@ def compute_candidate_sequence(
     strategy: Strategy | None = None,
 ) -> AdmissibleSequence:
     """Stage pools, their increments, and the per-stage verdicts."""
-    _check_strategy(diagram, strategy)
+    _check_int_strategy(diagram, strategy)
     _require_actions_reach_response(diagram)
     order = _the_order(diagram, action_order)
     pools = _pools(diagram, order)
@@ -127,7 +114,7 @@ def check_admissible(
     strategy: Strategy | None = None,
 ) -> AdmissibleSequence:
     """Verdicts for a caller-supplied covariate sequence."""
-    _check_strategy(diagram, strategy)
+    _check_int_strategy(diagram, strategy)
     _require_actions_reach_response(diagram)
     order = _the_order(diagram, action_order)
     if len(sets) != len(order):
@@ -172,7 +159,7 @@ def improve_sequence(
     The result keeps cumulative sets inside the pools, so it is itself
     admissible.
     """
-    _check_strategy(diagram, strategy)
+    _check_int_strategy(diagram, strategy)
     order = _the_order(diagram, action_order)
     if candidate is None:
         candidate = compute_candidate_sequence(diagram, order, strategy)
@@ -227,7 +214,7 @@ def search_admissible_ordering(
         raise CapacityError(
             f"{diagram.n} actions exceed the ordering-search cap of {MAX_SEARCH_ACTIONS}"
         )
-    _check_strategy(diagram, strategy)
+    _check_int_strategy(diagram, strategy)
     _require_actions_reach_response(diagram)
     for order in _orders_consistent_with(diagram):
         seq = compute_candidate_sequence(diagram, order, strategy)

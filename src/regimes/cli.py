@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -51,7 +52,12 @@ def _response_functional(doc: ModelDocument, args):
             state, value = part.split("=", 1)
             if state not in states:
                 raise RegimesError(f"{state!r} is not a state of {doc.diagram.response}")
-            k[state] = float(value)
+            try:
+                k[state] = float(value)
+            except ValueError:
+                raise RegimesError(f"--k value {value!r} for {state} is not a number") from None
+            if not math.isfinite(k[state]):
+                raise RegimesError(f"--k value for {state} must be finite, not {value!r}")
         return k
     target = getattr(args, "target", None) or states[0]
     if target not in states:
@@ -308,10 +314,7 @@ def main(argv=None) -> int:
     try:
         doc = _load(args.model)
         return args.fn(doc, args)
-    except RegimesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (RegimesError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -17,6 +17,7 @@ positivity failures surface.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .model import (
     InfoBase,
     PartialHistory,
     Regime,
+    mechanism,
 )
 
 
@@ -92,6 +94,8 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
     dropped.  Identical (seed, n) give bit-identical datasets."""
     if n < 1:
         raise InputError("need n >= 1")
+    if not 0 <= seed < 2**64:
+        raise InputError(f"seed {seed} outside 0..2**64-1")
     if regime != "obs":
         diagram.validate_strategy(regime)
     u = _uniforms(seed, n, len(diagram.order))
@@ -99,12 +103,7 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
     col = {v: j for j, v in enumerate(diagram.order)}
 
     for j, v in enumerate(diagram.order):
-        if diagram.kinds[v] == "act" and regime != "obs":
-            pol = regime.policies[v]
-            parents, rows = pol.parents, pol.row
-        else:
-            cpt = diagram.cpts[v]
-            parents, rows = cpt.parents, cpt.row
+        parents, rows = mechanism(diagram, regime, v)
         configs = list(itertools.product(*(diagram.states[p] for p in parents)))
         table = np.array([rows(c) for c in configs])
         cum = np.cumsum(table, axis=1)
@@ -140,8 +139,8 @@ class EstimatedSource:
     label = "estimated"
 
     def __init__(self, dataset: Dataset, base: InfoBase, alpha: float = 0.5):
-        if alpha < 0:
-            raise InputError("alpha must be non-negative")
+        if not 0.0 <= alpha < math.inf:
+            raise InputError(f"alpha must be finite and non-negative, not {alpha!r}")
         if dataset.columns != base.vars:
             raise InputError("dataset schema does not match the information base")
         self.base = base

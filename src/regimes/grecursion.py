@@ -5,7 +5,8 @@ and a covariate-averaging step (observational conditionals) from full
 histories down to the empty one.  It consumes any conditional source that
 exposes the observable stage structure, per-stage block conditionals and a
 possibility test, so the same engine runs on exact model conditionals and
-on frequency estimates.  The module also builds the auxiliary mixed-regime
+on frequency estimates; the optimizer reuses it with the action average
+replaced by a max or min.  The module also builds the auxiliary mixed-regime
 diagrams and artificial joint distributions used to justify the recursion
 when plain stability fails, together with their graphical and numeric
 checks.
@@ -30,30 +31,11 @@ from .model import (
     conditional,
     consequence_direct,
     joint_with_action_selector,
-    observable_joint,
     response_weights,
     support_of_joint,
 )
 
 TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GammaSupport:
-    """Live recursion frontier: observationally possible histories whose
-    action prefix has positive strategy probability."""
-
-    base: InfoBase
-    histories: frozenset
-
-    def __contains__(self, h) -> bool:
-        return tuple(h) in self.histories
-
-    def __iter__(self):
-        return iter(sorted(self.histories, key=lambda h: (len(h), h)))
-
-    def __len__(self):
-        return len(self.histories)
 
 
 @dataclass
@@ -62,7 +44,9 @@ class RecursionTable:
 
     Histories absent from ``values`` were pruned because they are
     observationally impossible or off-strategy; their value is 0 by
-    convention.
+    convention.  A strategy-positive action state that is observationally
+    impossible is never pruned: the recursion raises ``PositivityError``
+    with that extended history instead of dropping its strategy mass.
     """
 
     base: InfoBase
@@ -83,19 +67,23 @@ def _normalize_k(base: InfoBase, k):
     return lambda h: float(weights[y_index[h[-1]]])
 
 
-def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
-    """Run the backward recursion and keep every computed value."""
+def _backward(source, k, action_step) -> dict:
+    """Backward recursion from full histories down to the empty one.
+
+    Covariate blocks are averaged over the source's observational
+    conditionals and full histories take their ``k`` value; the value of
+    a history ending just before the i-th action is
+    ``action_step(i, h, value_before_block)``, where
+    ``value_before_block(i + 1, h + (state,))`` values one extension.
+    Returns every computed value keyed by history.
+    """
     base = source.base
     kfun = _normalize_k(base, k)
-    table = RecursionTable(base, strategy.name, getattr(source, "label", "?"))
-    positions = {
-        a: tuple(base.position(p) for p in strategy.policies[a].parents)
-        for a in base.actions
-    }
-    action_states = {a: base.states[a] for a in base.actions}
+    values = {}
 
     def value_before_block(i: int, h: PartialHistory) -> float:
-        # h = (lbar_{i-1}, abar_{i-1}); the i-th covariate block comes next.
+        # h = (lbar_{i-1}, abar_{i-1}); the i-th covariate block comes next,
+        # then the i-th action, or nothing when i == N+1.
         cond = source.l_conditional(i, h)
         if cond is UNDEFINED:
             raise PositivityError(h)
@@ -103,31 +91,45 @@ def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
         for config, p in zip(base.block_configs(i), cond):
             if p <= 0.0:
                 continue
-            total += float(p) * value_after_block(i, h + config)
-        table.values[h] = total
+            h2 = h + config
+            v = kfun(h2) if i == base.n + 1 else action_step(i, h2, value_before_block)
+            values[h2] = v
+            total += float(p) * v
+        values[h] = total
         return total
 
-    def value_after_block(i: int, h: PartialHistory) -> float:
-        # h = (lbar_i, abar_{i-1}); full history when i == N+1.
-        if i == base.n + 1:
-            v = kfun(h)
-            table.values[h] = v
-            return v
+    value_before_block(1, ())
+    return values
+
+
+def _policy_positions(base: InfoBase, strategy: Strategy) -> dict:
+    """Positions in a history of each action's policy parents."""
+    return {
+        a: tuple(base.position(p) for p in strategy.policies[a].parents)
+        for a in base.actions
+    }
+
+
+def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
+    """Run the backward recursion and keep every computed value."""
+    base = source.base
+    positions = _policy_positions(base, strategy)
+
+    def average(i: int, h: PartialHistory, value_before_block) -> float:
         action = base.action(i)
         row = strategy.policies[action].row(tuple(h[p] for p in positions[action]))
         total = 0.0
-        for state, p in zip(action_states[action], row):
+        for state, p in zip(base.states[action], row):
             if p <= 0.0:
                 continue
             h2 = h + (state,)
             if not source.possible(h2):
-                continue  # gamma = 0: contributes f = 0 by convention
+                raise PositivityError(h2)
             total += float(p) * value_before_block(i + 1, h2)
-        table.values[h] = total
         return total
 
-    value_before_block(1, ())
-    return table
+    values = _backward(source, k, average)
+    return RecursionTable(base, strategy.name, getattr(source, "label", "?"), values)
 
 
 def g_recursion(source, strategy: Strategy, k) -> float:
@@ -135,14 +137,11 @@ def g_recursion(source, strategy: Strategy, k) -> float:
     return recursion_table(source, strategy, k).root
 
 
-def gamma_support(obs_support: SupportSet, strategy: Strategy) -> GammaSupport:
-    """Histories in the observational support whose action prefix the
-    strategy can generate."""
+def gamma_support(obs_support: SupportSet, strategy: Strategy) -> SupportSet:
+    """Live recursion frontier: histories in the observational support
+    whose action prefix the strategy can generate."""
     base = obs_support.base
-    positions = {
-        a: tuple(base.position(p) for p in strategy.policies[a].parents)
-        for a in base.actions
-    }
+    positions = _policy_positions(base, strategy)
     state_pos = {a: {s: j for j, s in enumerate(base.states[a])} for a in base.actions}
     live = set()
     for h in obs_support.histories:
@@ -158,7 +157,7 @@ def gamma_support(obs_support: SupportSet, strategy: Strategy) -> GammaSupport:
                 break
         if ok:
             live.add(h)
-    return GammaSupport(base, frozenset(live))
+    return SupportSet(base, frozenset(live))
 
 
 def check_cond6(obs_support: SupportSet, strategy: Strategy):
@@ -166,10 +165,7 @@ def check_cond6(obs_support: SupportSet, strategy: Strategy):
     observationally possible.  Returns (verdict, first offending history)."""
     base = obs_support.base
     gamma = gamma_support(obs_support, strategy)
-    positions = {
-        a: tuple(base.position(p) for p in strategy.policies[a].parents)
-        for a in base.actions
-    }
+    positions = _policy_positions(base, strategy)
     for h in gamma:
         for i in range(1, base.n + 1):
             if len(h) == base.after_l(i):
@@ -228,6 +224,21 @@ def build_dag_i_prime(
     return Dag(d.nodes, [(u, v) for u, v in d.edges if u != a_i])
 
 
+def _check_int_strategy(diagram: InfluenceDiagram, strategy: Strategy | None) -> None:
+    """Raise unless the strategy is absent or valid with every policy on
+    its action's declared int-parents."""
+    if strategy is None:
+        return
+    diagram.validate_strategy(strategy)
+    for a, pol in strategy.policies.items():
+        extra = set(pol.parents) - set(diagram.int_parents[a])
+        if extra:
+            raise InputError(
+                f"strategy {strategy.name!r} lets {a} depend on {sorted(extra)}, "
+                f"outside its declared int-parents"
+            )
+
+
 @dataclass(frozen=True)
 class GraphsepReport:
     stages: tuple[tuple[int, bool], ...]
@@ -243,15 +254,7 @@ class GraphsepReport:
 def check_graphsep(diagram: InfluenceDiagram, strategy: Strategy | None = None) -> GraphsepReport:
     """Per-stage separation of the response from the regime node in the
     mixed diagrams; licenses the recursion without plain stability."""
-    if strategy is not None:
-        diagram.validate_strategy(strategy)
-        for a, pol in strategy.policies.items():
-            extra = set(pol.parents) - set(diagram.int_parents[a])
-            if extra:
-                raise InputError(
-                    f"strategy {strategy.name!r} lets {a} depend on {sorted(extra)}, "
-                    f"outside its declared int-parents"
-                )
+    _check_int_strategy(diagram, strategy)
     base = diagram.base
     y = diagram.response
     stages = []
@@ -262,7 +265,8 @@ def check_graphsep(diagram: InfluenceDiagram, strategy: Strategy | None = None) 
         ok = separated(d_i, {y}, {SIGMA}, cond)
         d_ip = build_dag_i_prime(diagram, i)
         ok_prime = separated(d_ip, {y}, {base.action(i)}, cond[:-1])
-        assert ok == ok_prime, f"stage {i}: the two separation tests disagree"
+        if ok != ok_prime:
+            raise AssertionError(f"stage {i}: the two separation tests disagree")
         stages.append((i, ok))
     return GraphsepReport(tuple(stages))
 
@@ -305,14 +309,12 @@ def verify_general_conditions(
     direct oracle for each response state.
     """
     base = diagram.base
-    source = ExactSource(diagram)
-    obs_support = source.support()
-    gamma = gamma_support(obs_support, strategy)
-    obs_margin = observable_joint(diagram, "obs")
-
     p_tables = {i: construct_p_i(diagram, strategy, i) for i in range(0, diagram.n + 1)}
     p_margins = {i: t.marginal(base.vars) for i, t in p_tables.items()}
     p_supports = {i: support_of_joint(t, base) for i, t in p_tables.items()}
+    # Stage n keeps every action observational: it is the observational joint.
+    obs_margin, obs_support = p_margins[diagram.n], p_supports[diagram.n]
+    gamma = gamma_support(obs_support, strategy)
 
     # Support biconditional: after stage i, the artificial distribution and
     # the observational one agree on which (lbar_i, abar_i) are possible.
@@ -326,6 +328,7 @@ def verify_general_conditions(
 
     l_ok = True
     a_ok = True
+    positions = _policy_positions(base, strategy)
     for i in range(1, base.n + 2):
         m = base.before_l(i)
         for h in (h for h in gamma.histories if len(h) == m):
@@ -342,14 +345,13 @@ def verify_general_conditions(
         m = base.after_l(i)
         action = base.action(i)
         pol = strategy.policies[action]
-        ppos = tuple(base.position(p) for p in pol.parents)
         for h in (h for h in gamma.histories if len(h) == m):
             if h not in p_supports[i - 1]:
                 continue
             left = _history_conditional(p_margins[i - 1], base, (action,), h)
             if left is UNDEFINED:
                 continue
-            row = pol.row(tuple(h[p] for p in ppos))
+            row = pol.row(tuple(h[p] for p in positions[action]))
             if any(
                 abs(left[(s,)] - row[j]) > tol
                 for j, s in enumerate(base.states[action])
@@ -377,12 +379,14 @@ def verify_general_conditions(
     delta = None
     if support_ok and l_ok and a_ok and y_ok and pos_ok:
         delta = 0.0
+        source = ExactSource(diagram)
         for y_state in base.states[base.response]:
             k = {s: 1.0 if s == y_state else 0.0 for s in base.states[base.response]}
             lhs = g_recursion(source, strategy, k)
             rhs = consequence_direct(diagram, strategy, k)
             delta = max(delta, abs(lhs - rhs))
-        assert delta <= 1e-9, f"recursion disagrees with the oracle by {delta}"
+        if not delta <= 1e-9:
+            raise AssertionError(f"recursion disagrees with the oracle by {delta}")
 
     return GeneralConditionsReport(
         support_ok, l_ok, a_ok, y_ok, tuple(y_failures), pos_ok, delta

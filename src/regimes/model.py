@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -73,6 +73,22 @@ class Variable:
             raise ModelError(f"duplicate state label on variable {self.name}")
 
 
+def row_problem(row, width: int) -> str | None:
+    """Why ``row`` is not a distribution over ``width`` states, or None.
+
+    The comparisons are written so that NaN fails them.
+    """
+    if len(row) != width:
+        return f"has {len(row)} entries, want {width}"
+    for p in row:
+        if not 0.0 <= p <= 1.0:
+            return "has entries outside [0, 1]"
+    total = sum(row)
+    if not abs(total - 1.0) <= ROW_SUM_TOL:
+        return f"sums to {total!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class Cpt:
     """Distribution of ``child`` for every configuration of ``parents``."""
@@ -91,12 +107,9 @@ class Cpt:
             )
         width = len(states[self.child])
         for config, row in self.table.items():
-            if len(row) != width:
-                raise ModelError(f"cpt for {self.child}: row {config} has {len(row)} entries, want {width}")
-            if any(p < 0.0 or p > 1.0 for p in row):
-                raise ModelError(f"cpt for {self.child}: row {config} has entries outside [0, 1]")
-            if abs(sum(row) - 1.0) > ROW_SUM_TOL:
-                raise ModelError(f"cpt for {self.child}: row {config} sums to {sum(row)!r}")
+            problem = row_problem(row, width)
+            if problem:
+                raise ModelError(f"cpt for {self.child}: row {config} {problem}")
 
     def row(self, config: tuple[str, ...]) -> tuple[float, ...]:
         try:
@@ -407,10 +420,9 @@ class InfluenceDiagram:
                 )
             width = len(self.states[a])
             for config, row in pol.table.items():
-                if len(row) != width or any(p < 0.0 or p > 1.0 for p in row):
-                    raise PolicyError(f"policy for {a}: bad row at {config}")
-                if abs(sum(row) - 1.0) > ROW_SUM_TOL:
-                    raise PolicyError(f"policy for {a}: row {config} sums to {sum(row)!r}")
+                problem = row_problem(row, width)
+                if problem:
+                    raise PolicyError(f"policy for {a}: row {config} {problem}")
 
 
 @dataclass(eq=False)
@@ -477,26 +489,31 @@ def _check_capacity(cards: Iterable[int]) -> None:
         )
 
 
-def _factor_array(
-    diagram: InfluenceDiagram, child: str, parents: tuple[str, ...],
-    rows: Callable[[tuple[str, ...]], tuple[float, ...]],
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Dense factor with axes (parents sorted by diagram order, child)."""
-    axis_vars = diagram.sort(parents) + (child,)
-    shape = tuple(len(diagram.states[v]) for v in axis_vars)
+def mechanism(diagram: InfluenceDiagram, regime: Regime, var: str):
+    """``(parents, row)`` of the table that generates ``var`` under a regime:
+    the strategy's policy for an action under a strategy, the diagram's
+    table otherwise."""
+    if diagram.kinds[var] == "act" and regime != "obs":
+        pol = regime.policies[var]
+        return pol.parents, pol.row
+    cpt = diagram.cpts[var]
+    return cpt.parents, cpt.row
+
+
+def _factor_array(diagram: InfluenceDiagram, regime: Regime, var: str) -> np.ndarray:
+    """Dense factor of ``var``'s mechanism, shaped to broadcast against the
+    joint (parents and child on their own axes, size 1 elsewhere)."""
+    parents, rows = mechanism(diagram, regime, var)
+    axis_vars = diagram.sort(parents) + (var,)
     pick = [axis_vars.index(p) for p in parents]
     flat = [
         rows(tuple(config[i] for i in pick))
         for config in itertools.product(*(diagram.states[p] for p in axis_vars[:-1]))
     ]
-    return axis_vars, np.asarray(flat).reshape(shape)
-
-
-def _broadcast(diagram: InfluenceDiagram, axis_vars, arr: np.ndarray) -> np.ndarray:
     shape = [1] * len(diagram.order)
     for av in axis_vars:
         shape[diagram.index[av]] = len(diagram.states[av])
-    return arr.reshape(shape)
+    return np.asarray(flat).reshape(shape)
 
 
 def _nonaction_product(diagram: InfluenceDiagram) -> np.ndarray:
@@ -507,34 +524,19 @@ def _nonaction_product(diagram: InfluenceDiagram) -> np.ndarray:
         for v in diagram.order:
             if diagram.kinds[v] == "act":
                 continue
-            cpt = diagram.cpts[v]
-            probs *= _broadcast(diagram, *_factor_array(diagram, v, cpt.parents, cpt.row))
+            probs *= _factor_array(diagram, "obs", v)
         diagram._nonaction_cache = probs
         cached = probs
     return cached
 
 
-def _joint(diagram: InfluenceDiagram, action_factor) -> JointTable:
+def joint_with_action_selector(diagram: InfluenceDiagram, selector) -> JointTable:
+    """Joint where ``selector(action)`` picks 'obs' or a Strategy per action."""
     _check_capacity(diagram.cards())
     probs = _nonaction_product(diagram).copy()
     for v in diagram.actions:
-        parents, rows = action_factor(v)
-        probs *= _broadcast(diagram, *_factor_array(diagram, v, parents, rows))
+        probs *= _factor_array(diagram, selector(v), v)
     return JointTable(diagram.order, tuple(diagram.states[v] for v in diagram.order), probs)
-
-
-def joint_with_action_selector(diagram: InfluenceDiagram, selector) -> JointTable:
-    """Joint where ``selector(action)`` picks 'obs' or a Strategy per action."""
-
-    def action_factor(a):
-        chosen = selector(a)
-        if chosen == "obs":
-            cpt = diagram.cpts[a]
-            return cpt.parents, cpt.row
-        pol = chosen.policies[a]
-        return pol.parents, pol.row
-
-    return _joint(diagram, action_factor)
 
 
 def joint_distribution(diagram: InfluenceDiagram, regime: Regime) -> JointTable:
@@ -583,10 +585,7 @@ def _prefix_marginals(probs: np.ndarray, boundaries: Iterable[int]) -> dict[int,
     return out
 
 
-def support_of_joint(joint: JointTable, base: InfoBase) -> SupportSet:
-    """Boundary prefixes of the observable base with positive probability."""
-    obs = joint.marginal(base.vars)
-    marginals = _prefix_marginals(obs.probs, base.boundaries)
+def _support_from_marginals(base: InfoBase, marginals: Mapping[int, np.ndarray]) -> SupportSet:
     histories = set()
     for m, arr in marginals.items():
         if m == 0:
@@ -597,6 +596,12 @@ def support_of_joint(joint: JointTable, base: InfoBase) -> SupportSet:
         for idx in np.argwhere(arr > 0.0):
             histories.add(tuple(states[k][j] for k, j in enumerate(idx)))
     return SupportSet(base, frozenset(histories))
+
+
+def support_of_joint(joint: JointTable, base: InfoBase) -> SupportSet:
+    """Boundary prefixes of the observable base with positive probability."""
+    obs = joint.marginal(base.vars)
+    return _support_from_marginals(base, _prefix_marginals(obs.probs, base.boundaries))
 
 
 def support(diagram: InfluenceDiagram, regime: Regime) -> SupportSet:
@@ -660,14 +665,5 @@ class ExactSource:
 
     def support(self) -> SupportSet:
         if self._support is None:
-            histories = set()
-            for m, arr in self._marginals.items():
-                if m == 0:
-                    if float(arr) > 0.0:
-                        histories.add(())
-                    continue
-                states = [self.base.states[v] for v in self.base.vars[:m]]
-                for idx in np.argwhere(arr > 0.0):
-                    histories.add(tuple(states[k][j] for k, j in enumerate(idx)))
-            self._support = SupportSet(self.base, frozenset(histories))
+            self._support = _support_from_marginals(self.base, self._marginals)
         return self._support

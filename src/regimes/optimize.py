@@ -1,22 +1,20 @@
 """Backward-induction strategy selection, with an exhaustive oracle.
 
-The optimizer reuses the recursion's conditional-source interface but
-replaces the action-averaging step with a max (or min) over action
-states.  Ties go to the lexicographically smallest state label, and
-histories that cannot occur observationally get that same default, which
-makes the returned policy deterministic in every row.
+The optimizer runs the recursion's backward engine with the
+action-averaging step replaced by a max (or min) over action states.
+Ties go to the lexicographically smallest state label, and histories
+that cannot occur observationally get that same default, which makes the
+returned policy deterministic in every row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import CapacityError, PositivityError
-from .grecursion import _normalize_k
+from .grecursion import _backward
 from .model import (
-    UNDEFINED,
     InfluenceDiagram,
     PartialHistory,
     Policy,
@@ -25,15 +23,6 @@ from .model import (
 )
 
 MAX_ENUMERATED = 10**6
-
-
-@dataclass
-class ValueFunction:
-    """Optimal continuation value and maximizing action per history."""
-
-    sense: str
-    values: dict = field(default_factory=dict)
-    argmax: dict = field(default_factory=dict)
 
 
 def optimal_strategy(source, k, sense: str = "max") -> tuple[Strategy, float]:
@@ -46,27 +35,10 @@ def optimal_strategy(source, k, sense: str = "max") -> tuple[Strategy, float]:
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
     base = source.base
-    kfun = _normalize_k(base, k)
     better = max if sense == "max" else min
-    vf = ValueFunction(sense)
+    argmax = {}
 
-    def value_before_block(i: int, h: PartialHistory) -> float:
-        cond = source.l_conditional(i, h)
-        if cond is UNDEFINED:
-            raise PositivityError(h)
-        total = 0.0
-        for config, p in zip(base.block_configs(i), cond):
-            if p <= 0.0:
-                continue
-            total += float(p) * value_after_block(i, h + config)
-        vf.values[h] = total
-        return total
-
-    def value_after_block(i: int, h: PartialHistory) -> float:
-        if i == base.n + 1:
-            v = kfun(h)
-            vf.values[h] = v
-            return v
+    def best_action(i: int, h: PartialHistory, value_before_block) -> float:
         action = base.action(i)
         best_state, best_value = None, None
         for state in sorted(base.states[action]):
@@ -78,28 +50,26 @@ def optimal_strategy(source, k, sense: str = "max") -> tuple[Strategy, float]:
                 best_state, best_value = state, v
         if best_state is None:
             raise PositivityError(h)
-        vf.values[h] = best_value
-        vf.argmax[h] = best_state
+        argmax[h] = best_state
         return best_value
 
-    value = value_before_block(1, ())
-    strategy = _strategy_from_argmax(base, vf)
-    return strategy, float(value)
+    values = _backward(source, k, best_action)
+    return _strategy_from_argmax(base, argmax, sense), float(values[()])
 
 
-def _strategy_from_argmax(base, vf: ValueFunction) -> Strategy:
+def _strategy_from_argmax(base, argmax: dict, sense: str) -> Strategy:
     policies = {}
     for i, action in enumerate(base.actions, start=1):
         parents = base.vars[: base.after_l(i)]
         default = min(base.states[action])
         table = {}
         for config in itertools.product(*(base.states[v] for v in parents)):
-            chosen = vf.argmax.get(config, default)
+            chosen = argmax.get(config, default)
             table[config] = tuple(
                 1.0 if s == chosen else 0.0 for s in base.states[action]
             )
         policies[action] = Policy(parents, table)
-    return Strategy(vf.sense + "-backward", policies)
+    return Strategy(sense + "-backward", policies)
 
 
 def _policy_space(diagram: InfluenceDiagram, action: str, i: int):
@@ -123,16 +93,14 @@ def enumerate_strategies(
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
+    total = strategy_count(diagram)
+    if total > MAX_ENUMERATED:
+        raise CapacityError(f"{total} strategies exceed the enumeration cap")
     base = diagram.base
     spaces = [
         _policy_space(diagram, action, i)
         for i, action in enumerate(base.actions, start=1)
     ]
-    total = 1
-    for _, configs, states in spaces:
-        total *= len(states) ** len(configs)
-    if total > MAX_ENUMERATED:
-        raise CapacityError(f"{total} strategies exceed the enumeration cap")
 
     better = max if sense == "max" else min
     best: tuple[Strategy, float] | None = None
@@ -156,7 +124,6 @@ def enumerate_strategies(
         value = consequence_direct(diagram, strategy, k)
         if best is None or better(value, best[1]) != best[1]:
             best = (strategy, value)
-    assert best is not None
     return best
 
 

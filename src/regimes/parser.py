@@ -27,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ModelError, ParseError, PolicyError
-from .model import SIGMA, Cpt, InfluenceDiagram, Policy, Strategy, Variable
-
-_KIND_NAMES = {"obs": "obs", "hid": "hid", "act": "act", "resp": "resp"}
+from .model import KINDS, SIGMA, Cpt, InfluenceDiagram, Policy, Strategy, Variable, row_problem
 
 
 @dataclass
@@ -112,12 +110,12 @@ class _Parser:
             opts[key] = val
         if set(opts) != {"kind", "states"}:
             self.fail(lineno, "var takes exactly kind= and states=")
-        if opts["kind"] not in _KIND_NAMES:
+        if opts["kind"] not in KINDS:
             self.fail(lineno, f"unknown kind {opts['kind']!r}")
         if name in self.var_lines:
             self.fail(lineno, f"variable {name} already declared on line {self.var_lines[name]}")
         try:
-            var = Variable(name, _KIND_NAMES[opts["kind"]], _split_list(opts["states"]))
+            var = Variable(name, opts["kind"], _split_list(opts["states"]))
         except ModelError as exc:
             self.fail(lineno, str(exc))
         self.variables.append(var)
@@ -267,12 +265,9 @@ class _Parser:
         rows[key] = probs
 
     def _check_row(self, probs, width, lineno):
-        if len(probs) != width:
-            self.fail(lineno, f"row has {len(probs)} entries, want {width}")
-        if any(p < 0.0 or p > 1.0 for p in probs):
-            self.fail(lineno, "probabilities must lie in [0, 1]")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            self.fail(lineno, f"row sums to {sum(probs)!r}, not 1")
+        problem = row_problem(probs, width)
+        if problem:
+            self.fail(lineno, f"row {problem}")
 
     # ------------------------------------------------------------------
     # assembly

@@ -22,6 +22,7 @@ from .model import (
     SIGMA,
     InfluenceDiagram,
     Strategy,
+    _factor_array,
     joint_distribution,
     observable_joint,
     support,
@@ -248,7 +249,8 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
     """The four positivity variants for one strategy against the
     observational regime."""
     diagram.validate_strategy(strategy)
-    simple = support(diagram, strategy).issubset(support(diagram, "obs"))
+    obs_support = support(diagram, "obs")
+    simple = support(diagram, strategy).issubset(obs_support)
     extended = extended_positivity(diagram, strategy)
 
     parent_child = True
@@ -267,10 +269,10 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
         if not parent_child:
             break
 
-    general, _ = check_cond6(support(diagram, "obs"), strategy)
+    general, _ = check_cond6(obs_support, strategy)
 
-    assert not parent_child or simple, "parent-child positivity must imply simple"
-    assert not extended or simple, "extended positivity must imply simple"
+    if (parent_child or extended) and not simple:
+        raise AssertionError("parent-child and extended positivity must each imply simple")
     return PositivityReport(simple, extended, parent_child, general)
 
 
@@ -289,23 +291,7 @@ def support_propagation(
             diagram.validate_strategy(regime)
         mask = np.ones(diagram.cards(), dtype=bool)
         for v in diagram.order:
-            if diagram.kinds[v] == "act" and regime != "obs":
-                pol = regime.policies[v]
-                parents, rows = pol.parents, pol.row
-            else:
-                cpt = diagram.cpts[v]
-                parents, rows = cpt.parents, cpt.row
-            axis_vars = diagram.sort(parents) + (v,)
-            shape = [1] * len(diagram.order)
-            for av in axis_vars:
-                shape[diagram.index[av]] = len(diagram.states[av])
-            fac = np.empty([len(diagram.states[av]) for av in axis_vars], dtype=bool)
-            reorder = [axis_vars.index(p) for p in parents]
-            for config in itertools.product(*(diagram.states[p] for p in axis_vars[:-1])):
-                key = tuple(config[reorder[k]] for k in range(len(parents)))
-                fac[tuple(diagram.states[p].index(s) for p, s in zip(axis_vars[:-1], config))] = [
-                    x > 0.0 for x in rows(key)
-                ]
-            mask &= fac.reshape(shape)
+            # One AND per factor: a product of tiny entries could underflow to 0.
+            mask &= _factor_array(diagram, regime, v) > 0.0
         out[name] = mask
     return out

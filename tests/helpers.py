@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from regimes.fixtures import f4
 from regimes.graph import Dag
 from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, Variable
 
@@ -128,3 +129,11 @@ def random_strategy(
                 table[config] = dirichlet_row(gen, len(base.states[action]))
         policies[action] = Policy(parents, table)
     return Strategy(f"rand{seed}", policies)
+
+
+def f4_without_action_one():
+    """f4 with both observational A1 rows set to (1, 0): A1=1 never occurs."""
+    d, strats = f4()
+    cpts = dict(d.cpts)
+    cpts["A1"] = Cpt("A1", ("U",), {("0",): (1.0, 0.0), ("1",): (1.0, 0.0)})
+    return InfluenceDiagram(d.variables, d.dag.edges, cpts), strats

@@ -2,7 +2,11 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from helpers import f4_without_action_one
 from regimes.cli import main
+from regimes.parser import ModelDocument, format_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -200,6 +204,35 @@ class TestErrorsAndDeterminism:
     def test_unknown_strategy(self):
         code, _, err = run("grec", "--model", model("f1.id"), "--strategy", "zzz")
         assert code == 2 and "unknown strategy" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evaluate", "--model", "{f1}", "--k", "0=abc,1=1"),
+            ("evaluate", "--model", "{f1}", "--k", "0=nan,1=1"),
+            ("estimate", "--model", "{f1}", "--data", "{rows}", "--alpha", "nan", "--strategy", "dyn"),
+            ("estimate", "--model", "{f1}", "--data", "{rows}", "--alpha", "-1", "--strategy", "dyn"),
+            ("simulate", "--model", "{f1}", "--regime", "obs", "--n", "5", "--seed", "-1",
+             "--out", "{out}"),
+            ("evaluate", "--model", "{latin1}"),
+            ("evaluate", "--model", "{nan}"),
+            ("grec", "--model", "{f4_no_a1}", "--strategy", "pick1"),
+            ("grec", "--model", "{f4_no_a1}", "--strategy", "e"),
+        ],
+    )
+    def test_bad_values_exit_2_with_one_error_line(self, tmp_path, argv):
+        paths = {"f1": model("f1.id"), "rows": tmp_path / "rows.txt", "out": tmp_path / "out.txt"}
+        run("simulate", "--model", paths["f1"], "--regime", "obs", "--n", "50",
+            "--seed", "1", "--out", str(paths["rows"]))
+        paths["latin1"] = tmp_path / "latin1.id"
+        paths["latin1"].write_bytes(b"# caf\xe9\nvar Y kind=resp states=0,1\n")
+        paths["nan"] = tmp_path / "nan.id"
+        paths["nan"].write_text("var Y kind=resp states=0,1\norder Y\ncpt Y | -\nrow - : nan nan\n")
+        paths["f4_no_a1"] = tmp_path / "f4_no_a1.id"
+        paths["f4_no_a1"].write_text(format_model(ModelDocument(*f4_without_action_one())))
+        code, out, err = run(*(a.format(**paths) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_usage_error(self):
         assert run("grec", "--model", model("f1.id"))[0] == 2

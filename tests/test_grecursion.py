@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_strategy
-from regimes.errors import InputError
+from helpers import f4_without_action_one, random_strategy
+from regimes.errors import InputError, PositivityError
 from regimes.fixtures import complete_stable, f1, f2
 from regimes.grecursion import (
     build_dag_i,
@@ -124,6 +124,17 @@ class TestGRecursion:
         assert abs(g_recursion(src, s, K01) - consequence_direct(d, s, K01)) < 1e-9
         rep = verify_general_conditions(d, s)
         assert rep.overall and rep.consequence_delta <= 1e-9
+
+
+class TestPositivityFailure:
+    @pytest.mark.parametrize("name", ["pick1", "e"])
+    def test_unsupported_strategy_mass_raises(self, name):
+        d, strats = f4_without_action_one()
+        ok, witness = check_cond6(support(d, "obs"), strats[name])
+        assert not ok and witness == ("1",)
+        with pytest.raises(PositivityError) as err:
+            g_recursion(ExactSource(d), strats[name], K01)
+        assert err.value.history == witness
 
 
 class TestGammaSupport:

@@ -67,6 +67,12 @@ class TestValidation:
         with pytest.raises(ModelError):
             InfluenceDiagram([v], [], {"Y": Cpt("Y", (), {(): (0.6, 0.3)})})
 
+    def test_nan_row_rejected(self):
+        v = Variable("Y", "resp", ("0", "1"))
+        nan = float("nan")
+        with pytest.raises(ModelError, match="outside"):
+            InfluenceDiagram([v], [], {"Y": Cpt("Y", (), {(): (nan, nan)})})
+
     def test_hidden_int_parent_rejected(self):
         vs = [
             Variable("U", "hid", ("0", "1")),
@@ -173,6 +179,13 @@ class TestJointDistribution:
         )
         with pytest.raises(PolicyError):
             joint_distribution(d, partial)
+
+
+    @pytest.mark.parametrize("row", [(float("nan"), float("nan")), (float("inf"), 0.0)])
+    def test_non_finite_policy_row_rejected(self, row):
+        d, _ = f4()
+        with pytest.raises(PolicyError, match="outside"):
+            joint_distribution(d, Strategy("bad", {"A1": Policy((), {(): row})}))
 
 
 class TestConditional:

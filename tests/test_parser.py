@@ -71,6 +71,24 @@ class TestDiagnostics:
         bad = MINIMAL.replace("row - : 0.3 0.7", "row - : 0.3 0.6")
         self.check(bad, "sums to", line=5)
 
+    def test_nan_row_names_row(self):
+        bad = MINIMAL.replace("row - : 0.3 0.7", "row - : nan nan")
+        self.check(bad, "outside [0, 1]", line=5)
+
+    def test_nan_prow_names_row(self):
+        text = (
+            "var A kind=act states=0,1\n"
+            "var Y kind=resp states=0,1\n"
+            "order A Y\n"
+            "edge A Y\nedge sigma A\n"
+            "cpt A | -\nrow - : 0.5 0.5\n"
+            "cpt Y | A\nrow 0 : 0.5 0.5\nrow 1 : 0.5 0.5\n"
+            "strategy s\n"
+            "assign A | -\n"
+            "prow - : nan nan\n"
+        )
+        self.check(text, "outside [0, 1]", line=13)
+
     def test_missing_row_reported_at_header(self):
         text = (
             "var L kind=obs states=0,1\n"
