@@ -19,7 +19,7 @@ from . import grecursion as grec
 from . import optimize as opt
 from . import stability as stab
 from .errors import RegimesError
-from .model import ExactSource, consequence_direct
+from .model import UNDEFINED, ExactSource, consequence_direct
 from .parser import ModelDocument, parse_model
 
 CHECK_FAILED = 1
@@ -228,7 +228,7 @@ def cmd_estimate(doc: ModelDocument, args) -> int:
         for config in itertools.product(*(base.states[v] for v in past)):
             cond = source.l_conditional(i, config)
             key_cfg = ",".join(config) if config else "-"
-            if cond is dat.UNDEFINED:
+            if cond is UNDEFINED:
                 _emit(f"cond[{i}|{key_cfg}]", "undefined")
             else:
                 _emit(f"cond[{i}|{key_cfg}]", ",".join(format(p, ".12g") for p in cond))

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import (
-    UNDEFINED,
-    InfluenceDiagram,
-    InfoBase,
-    PartialHistory,
-    Regime,
-    mechanism,
-)
+from .model import InfluenceDiagram, InfoBase, PrefixSource, Regime, mechanism
 
 
 @dataclass(frozen=True)
@@ -127,7 +120,7 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
     )
 
 
-class EstimatedSource:
+class EstimatedSource(PrefixSource):
     """Conditional source backed by smoothed relative frequencies.
 
     Serves block conditionals for the backward recursion.  A history is
@@ -136,52 +129,13 @@ class EstimatedSource:
     history counts as possible.
     """
 
-    label = "estimated"
-
     def __init__(self, dataset: Dataset, base: InfoBase, alpha: float = 0.5):
-        if not 0.0 <= alpha < math.inf:
-            raise InputError(f"alpha must be finite and non-negative, not {alpha!r}")
         if dataset.columns != base.vars:
             raise InputError("dataset schema does not match the information base")
-        self.base = base
-        self.alpha = float(alpha)
-        self._cards = np.array([len(s) for s in dataset.states], dtype=np.int64)
-        self._counts: dict[int, np.ndarray] = {}
-        for m in base.boundaries:
-            self._counts[m] = self._table(dataset, m)
-
-    def _table(self, dataset: Dataset, m: int) -> np.ndarray:
-        """Counts over the first m columns, shaped by their cards."""
-        if m == 0:
-            return np.array(float(dataset.n))
-        cards = self._cards[:m]
-        radix = np.zeros(dataset.n, dtype=np.int64)
-        for j in range(m):
-            radix = radix * cards[j] + dataset.codes[:, j]
-        counts = np.bincount(radix, minlength=int(np.prod(cards)))
-        return counts.reshape(tuple(cards)).astype(float)
-
-    def _locate(self, h: PartialHistory) -> tuple[int, ...]:
-        return tuple(
-            self.base.states[v].index(s) for v, s in zip(self.base.vars, h)
-        )
-
-    def possible(self, h: PartialHistory) -> bool:
-        if self.alpha > 0.0:
-            self.base.check_history(h)
-            return True
-        arr = self._counts[len(h)]
-        return float(arr[self._locate(h)]) > 0.0 if len(h) else float(arr) > 0.0
-
-    def l_conditional(self, i: int, h: PartialHistory):
-        if len(h) != self.base.before_l(i):
-            raise InputError(f"history of length {len(h)} does not precede block {i}")
-        block = self._counts[self.base.after_l(i)][self._locate(h)]
-        flat = np.asarray(block, dtype=float).reshape(-1)
-        total = flat.sum()
-        if total <= 0.0 and self.alpha == 0.0:
-            return UNDEFINED
-        return (flat + self.alpha) / (total + self.alpha * flat.size)
+        cards = tuple(len(s) for s in dataset.states)
+        cells = np.ravel_multi_index(tuple(dataset.codes.T), cards)
+        counts = np.bincount(cells, minlength=math.prod(cards)).reshape(cards)
+        super().__init__(base, counts.astype(float), "estimated", alpha)
 
 
 def estimate_conditionals(dataset: Dataset, base: InfoBase, alpha: float = 0.5) -> EstimatedSource:

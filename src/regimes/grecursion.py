@@ -2,19 +2,21 @@
 
 The evaluator alternates an action-averaging step (strategy probabilities)
 and a covariate-averaging step (observational conditionals) from full
-histories down to the empty one.  It consumes any conditional source that
-exposes the observable stage structure, per-stage block conditionals and a
-possibility test, so the same engine runs on exact model conditionals and
-on frequency estimates; the optimizer reuses it with the action average
-replaced by a max or min.  The module also builds the auxiliary mixed-regime
-diagrams and artificial joint distributions used to justify the recursion
-when plain stability fails, together with their graphical and numeric
-checks.
+histories down to the empty one.  Its conditionals come from a
+``PrefixSource``, the prefix marginals of one table over the observable
+base, so the same engine runs on the exact joint and on frequency counts;
+the optimizer reuses it with the action average replaced by a max or min.
+The module also builds the auxiliary mixed-regime diagrams and artificial
+joint distributions used to justify the recursion when plain stability
+fails, together with their graphical and numeric checks, which read each
+artificial distribution through a source of the same type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InputError, PositivityError
 from .graph import Dag, separated
@@ -26,13 +28,12 @@ from .model import (
     InfoBase,
     JointTable,
     PartialHistory,
+    PrefixSource,
     Strategy,
     SupportSet,
-    conditional,
     consequence_direct,
     joint_with_action_selector,
     response_weights,
-    support_of_joint,
 )
 
 TOL = 1e-9
@@ -129,7 +130,7 @@ def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
         return total
 
     values = _backward(source, k, average)
-    return RecursionTable(base, strategy.name, getattr(source, "label", "?"), values)
+    return RecursionTable(base, strategy.name, source.label, values)
 
 
 def g_recursion(source, strategy: Strategy, k) -> float:
@@ -294,10 +295,6 @@ class GeneralConditionsReport:
         )
 
 
-def _history_conditional(joint: JointTable, base: InfoBase, vars_out, h: PartialHistory):
-    return conditional(joint, vars_out, dict(zip(base.vars, h)))
-
-
 def verify_general_conditions(
     diagram: InfluenceDiagram, strategy: Strategy, tol: float = TOL
 ) -> GeneralConditionsReport:
@@ -309,67 +306,58 @@ def verify_general_conditions(
     direct oracle for each response state.
     """
     base = diagram.base
-    p_tables = {i: construct_p_i(diagram, strategy, i) for i in range(0, diagram.n + 1)}
-    p_margins = {i: t.marginal(base.vars) for i, t in p_tables.items()}
-    p_supports = {i: support_of_joint(t, base) for i, t in p_tables.items()}
-    # Stage n keeps every action observational: it is the observational joint.
-    obs_margin, obs_support = p_margins[diagram.n], p_supports[diagram.n]
-    gamma = gamma_support(obs_support, strategy)
+    diagram.validate_strategy(strategy)
+    p = {}
+    for i in range(diagram.n):
+        table = construct_p_i(diagram, strategy, i).marginal(base.vars).probs
+        p[i] = PrefixSource(base, table, f"p{i}")
+    # Stage n keeps every action observational: it is the observational source.
+    obs = p[diagram.n] = ExactSource(diagram)
+    obs_support = obs.support()
+    gamma = {}
+    for h in gamma_support(obs_support, strategy):
+        gamma.setdefault(len(h), []).append(h)
 
     # Support biconditional: after stage i, the artificial distribution and
     # the observational one agree on which (lbar_i, abar_i) are possible.
     support_ok = True
     for i in range(1, base.n + 1):
         m = base.after_a(i)
-        in_p = {h for h in p_supports[i].histories if len(h) == m}
-        in_o = {h for h in obs_support.histories if len(h) == m}
-        if in_p != in_o:
+        if not np.array_equal(p[i].marginal(m) > 0.0, obs.marginal(m) > 0.0):
             support_ok = False
 
     l_ok = True
     a_ok = True
     positions = _policy_positions(base, strategy)
     for i in range(1, base.n + 2):
-        m = base.before_l(i)
-        for h in (h for h in gamma.histories if len(h) == m):
-            if h not in p_supports[i - 1]:
+        for h in gamma.get(base.before_l(i), ()):
+            if not p[i - 1].possible(h):
                 continue
-            left = _history_conditional(p_margins[i - 1], base, base.block(i), h)
-            right = _history_conditional(obs_margin, base, base.block(i), h)
-            if left is UNDEFINED or right is UNDEFINED:
-                l_ok = l_ok and (left is right)
-                continue
-            if any(abs(left[c] - right[c]) > tol for c in left):
+            left, right = p[i - 1].l_conditional(i, h), obs.l_conditional(i, h)
+            if np.any(np.abs(left - right) > tol):
                 l_ok = False
     for i in range(1, base.n + 1):
-        m = base.after_l(i)
         action = base.action(i)
         pol = strategy.policies[action]
-        for h in (h for h in gamma.histories if len(h) == m):
-            if h not in p_supports[i - 1]:
+        for h in gamma.get(base.after_l(i), ()):
+            if not p[i - 1].possible(h):
                 continue
-            left = _history_conditional(p_margins[i - 1], base, (action,), h)
-            if left is UNDEFINED:
-                continue
-            row = pol.row(tuple(h[p] for p in positions[action]))
-            if any(
-                abs(left[(s,)] - row[j]) > tol
-                for j, s in enumerate(base.states[action])
-            ):
+            left = p[i - 1].after(h, base.after_a(i))
+            row = pol.row(tuple(h[q] for q in positions[action]))
+            if np.any(np.abs(left - row) > tol):
                 a_ok = False
 
     y_ok = True
     y_failures = []
+    width = len(base.states[base.response])
     for i in range(1, base.n + 1):
-        m = base.after_a(i)
-        for h in (h for h in gamma.histories if len(h) == m):
-            if h not in p_supports[i - 1]:
+        for h in gamma.get(base.after_a(i), ()):
+            if not (p[i - 1].possible(h) and p[i].possible(h)):
                 continue
-            left = _history_conditional(p_margins[i - 1], base, (base.response,), h)
-            right = _history_conditional(p_margins[i], base, (base.response,), h)
-            if left is UNDEFINED or right is UNDEFINED:
-                continue
-            if any(abs(left[c] - right[c]) > tol for c in left):
+            # Response given h: the rest of the base given h, summed down to y.
+            left = p[i - 1].after(h, len(base.vars)).reshape(-1, width).sum(axis=0)
+            right = p[i].after(h, len(base.vars)).reshape(-1, width).sum(axis=0)
+            if np.any(np.abs(left - right) > tol):
                 y_ok = False
                 if len(y_failures) < 3:
                     y_failures.append((i, h))
@@ -379,10 +367,9 @@ def verify_general_conditions(
     delta = None
     if support_ok and l_ok and a_ok and y_ok and pos_ok:
         delta = 0.0
-        source = ExactSource(diagram)
         for y_state in base.states[base.response]:
             k = {s: 1.0 if s == y_state else 0.0 for s in base.states[base.response]}
-            lhs = g_recursion(source, strategy, k)
+            lhs = g_recursion(obs, strategy, k)
             rhs = consequence_direct(diagram, strategy, k)
             delta = max(delta, abs(lhs - rhs))
         if not delta <= 1e-9:

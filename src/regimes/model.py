@@ -395,7 +395,10 @@ class InfluenceDiagram:
         return f"InfluenceDiagram({len(self.order)} variables, {len(self.actions)} actions)"
 
     def validate_strategy(self, strategy: Strategy) -> None:
-        """Raise PolicyError unless the strategy is a complete control strategy."""
+        """Raise InputError unless given a Strategy, PolicyError unless it is
+        a complete control strategy."""
+        if not isinstance(strategy, Strategy):
+            raise InputError(f"a regime is 'obs' or a Strategy, not {strategy!r}")
         for a in self.actions:
             if a not in strategy.policies:
                 raise PolicyError(f"strategy {strategy.name!r} has no policy for action {a}")
@@ -577,35 +580,9 @@ def conditional(joint: JointTable, target: Iterable[str], given: Mapping[str, st
     return out
 
 
-def _prefix_marginals(probs: np.ndarray, boundaries: Iterable[int]) -> dict[int, np.ndarray]:
-    full = probs.ndim
-    out = {}
-    for m in boundaries:
-        out[m] = probs.sum(axis=tuple(range(m, full))) if m < full else probs
-    return out
-
-
-def _support_from_marginals(base: InfoBase, marginals: Mapping[int, np.ndarray]) -> SupportSet:
-    histories = set()
-    for m, arr in marginals.items():
-        if m == 0:
-            if float(arr) > 0.0:
-                histories.add(())
-            continue
-        states = [base.states[v] for v in base.vars[:m]]
-        for idx in np.argwhere(arr > 0.0):
-            histories.add(tuple(states[k][j] for k, j in enumerate(idx)))
-    return SupportSet(base, frozenset(histories))
-
-
-def support_of_joint(joint: JointTable, base: InfoBase) -> SupportSet:
-    """Boundary prefixes of the observable base with positive probability."""
-    obs = joint.marginal(base.vars)
-    return _support_from_marginals(base, _prefix_marginals(obs.probs, base.boundaries))
-
-
 def support(diagram: InfluenceDiagram, regime: Regime) -> SupportSet:
-    return support_of_joint(joint_distribution(diagram, regime), diagram.base)
+    table = observable_joint(diagram, regime).probs
+    return PrefixSource(diagram.base, table, "support").support()
 
 
 def response_weights(base: InfoBase, k: Mapping[str, float]) -> np.ndarray:
@@ -630,40 +607,78 @@ def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:
     return float(marg.probs @ weights)
 
 
-class ExactSource:
-    """Conditional source backed by the diagram's exact observational joint."""
+class PrefixSource:
+    """Conditional source over the prefix marginals of one table on the
+    observable information base (probabilities or counts).
 
-    label = "exact"
+    The backward recursion reads ``possible`` and ``l_conditional``; the
+    mixed-regime checks compare ``after`` slices of several sources.  With
+    ``alpha > 0`` every block conditional is additively smoothed, so every
+    syntactically valid history counts as possible.
+    """
 
-    def __init__(self, diagram: InfluenceDiagram):
-        self.base = diagram.base
-        obs = observable_joint(diagram, "obs")
-        self._probs = obs.probs
-        self._marginals = _prefix_marginals(obs.probs, self.base.boundaries)
-        self._sindex = [
-            {s: j for j, s in enumerate(self.base.states[v])} for v in self.base.vars
-        ]
+    def __init__(self, base: InfoBase, table: np.ndarray, label: str, alpha: float = 0.0):
+        if not 0.0 <= alpha < math.inf:
+            raise InputError(f"alpha must be finite and non-negative, not {alpha!r}")
+        self.base = base
+        self.label = label
+        self.alpha = float(alpha)
+        full = table.ndim
+        self._marginals = {
+            m: table.sum(axis=tuple(range(m, full))) if m < full else table
+            for m in base.boundaries
+        }
+        self._sindex = [{s: j for j, s in enumerate(base.states[v])} for v in base.vars]
         self._support = None
 
     def _idx(self, h: PartialHistory) -> tuple[int, ...]:
-        return tuple(self._sindex[i][s] for i, s in enumerate(h))
+        try:
+            return tuple(self._sindex[i][s] for i, s in enumerate(h))
+        except (KeyError, IndexError):
+            self.base.check_history(h)  # names the bad label or length
+            raise
+
+    def marginal(self, m: int) -> np.ndarray:
+        """The table summed over every position from m on."""
+        return self._marginals[m]
 
     def possible(self, h: PartialHistory) -> bool:
-        arr = self._marginals[len(h)]
-        return float(arr[self._idx(h)]) > 0.0 if len(h) else float(arr) > 0.0
+        if self.alpha > 0.0:
+            self.base.check_history(h)
+            return True
+        return float(self._marginals[len(h)][self._idx(h)]) > 0.0
+
+    def after(self, h: PartialHistory, m: int):
+        """Distribution of positions ``len(h)..m-1`` given ``h``, flattened
+        in row-major state order, or UNDEFINED on an empty event."""
+        flat = np.asarray(self._marginals[m][self._idx(h)], dtype=float).reshape(-1)
+        total = flat.sum()
+        if self.alpha > 0.0:
+            return (flat + self.alpha) / (total + self.alpha * flat.size)
+        if total <= 0.0:
+            return UNDEFINED
+        return flat / total
 
     def l_conditional(self, i: int, h: PartialHistory):
         """Distribution of the i-th observable block given the prefix ``h``."""
         if len(h) != self.base.before_l(i):
             raise InputError(f"history of length {len(h)} does not precede block {i}")
-        block = self._marginals[self.base.after_l(i)][self._idx(h)]
-        flat = np.asarray(block, dtype=float).reshape(-1)
-        denom = flat.sum()
-        if denom <= 0.0:
-            return UNDEFINED
-        return flat / denom
+        return self.after(h, self.base.after_l(i))
 
     def support(self) -> SupportSet:
+        """Boundary prefixes with positive mass in the table."""
         if self._support is None:
-            self._support = _support_from_marginals(self.base, self._marginals)
+            histories = set()
+            for m, arr in self._marginals.items():
+                states = [self.base.states[v] for v in self.base.vars[:m]]
+                for idx in np.argwhere(arr > 0.0):
+                    histories.add(tuple(states[k][j] for k, j in enumerate(idx)))
+            self._support = SupportSet(self.base, frozenset(histories))
         return self._support
+
+
+class ExactSource(PrefixSource):
+    """Conditional source backed by the diagram's exact observational joint."""
+
+    def __init__(self, diagram: InfluenceDiagram):
+        super().__init__(diagram.base, observable_joint(diagram, "obs").probs, "exact")

@@ -323,9 +323,10 @@ def parse_model(text: str) -> ModelDocument:
 
 
 def _format_row(config, probs, states) -> str:
-    ones = [s for s, p in zip(states, probs) if p == 1.0]
-    if len(ones) == 1 and sum(probs) == 1.0:
-        return f"row {_join_list(config)} : {ones[0]}"
+    probs = tuple(probs)
+    # The ``row`` shorthand parses back to exact ones and zeros only.
+    if probs.count(1.0) == 1 and probs.count(0.0) == len(probs) - 1:
+        return f"row {_join_list(config)} : {states[probs.index(1.0)]}"
     return f"prow {_join_list(config)} : " + " ".join(repr(float(p)) for p in probs)
 
 

@@ -21,6 +21,7 @@ from .graph import connecting_path
 from .model import (
     SIGMA,
     InfluenceDiagram,
+    PrefixSource,
     Strategy,
     _factor_array,
     joint_distribution,
@@ -92,16 +93,6 @@ def check_simple_stability_graphical(diagram: InfluenceDiagram) -> StabilityRepo
     return StabilityReport("simple_stability_graphical", tuple(stages))
 
 
-def _stage_slice(margin_probs: np.ndarray, base, i: int) -> np.ndarray:
-    """Observable joint restricted to (past, block i) as a
-    (past-configs, block-configs) array."""
-    m0, m1 = base.before_l(i), base.after_l(i)
-    sub = margin_probs.sum(axis=tuple(range(m1, margin_probs.ndim)))
-    return sub.reshape(
-        int(np.prod(sub.shape[:m0], dtype=np.int64)) if m0 else 1, -1
-    )
-
-
 def _past_configs(diagram: InfluenceDiagram, i: int):
     base = diagram.base
     past = base.vars[: base.before_l(i)]
@@ -114,15 +105,18 @@ def check_simple_stability_numeric(
     """Equality of covariate-block conditionals across the observational
     regime and every supplied strategy, wherever both sides are defined."""
     base = diagram.base
-    margins = [("obs", observable_joint(diagram, "obs").probs)]
-    margins += [(s.name, observable_joint(diagram, s).probs) for s in strategies]
+    regimes = [("obs", "obs")] + [(s.name, s) for s in strategies]
+    sources = [PrefixSource(base, observable_joint(diagram, r).probs, name) for name, r in regimes]
     stages = []
     for i in range(1, base.n + 2):
         if not base.block(i):
             stages.append(StageVerdict(i, True))
             continue
-        tables = [(name, _stage_slice(probs, base, i)) for name, probs in margins]
         past, configs = _past_configs(diagram, i)
+        tables = [
+            (src.label, src.marginal(base.after_l(i)).reshape(len(configs), -1))
+            for src in sources
+        ]
         verdict: StageVerdict | None = None
         for row, event in enumerate(configs):
             rows = []
@@ -286,12 +280,12 @@ def support_propagation(
     is possible exactly when every factor entry along it is positive.
     """
     out = {}
-    for name, regime in [("obs", "obs")] + [(s.name, s) for s in strategies]:
+    for regime in ("obs", *strategies):
         if regime != "obs":
             diagram.validate_strategy(regime)
         mask = np.ones(diagram.cards(), dtype=bool)
         for v in diagram.order:
             # One AND per factor: a product of tiny entries could underflow to 0.
             mask &= _factor_array(diagram, regime, v) > 0.0
-        out[name] = mask
+        out[regime if regime == "obs" else regime.name] = mask
     return out

@@ -166,6 +166,17 @@ class TestSeparationOracle:
             x, y, z = _random_triple(gen, d)
             assert separated(d, x, y, z) == separated_by_path_enumeration(d, x, y, z)
 
+    def test_agrees_with_networkx_d_separation(self):
+        nx = pytest.importorskip("networkx")
+        for seed in range(300):
+            gen = rng(600 + seed)
+            n_nodes = int(gen.integers(7, 11))
+            d = random_dag(gen, n_nodes, p_edge=float(gen.uniform(0.1, 0.6)))
+            x, y, z = _random_triple(gen, d, max_size=3)
+            g = nx.DiGraph(list(d.edges))
+            g.add_nodes_from(d.nodes)
+            assert separated(d, x, y, z) == nx.is_d_separator(g, x, y, z)
+
     def test_agrees_on_all_four_node_dags(self):
         names = ("a", "b", "c", "d")
         pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]

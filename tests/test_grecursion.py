@@ -1,3 +1,9 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -269,6 +275,27 @@ class TestVerifyGeneral:
         assert not rep.y_bridge
         assert rep.y_bridge_failures[0][0] == 1
         assert rep.consequence_delta is None
+
+    def test_y_bridge_failures_independent_of_hash_seed(self):
+        # String hashes, and so set iteration order, change with PYTHONHASHSEED.
+        here = Path(__file__).resolve().parent
+        code = (
+            "from helpers import random_extended_id, random_strategy\n"
+            "from regimes.grecursion import verify_general_conditions\n"
+            "d = random_extended_id(0, n_actions=3, hidden_to_action=True)\n"
+            "print(verify_general_conditions(d, random_strategy(d, 0)).y_bridge_failures)\n"
+        )
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            ).stdout
+            for seed in ("0", "3")
+        ]
+        assert outputs[0] == outputs[1]
+        witnesses = ast.literal_eval(outputs[0])
+        assert len(witnesses) == 3 and list(witnesses) == sorted(witnesses)
 
     def test_y_marginal_identified_but_not_full_joint(self):
         # the mixed route identifies the response marginal; intermediate

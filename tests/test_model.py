@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import random_strategy, rng
+from regimes.data import EstimatedSource, sample
 from regimes.errors import CapacityError, InputError, ModelError, PolicyError
 from regimes.fixtures import f1, f2, f4
+from regimes.grecursion import construct_p_i
 from regimes.model import (
     UNDEFINED,
     Cpt,
@@ -20,6 +22,7 @@ from regimes.model import (
     observable_joint,
     support,
 )
+from regimes.stability import support_propagation
 
 
 def single_response(p1=0.3):
@@ -326,3 +329,43 @@ class TestExactSource:
         assert set(ExactSource(d).support().histories) == set(
             support(d, "obs").histories
         )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: joint_distribution(d, "Obs"),
+        lambda d: support(d, "Obs"),
+        lambda d: consequence_direct(d, "Obs", {"0": 0.0, "1": 1.0}),
+        lambda d: sample(d, "Obs", 10, 0),
+        lambda d: support_propagation(d, ["Obs"]),
+        lambda d: construct_p_i(d, "Obs", 0),
+    ],
+    ids=[
+        "joint_distribution", "support", "consequence_direct", "sample",
+        "support_propagation", "construct_p_i",
+    ],
+)
+def test_regime_neither_obs_nor_strategy_rejected(call):
+    d, _ = f1()
+    with pytest.raises(InputError, match="'obs' or a Strategy"):
+        call(d)
+
+
+SOURCES = {
+    "exact": ExactSource,
+    "estimated": lambda d: EstimatedSource(sample(d, "obs", 200, seed=0), d.base, alpha=0.0),
+    "smoothed": lambda d: EstimatedSource(sample(d, "obs", 200, seed=0), d.base, alpha=0.5),
+}
+
+
+@pytest.mark.parametrize("make", SOURCES.values(), ids=SOURCES.keys())
+@pytest.mark.parametrize(
+    "query",
+    [lambda src: src.possible(("1", "9")), lambda src: src.l_conditional(2, ("1", "9"))],
+    ids=["possible", "l_conditional"],
+)
+def test_bad_history_label_rejected(make, query):
+    d, _ = f1()
+    with pytest.raises(InputError, match="'9' is not a state of A1"):
+        query(make(d))

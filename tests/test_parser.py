@@ -1,9 +1,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import random_extended_id, random_strategy
 from regimes.errors import ParseError
 from regimes.fixtures import f1, f2, f3, f4, f5
+from regimes.model import Policy, Strategy
 from regimes.parser import ModelDocument, format_model, parse_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -157,3 +161,24 @@ class TestRoundTrip:
             parse_model((MODELS / "f4_two_actions.id").read_text()).diagram
             == F.f4(two_actions=True)[0]
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_actions=st.integers(1, 3),
+    hidden_to_action=st.booleans(),
+    row=st.none() | st.floats(0.0, 1.0).map(lambda p: (1.0 - p, p)),
+)
+@example(seed=0, n_actions=1, hidden_to_action=False, row=(1.0, 1e-300))
+def test_format_parse_round_trip(seed, n_actions, hidden_to_action, row):
+    # ``row`` (when drawn) replaces the first policy row of the first action.
+    d = random_extended_id(seed, n_actions=n_actions, hidden_to_action=hidden_to_action)
+    s = random_strategy(d, seed)
+    if row is not None:
+        a = d.actions[0]
+        pol = s.policies[a]
+        table = {**pol.table, min(pol.table): row}
+        s = Strategy(s.name, {**s.policies, a: Policy(pol.parents, table)})
+    doc = ModelDocument(d, {s.name: s})
+    assert parse_model(format_model(doc)) == doc
