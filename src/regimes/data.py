@@ -16,14 +16,13 @@ positivity failures surface.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .model import InfluenceDiagram, InfoBase, PrefixSource, Regime, mechanism
+from .model import InfluenceDiagram, InfoBase, PrefixSource, Regime, factor_array, mechanism
 
 
 @dataclass(frozen=True)
@@ -97,16 +96,13 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
 
     for j, v in enumerate(diagram.order):
         parents, rows = mechanism(diagram, regime, v)
-        configs = list(itertools.product(*(diagram.states[p] for p in parents)))
-        table = np.array([rows(c) for c in configs])
-        cum = np.cumsum(table, axis=1)
+        axes = diagram.sort(parents) + (v,)
+        table = factor_array(diagram.states, axes, v, parents, rows)
+        cum = np.cumsum(table.reshape(-1, len(diagram.states[v])), axis=1)
         cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-        if parents:
-            radix = np.zeros(n, dtype=np.int64)
-            for p in parents:
-                radix = radix * len(diagram.states[p]) + codes[:, col[p]]
-        else:
-            radix = np.zeros(n, dtype=np.int64)
+        radix = np.zeros(n, dtype=np.int64)
+        for p in axes[:-1]:
+            radix = radix * len(diagram.states[p]) + codes[:, col[p]]
         codes[:, j] = (u[:, j : j + 1] >= cum[radix]).sum(axis=1)
 
     keep = [j for j, v in enumerate(diagram.order) if diagram.kinds[v] != "hid"]

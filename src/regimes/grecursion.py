@@ -2,10 +2,14 @@
 
 The evaluator alternates an action-averaging step (strategy probabilities)
 and a covariate-averaging step (observational conditionals) from full
-histories down to the empty one.  Its conditionals come from a
-``PrefixSource``, the prefix marginals of one table over the observable
-base, so the same engine runs on the exact joint and on frequency counts;
-the optimizer reuses it with the action average replaced by a max or min.
+histories down to the empty one, one stage array at a time: each step
+handles every history of a stage boundary at once.  Its conditionals are
+the ``given`` arrays of a ``PrefixSource``, the prefix marginals of one
+table over the observable base, so the same engine runs on the exact
+joint and on frequency counts; the optimizer reuses it with the action
+average replaced by a max or min.  ``live_frontier`` computes the
+histories the engine visits, as one mask per boundary, and the positivity
+witness that the recursion, ``check_cond6`` and the numeric checks share.
 The module also builds the auxiliary mixed-regime diagrams and artificial
 joint distributions used to justify the recursion when plain stability
 fails, together with their graphical and numeric checks, which read each
@@ -14,7 +18,8 @@ artificial distribution through a source of the same type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,16 +27,15 @@ from .errors import InputError, PositivityError
 from .graph import Dag, separated
 from .model import (
     SIGMA,
-    UNDEFINED,
     ExactSource,
     InfluenceDiagram,
     InfoBase,
     JointTable,
-    PartialHistory,
     PrefixSource,
     Strategy,
     SupportSet,
     consequence_direct,
+    factor_array,
     joint_with_action_selector,
     response_weights,
 )
@@ -39,12 +43,14 @@ from .model import (
 TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class RecursionTable:
     """Values f(h) computed over the live frontier.
 
-    Histories absent from ``values`` were pruned because they are
-    observationally impossible or off-strategy; their value is 0 by
+    ``arrays`` holds one value array per stage boundary and ``values`` the
+    same numbers keyed by history, built on first use; compare tables by
+    ``values``.  Histories absent from ``values`` were pruned because they
+    are observationally impossible or off-strategy; their value is 0 by
     convention.  A strategy-positive action state that is observationally
     impossible is never pruned: the recursion raises ``PositivityError``
     with that extended history instead of dropping its strategy mass.
@@ -53,84 +59,117 @@ class RecursionTable:
     base: InfoBase
     strategy: str
     source: str
-    values: dict = field(default_factory=dict)
+    live: SupportSet
+    arrays: dict
+
+    @functools.cached_property
+    def values(self) -> dict:
+        values = {}
+        for m, mask in self.live.masks.items():
+            values.update(zip(self.base.histories(mask), self.arrays[m][mask].tolist()))
+        return values
 
     @property
     def root(self) -> float:
-        return self.values[()]
+        return float(self.arrays[0])
 
 
-def _normalize_k(base: InfoBase, k):
-    if callable(k):
-        return k
-    weights = response_weights(base, k)
-    y_index = {s: i for i, s in enumerate(base.states[base.response])}
-    return lambda h: float(weights[y_index[h[-1]]])
+def _policy_arrays(base: InfoBase, strategy: Strategy) -> list[np.ndarray]:
+    """Each action's policy as a dense array over the base up to and
+    including that action; raises unless the strategy is valid on the base."""
+    base.validate_strategy(strategy)
+    return [
+        factor_array(base.states, base.vars[: base.after_a(i)], a,
+                     strategy.policies[a].parents, strategy.policies[a].row)
+        for i, a in enumerate(base.actions, start=1)
+    ]
 
 
-def _backward(source, k, action_step) -> dict:
-    """Backward recursion from full histories down to the empty one.
+def live_frontier(support: SupportSet, policies: list[np.ndarray] | None = None):
+    """The live frontier and the first positivity witness.
 
-    Covariate blocks are averaged over the source's observational
-    conditionals and full histories take their ``k`` value; the value of
-    a history ending just before the i-th action is
-    ``action_step(i, h, value_before_block)``, where
-    ``value_before_block(i + 1, h + (state,))`` values one extension.
-    Returns every computed value keyed by history.
+    The frontier keeps the histories of ``support`` whose every action the
+    strategy allows (``policies`` as built by ``_policy_arrays``; None
+    allows every action), as one mask per stage boundary.  The witness is
+    the first strategy-positive action extension of a live history that
+    lies outside ``support``: earliest stage first, then histories in
+    label order and action states in declared order.  It is None when
+    there is no such extension.
+    """
+    base = support.base
+    stage_of = {base.after_a(i): i for i in range(1, base.n + 1)}
+    masks, witness, prev = {}, None, None
+    for m in base.boundaries:
+        mask = support.masks[m]
+        if prev is not None:
+            parent = masks[prev].reshape(masks[prev].shape + (1,) * (m - prev))
+            if policies is not None and m in stage_of:
+                parent = parent & (policies[stage_of[m] - 1] > 0.0)
+                bad = parent & ~mask
+                if witness is None and bad.any():
+                    states = base.states[base.vars[m - 1]]
+                    witness = min(
+                        base.histories(bad), key=lambda h: (h[:-1], states.index(h[-1]))
+                    )
+            mask = mask & parent
+        masks[m] = mask
+        prev = m
+    return SupportSet(base, masks), witness
+
+
+def _average(weights: np.ndarray, values: np.ndarray):
+    """Sum over the last axis of ``weights * values``, one state at a time
+    in declared order from 0.0, so every history adds its terms in the
+    same order as a scalar loop would."""
+    total = 0.0
+    for j in range(weights.shape[-1]):
+        total = total + weights[..., j] * values[..., j]
+    return total
+
+
+def _backward(source, k, action_step, policies=None):
+    """Backward recursion over stage arrays, from full histories down to
+    the empty one.
+
+    Full histories take their ``k`` value (a callable ``k`` is called on
+    live full histories only, in row-major order) and covariate blocks are
+    averaged over ``source.given``; ``action_step(i, values)`` maps the
+    value array after the i-th action to the one before it.  Raises
+    ``PositivityError`` with the ``live_frontier`` witness.  Returns the
+    live frontier and one value array per stage boundary, 0 off it.
     """
     base = source.base
-    kfun = _normalize_k(base, k)
-    values = {}
-
-    def value_before_block(i: int, h: PartialHistory) -> float:
-        # h = (lbar_{i-1}, abar_{i-1}); the i-th covariate block comes next,
-        # then the i-th action, or nothing when i == N+1.
-        cond = source.l_conditional(i, h)
-        if cond is UNDEFINED:
-            raise PositivityError(h)
-        total = 0.0
-        for config, p in zip(base.block_configs(i), cond):
-            if p <= 0.0:
-                continue
-            h2 = h + config
-            v = kfun(h2) if i == base.n + 1 else action_step(i, h2, value_before_block)
-            values[h2] = v
-            total += float(p) * v
-        values[h] = total
-        return total
-
-    value_before_block(1, ())
-    return values
-
-
-def _policy_positions(base: InfoBase, strategy: Strategy) -> dict:
-    """Positions in a history of each action's policy parents."""
-    return {
-        a: tuple(base.position(p) for p in strategy.policies[a].parents)
-        for a in base.actions
-    }
+    live, witness = live_frontier(source.support(), policies)
+    if witness is not None:
+        raise PositivityError(witness)
+    if not live.masks[0]:
+        raise PositivityError(())
+    full = len(base.vars)
+    leaves = live.masks[full]
+    if callable(k):
+        leaf = np.zeros(leaves.shape)
+        leaf[leaves] = [k(h) for h in base.histories(leaves)]
+    else:
+        leaf = response_weights(base, k)
+    values = {full: np.where(leaves, leaf, 0.0)}
+    v = values[full]
+    for i in range(base.n + 1, 0, -1):
+        lo, hi = base.before_l(i), base.after_l(i)
+        if i <= base.n:
+            v = values[hi] = np.where(live.masks[hi], action_step(i, v), 0.0)
+        cond = source.given(lo, hi)
+        v = values[lo] = np.where(live.masks[lo], _average(cond, v.reshape(cond.shape)), 0.0)
+    return live, values
 
 
 def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
     """Run the backward recursion and keep every computed value."""
     base = source.base
-    positions = _policy_positions(base, strategy)
-
-    def average(i: int, h: PartialHistory, value_before_block) -> float:
-        action = base.action(i)
-        row = strategy.policies[action].row(tuple(h[p] for p in positions[action]))
-        total = 0.0
-        for state, p in zip(base.states[action], row):
-            if p <= 0.0:
-                continue
-            h2 = h + (state,)
-            if not source.possible(h2):
-                raise PositivityError(h2)
-            total += float(p) * value_before_block(i + 1, h2)
-        return total
-
-    values = _backward(source, k, average)
-    return RecursionTable(base, strategy.name, source.label, values)
+    policies = _policy_arrays(base, strategy)
+    live, arrays = _backward(
+        source, k, lambda i, v: _average(policies[i - 1], v), policies
+    )
+    return RecursionTable(base, strategy.name, source.label, live, arrays)
 
 
 def g_recursion(source, strategy: Strategy, k) -> float:
@@ -141,41 +180,14 @@ def g_recursion(source, strategy: Strategy, k) -> float:
 def gamma_support(obs_support: SupportSet, strategy: Strategy) -> SupportSet:
     """Live recursion frontier: histories in the observational support
     whose action prefix the strategy can generate."""
-    base = obs_support.base
-    positions = _policy_positions(base, strategy)
-    state_pos = {a: {s: j for j, s in enumerate(base.states[a])} for a in base.actions}
-    live = set()
-    for h in obs_support.histories:
-        ok = True
-        for i in range(1, base.n + 1):
-            cut = base.after_a(i)
-            if len(h) < cut:
-                break
-            action = base.action(i)
-            row = strategy.policies[action].row(tuple(h[p] for p in positions[action]))
-            if row[state_pos[action][h[cut - 1]]] <= 0.0:
-                ok = False
-                break
-        if ok:
-            live.add(h)
-    return SupportSet(base, frozenset(live))
+    return live_frontier(obs_support, _policy_arrays(obs_support.base, strategy))[0]
 
 
 def check_cond6(obs_support: SupportSet, strategy: Strategy):
     """Whether every strategy-positive extension of a live history is
     observationally possible.  Returns (verdict, first offending history)."""
-    base = obs_support.base
-    gamma = gamma_support(obs_support, strategy)
-    positions = _policy_positions(base, strategy)
-    for h in gamma:
-        for i in range(1, base.n + 1):
-            if len(h) == base.after_l(i):
-                action = base.action(i)
-                row = strategy.policies[action].row(tuple(h[p] for p in positions[action]))
-                for state, p in zip(base.states[action], row):
-                    if p > 0.0 and h + (state,) not in obs_support:
-                        return False, h + (state,)
-    return True, None
+    witness = live_frontier(obs_support, _policy_arrays(obs_support.base, strategy))[1]
+    return witness is None, witness
 
 
 def construct_p_i(diagram: InfluenceDiagram, strategy: Strategy, i: int) -> JointTable:
@@ -306,66 +318,46 @@ def verify_general_conditions(
     direct oracle for each response state.
     """
     base = diagram.base
-    diagram.validate_strategy(strategy)
+    policies = _policy_arrays(base, strategy)
     p = {}
     for i in range(diagram.n):
         table = construct_p_i(diagram, strategy, i).marginal(base.vars).probs
         p[i] = PrefixSource(base, table, f"p{i}")
     # Stage n keeps every action observational: it is the observational source.
     obs = p[diagram.n] = ExactSource(diagram)
-    obs_support = obs.support()
-    gamma = {}
-    for h in gamma_support(obs_support, strategy):
-        gamma.setdefault(len(h), []).append(h)
+    gamma, witness = live_frontier(obs.support(), policies)
 
-    # Support biconditional: after stage i, the artificial distribution and
-    # the observational one agree on which (lbar_i, abar_i) are possible.
-    support_ok = True
-    for i in range(1, base.n + 1):
-        m = base.after_a(i)
-        if not np.array_equal(p[i].marginal(m) > 0.0, obs.marginal(m) > 0.0):
-            support_ok = False
+    def differs(left, right) -> np.ndarray:
+        return np.any(np.abs(left - right) > tol, axis=-1)
 
-    l_ok = True
-    a_ok = True
-    positions = _policy_positions(base, strategy)
+    support_ok = l_ok = a_ok = y_ok = True
     for i in range(1, base.n + 2):
-        for h in gamma.get(base.before_l(i), ()):
-            if not p[i - 1].possible(h):
-                continue
-            left, right = p[i - 1].l_conditional(i, h), obs.l_conditional(i, h)
-            if np.any(np.abs(left - right) > tol):
-                l_ok = False
-    for i in range(1, base.n + 1):
-        action = base.action(i)
-        pol = strategy.policies[action]
-        for h in gamma.get(base.after_l(i), ()):
-            if not p[i - 1].possible(h):
-                continue
-            left = p[i - 1].after(h, base.after_a(i))
-            row = pol.row(tuple(h[q] for q in positions[action]))
-            if np.any(np.abs(left - row) > tol):
-                a_ok = False
+        lo, hi = base.before_l(i), base.after_l(i)
+        on = gamma.masks[lo] & p[i - 1].support().masks[lo]
+        l_ok &= not (on & differs(p[i - 1].given(lo, hi), obs.given(lo, hi))).any()
 
-    y_ok = True
     y_failures = []
-    width = len(base.states[base.response])
+    full, width = len(base.vars), len(base.states[base.response])
     for i in range(1, base.n + 1):
-        for h in gamma.get(base.after_a(i), ()):
-            if not (p[i - 1].possible(h) and p[i].possible(h)):
-                continue
-            # Response given h: the rest of the base given h, summed down to y.
-            left = p[i - 1].after(h, len(base.vars)).reshape(-1, width).sum(axis=0)
-            right = p[i].after(h, len(base.vars)).reshape(-1, width).sum(axis=0)
-            if np.any(np.abs(left - right) > tol):
-                y_ok = False
-                if len(y_failures) < 3:
-                    y_failures.append((i, h))
-
-    pos_ok, _ = check_cond6(obs_support, strategy)
+        lo, m = base.after_l(i), base.after_a(i)
+        # Support biconditional: after stage i, the artificial distribution and
+        # the observational one agree on which (lbar_i, abar_i) are possible.
+        support_ok &= np.array_equal(p[i].marginal(m) > 0.0, obs.marginal(m) > 0.0)
+        on = gamma.masks[lo] & p[i - 1].support().masks[lo]
+        a_ok &= not (on & differs(p[i - 1].given(lo, m), policies[i - 1])).any()
+        on = gamma.masks[m] & p[i - 1].support().masks[m] & p[i].support().masks[m]
+        # Response given h: the rest of the base given h, summed down to y
+        # as each history's row alone would be.
+        left, right = (
+            p[j].given(m, full).reshape(on.shape + (-1, width)).sum(axis=-2) for j in (i - 1, i)
+        )
+        bad = on & differs(left, right)
+        if bad.any():
+            y_ok = False
+            y_failures += [(i, h) for h in sorted(base.histories(bad))][: 3 - len(y_failures)]
 
     delta = None
-    if support_ok and l_ok and a_ok and y_ok and pos_ok:
+    if support_ok and l_ok and a_ok and y_ok and witness is None:
         delta = 0.0
         for y_state in base.states[base.response]:
             k = {s: 1.0 if s == y_state else 0.0 for s in base.states[base.response]}
@@ -376,5 +368,5 @@ def verify_general_conditions(
             raise AssertionError(f"recursion disagrees with the oracle by {delta}")
 
     return GeneralConditionsReport(
-        support_ok, l_ok, a_ok, y_ok, tuple(y_failures), pos_ok, delta
+        support_ok, l_ok, a_ok, y_ok, tuple(y_failures), witness is None, delta
     )

@@ -12,6 +12,7 @@ are the oracles that the recursive evaluator is tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -224,23 +225,67 @@ class InfoBase:
     def after_a(self, i: int) -> int:
         return self._after_a[i - 1]
 
-    def block_configs(self, i: int):
-        return itertools.product(*(self.states[v] for v in self.block(i)))
-
-    def check_history(self, h: PartialHistory) -> None:
+    def codes(self, h: PartialHistory) -> tuple[int, ...]:
+        """State indices of a boundary history; InputError names a bad
+        length or label."""
         if len(h) not in self.boundaries:
             raise InputError(f"history length {len(h)} does not end on a stage boundary")
         for var, label in zip(self.vars, h):
             if label not in self.states[var]:
                 raise InputError(f"{label!r} is not a state of {var}")
+        return tuple(self.states[v].index(s) for v, s in zip(self.vars, h))
+
+    def histories(self, mask: np.ndarray) -> list[PartialHistory]:
+        """Labels of the true cells of a boundary mask, in row-major order."""
+        idx = np.argwhere(mask)
+        columns = [
+            np.array(self.states[v], dtype=object)[idx[:, j]]
+            for j, v in enumerate(self.vars[: mask.ndim])
+        ]
+        return list(zip(*columns)) if columns else [()] * len(idx)
+
+    def validate_strategy(self, strategy: Strategy) -> None:
+        """Raise InputError unless given a Strategy, PolicyError unless it is
+        a complete control strategy: one policy per action, reading only
+        earlier variables of this base, with one valid row per parent
+        configuration."""
+        if not isinstance(strategy, Strategy):
+            raise InputError(f"a regime is 'obs' or a Strategy, not {strategy!r}")
+        for a in self.actions:
+            if a not in strategy.policies:
+                raise PolicyError(f"strategy {strategy.name!r} has no policy for action {a}")
+        for a, pol in strategy.policies.items():
+            if a not in self.actions:
+                raise PolicyError(f"strategy {strategy.name!r} assigns unknown action {a!r}")
+            for p in pol.parents:
+                if p not in self._pos:
+                    raise PolicyError(f"policy for {a} reads {p!r}, which is hidden or unknown")
+                if self._pos[p] >= self._pos[a]:
+                    raise PolicyError(f"policy for {a} reads {p}, which does not precede it")
+            expected = set(itertools.product(*(self.states[p] for p in pol.parents)))
+            if set(pol.table) != expected:
+                raise PolicyError(
+                    f"policy for {a} must have one row per parent configuration "
+                    f"({len(pol.table)} given, {len(expected)} required)"
+                )
+            width = len(self.states[a])
+            for config, row in pol.table.items():
+                problem = row_problem(row, width)
+                if problem:
+                    raise PolicyError(f"policy for {a}: row {config} {problem}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportSet:
-    """Partial histories with positive probability under one regime."""
+    """Partial histories with positive probability under one regime, held
+    as one boolean mask per stage boundary of the base."""
 
     base: InfoBase
-    histories: frozenset
+    masks: Mapping[int, np.ndarray]
+
+    @functools.cached_property
+    def histories(self) -> frozenset:
+        return frozenset(h for mask in self.masks.values() for h in self.base.histories(mask))
 
     def __contains__(self, h) -> bool:
         return tuple(h) in self.histories
@@ -249,10 +294,15 @@ class SupportSet:
         return iter(sorted(self.histories, key=lambda h: (len(h), h)))
 
     def __len__(self):
-        return len(self.histories)
+        return sum(int(mask.sum()) for mask in self.masks.values())
 
     def issubset(self, other: "SupportSet") -> bool:
-        return self.histories <= other.histories
+        return all(np.all(mask <= other.masks[m]) for m, mask in self.masks.items())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SupportSet) and self.base == other.base and (
+            self.issubset(other) and other.issubset(self)
+        )
 
 
 class InfluenceDiagram:
@@ -395,37 +445,8 @@ class InfluenceDiagram:
         return f"InfluenceDiagram({len(self.order)} variables, {len(self.actions)} actions)"
 
     def validate_strategy(self, strategy: Strategy) -> None:
-        """Raise InputError unless given a Strategy, PolicyError unless it is
-        a complete control strategy."""
-        if not isinstance(strategy, Strategy):
-            raise InputError(f"a regime is 'obs' or a Strategy, not {strategy!r}")
-        for a in self.actions:
-            if a not in strategy.policies:
-                raise PolicyError(f"strategy {strategy.name!r} has no policy for action {a}")
-        for a, pol in strategy.policies.items():
-            if a not in self.actions:
-                raise PolicyError(f"strategy {strategy.name!r} assigns unknown action {a!r}")
-            apos = self.index[a]
-            for p in pol.parents:
-                if p not in self.index:
-                    raise PolicyError(f"policy for {a} uses unknown variable {p!r}")
-                if self.kinds[p] == "hid":
-                    raise PolicyError(f"policy for {a} depends on hidden variable {p}")
-                if self.kinds[p] == "act" and self.index[p] >= apos:
-                    raise PolicyError(f"policy for {a} uses non-preceding action {p}")
-                if self.kinds[p] in ("obs", "resp") and self.index[p] >= apos:
-                    raise PolicyError(f"policy for {a} uses non-preceding variable {p}")
-            expected = set(itertools.product(*(self.states[p] for p in pol.parents)))
-            if set(pol.table) != expected:
-                raise PolicyError(
-                    f"policy for {a} must have one row per parent configuration "
-                    f"({len(pol.table)} given, {len(expected)} required)"
-                )
-            width = len(self.states[a])
-            for config, row in pol.table.items():
-                problem = row_problem(row, width)
-                if problem:
-                    raise PolicyError(f"policy for {a}: row {config} {problem}")
+        """The observable base's strategy check (``InfoBase.validate_strategy``)."""
+        self.base.validate_strategy(strategy)
 
 
 @dataclass(eq=False)
@@ -503,20 +524,18 @@ def mechanism(diagram: InfluenceDiagram, regime: Regime, var: str):
     return cpt.parents, cpt.row
 
 
-def _factor_array(diagram: InfluenceDiagram, regime: Regime, var: str) -> np.ndarray:
-    """Dense factor of ``var``'s mechanism, shaped to broadcast against the
-    joint (parents and child on their own axes, size 1 elsewhere)."""
-    parents, rows = mechanism(diagram, regime, var)
-    axis_vars = diagram.sort(parents) + (var,)
-    pick = [axis_vars.index(p) for p in parents]
+def factor_array(states: Mapping, axes: tuple[str, ...], var: str, parents, rows) -> np.ndarray:
+    """Dense table of one mechanism (``parents``, ``rows``) of ``var`` over
+    ``axes``: the parents and ``var`` on their own axes, size 1 on the
+    others.  The parents must precede ``var`` in ``axes``.  This is the only
+    place that turns mechanism rows into an array."""
+    own = tuple(v for v in axes if v == var or v in parents)
+    pick = [own.index(p) for p in parents]
     flat = [
         rows(tuple(config[i] for i in pick))
-        for config in itertools.product(*(diagram.states[p] for p in axis_vars[:-1]))
+        for config in itertools.product(*(states[v] for v in own[:-1]))
     ]
-    shape = [1] * len(diagram.order)
-    for av in axis_vars:
-        shape[diagram.index[av]] = len(diagram.states[av])
-    return np.asarray(flat).reshape(shape)
+    return np.asarray(flat).reshape([len(states[v]) if v in own else 1 for v in axes])
 
 
 def _nonaction_product(diagram: InfluenceDiagram) -> np.ndarray:
@@ -527,7 +546,7 @@ def _nonaction_product(diagram: InfluenceDiagram) -> np.ndarray:
         for v in diagram.order:
             if diagram.kinds[v] == "act":
                 continue
-            probs *= _factor_array(diagram, "obs", v)
+            probs *= factor_array(diagram.states, diagram.order, v, *mechanism(diagram, "obs", v))
         diagram._nonaction_cache = probs
         cached = probs
     return cached
@@ -538,7 +557,8 @@ def joint_with_action_selector(diagram: InfluenceDiagram, selector) -> JointTabl
     _check_capacity(diagram.cards())
     probs = _nonaction_product(diagram).copy()
     for v in diagram.actions:
-        probs *= _factor_array(diagram, selector(v), v)
+        mech = mechanism(diagram, selector(v), v)
+        probs *= factor_array(diagram.states, diagram.order, v, *mech)
     return JointTable(diagram.order, tuple(diagram.states[v] for v in diagram.order), probs)
 
 
@@ -596,11 +616,10 @@ def response_weights(base: InfoBase, k: Mapping[str, float]) -> np.ndarray:
 def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:
     """Exact expectation of k over the response (or full history) under a regime."""
     if callable(k):
-        obs = observable_joint(diagram, regime)
+        probs = observable_joint(diagram, regime).probs
         total = 0.0
-        for idx in np.argwhere(obs.probs > 0.0):
-            h = tuple(obs.states[ax][j] for ax, j in enumerate(idx))
-            total += float(obs.probs[tuple(idx)]) * float(k(h))
+        for p, h in zip(probs[probs > 0.0].tolist(), diagram.base.histories(probs > 0.0)):
+            total += p * float(k(h))
         return total
     weights = response_weights(diagram.base, k)
     marg = joint_distribution(diagram, regime).marginal((diagram.response,))
@@ -611,10 +630,12 @@ class PrefixSource:
     """Conditional source over the prefix marginals of one table on the
     observable information base (probabilities or counts).
 
-    The backward recursion reads ``possible`` and ``l_conditional``; the
-    mixed-regime checks compare ``after`` slices of several sources.  With
-    ``alpha > 0`` every block conditional is additively smoothed, so every
-    syntactically valid history counts as possible.
+    ``given(lo, hi)`` holds, for every prefix of length ``lo``, the
+    distribution of the positions ``lo..hi-1``; the backward recursion and
+    the mixed-regime checks read these stage arrays whole, ``possible`` and
+    ``l_conditional`` index into them one history at a time.  With
+    ``alpha > 0`` every row is additively smoothed, so every syntactically
+    valid history counts as possible.
     """
 
     def __init__(self, base: InfoBase, table: np.ndarray, label: str, alpha: float = 0.0):
@@ -628,52 +649,52 @@ class PrefixSource:
             m: table.sum(axis=tuple(range(m, full))) if m < full else table
             for m in base.boundaries
         }
-        self._sindex = [{s: j for j, s in enumerate(base.states[v])} for v in base.vars]
+        self._given = {}
         self._support = None
-
-    def _idx(self, h: PartialHistory) -> tuple[int, ...]:
-        try:
-            return tuple(self._sindex[i][s] for i, s in enumerate(h))
-        except (KeyError, IndexError):
-            self.base.check_history(h)  # names the bad label or length
-            raise
 
     def marginal(self, m: int) -> np.ndarray:
         """The table summed over every position from m on."""
         return self._marginals[m]
 
-    def possible(self, h: PartialHistory) -> bool:
-        if self.alpha > 0.0:
-            self.base.check_history(h)
-            return True
-        return float(self._marginals[len(h)][self._idx(h)]) > 0.0
+    def given(self, lo: int, hi: int) -> np.ndarray:
+        """Distribution of positions ``lo..hi-1`` given each prefix of length
+        ``lo``: one row per prefix, flattened in row-major state order; the
+        rows of empty events are zero.  Cached, so read-only."""
+        key = (lo, hi)
+        if key not in self._given:
+            rows = self._marginals[hi].reshape(self._marginals[lo].shape + (-1,))
+            total = rows.sum(axis=-1, keepdims=True)
+            if self.alpha > 0.0:
+                self._given[key] = (rows + self.alpha) / (total + self.alpha * rows.shape[-1])
+            else:
+                self._given[key] = np.divide(
+                    rows, total, out=np.zeros(rows.shape), where=total > 0.0
+                )
+            self._given[key].flags.writeable = False
+        return self._given[key]
 
-    def after(self, h: PartialHistory, m: int):
-        """Distribution of positions ``len(h)..m-1`` given ``h``, flattened
-        in row-major state order, or UNDEFINED on an empty event."""
-        flat = np.asarray(self._marginals[m][self._idx(h)], dtype=float).reshape(-1)
-        total = flat.sum()
-        if self.alpha > 0.0:
-            return (flat + self.alpha) / (total + self.alpha * flat.size)
-        if total <= 0.0:
-            return UNDEFINED
-        return flat / total
+    def possible(self, h: PartialHistory) -> bool:
+        idx = self.base.codes(h)
+        return bool(self.support().masks[len(h)][idx])
 
     def l_conditional(self, i: int, h: PartialHistory):
-        """Distribution of the i-th observable block given the prefix ``h``."""
+        """Distribution of the i-th observable block given the prefix ``h``,
+        or UNDEFINED on an empty event."""
         if len(h) != self.base.before_l(i):
             raise InputError(f"history of length {len(h)} does not precede block {i}")
-        return self.after(h, self.base.after_l(i))
+        idx = self.base.codes(h)
+        if not self.support().masks[len(h)][idx]:
+            return UNDEFINED
+        return self.given(len(h), self.base.after_l(i))[idx].copy()
 
     def support(self) -> SupportSet:
-        """Boundary prefixes with positive mass in the table."""
+        """Boundary prefixes that ``possible`` accepts: those with positive
+        mass in the table, or every one when smoothed."""
         if self._support is None:
-            histories = set()
-            for m, arr in self._marginals.items():
-                states = [self.base.states[v] for v in self.base.vars[:m]]
-                for idx in np.argwhere(arr > 0.0):
-                    histories.add(tuple(states[k][j] for k, j in enumerate(idx)))
-            self._support = SupportSet(self.base, frozenset(histories))
+            self._support = SupportSet(self.base, {
+                m: np.full(arr.shape, True) if self.alpha > 0.0 else arr > 0.0
+                for m, arr in self._marginals.items()
+            })
         return self._support
 
 

@@ -1,10 +1,10 @@
 """Backward-induction strategy selection, with an exhaustive oracle.
 
 The optimizer runs the recursion's backward engine with the
-action-averaging step replaced by a max (or min) over action states.
-Ties go to the lexicographically smallest state label, and histories
-that cannot occur observationally get that same default, which makes the
-returned policy deterministic in every row.
+action-averaging step replaced by a max (or min) over action states,
+stage array by stage array.  Ties go to the lexicographically smallest
+state label, and histories that cannot occur observationally get that
+same default, which makes the returned policy deterministic in every row.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import CapacityError, PositivityError
+import numpy as np
+
+from .errors import CapacityError
 from .grecursion import _backward
 from .model import (
     InfluenceDiagram,
-    PartialHistory,
     Policy,
     Strategy,
     consequence_direct,
@@ -35,50 +36,49 @@ def optimal_strategy(source, k, sense: str = "max") -> tuple[Strategy, float]:
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
     base = source.base
-    better = max if sense == "max" else min
-    argmax = {}
+    support = source.support().masks
+    choices = {}
 
-    def best_action(i: int, h: PartialHistory, value_before_block) -> float:
-        action = base.action(i)
-        best_state, best_value = None, None
-        for state in sorted(base.states[action]):
-            h2 = h + (state,)
-            if not source.possible(h2):
-                continue
-            v = value_before_block(i + 1, h2)
-            if best_value is None or better(v, best_value) != best_value:
-                best_state, best_value = state, v
-        if best_state is None:
-            raise PositivityError(h)
-        argmax[h] = best_state
-        return best_value
+    def best_action(i: int, values: np.ndarray) -> np.ndarray:
+        states = base.states[base.action(i)]
+        possible = support[base.after_a(i)]
+        # NaN marks rows without a possible state yet; the first one always wins.
+        best = np.full(values.shape[:-1], np.nan)
+        choice = np.full(values.shape[:-1], states.index(min(states)))
+        for j in _label_order(states):
+            v = values[..., j]
+            take = possible[..., j] & ~(v <= best if sense == "max" else v >= best)
+            best = np.where(take, v, best)
+            choice[take] = j
+        choices[i] = choice.ravel().tolist()
+        return best
 
-    values = _backward(source, k, best_action)
-    return _strategy_from_argmax(base, argmax, sense), float(values[()])
+    _, values = _backward(source, k, best_action)
+    picks = [choices[i] for i in range(1, base.n + 1)]
+    return _pure_strategy(base, sense + "-backward", picks), float(values[0])
 
 
-def _strategy_from_argmax(base, argmax: dict, sense: str) -> Strategy:
+def _label_order(states) -> list[int]:
+    return sorted(range(len(states)), key=states.__getitem__)
+
+
+def _rows(base, i: int) -> int:
+    """Number of full observed pasts before the i-th action."""
+    return math.prod(len(base.states[v]) for v in base.vars[: base.after_l(i)])
+
+
+def _pure_strategy(base, name: str, choices) -> Strategy:
+    """Non-randomized full-history strategy: the i-th action takes state
+    index ``choices[i - 1][r]`` after the r-th past (row-major order)."""
     policies = {}
     for i, action in enumerate(base.actions, start=1):
         parents = base.vars[: base.after_l(i)]
-        default = min(base.states[action])
-        table = {}
-        for config in itertools.product(*(base.states[v] for v in parents)):
-            chosen = argmax.get(config, default)
-            table[config] = tuple(
-                1.0 if s == chosen else 0.0 for s in base.states[action]
-            )
+        width = len(base.states[action])
+        one_hot = [tuple(1.0 if j == c else 0.0 for j in range(width)) for c in range(width)]
+        configs = itertools.product(*(base.states[v] for v in parents))
+        table = {c: one_hot[j] for c, j in zip(configs, choices[i - 1])}
         policies[action] = Policy(parents, table)
-    return Strategy(sense + "-backward", policies)
-
-
-def _policy_space(diagram: InfluenceDiagram, action: str, i: int):
-    """All deterministic rows for one action, choices in label order."""
-    base = diagram.base
-    parents = base.vars[: base.after_l(i)]
-    configs = list(itertools.product(*(base.states[v] for v in parents)))
-    states = sorted(base.states[action])
-    return parents, configs, states
+    return Strategy(name, policies)
 
 
 def enumerate_strategies(
@@ -97,30 +97,14 @@ def enumerate_strategies(
     if total > MAX_ENUMERATED:
         raise CapacityError(f"{total} strategies exceed the enumeration cap")
     base = diagram.base
-    spaces = [
-        _policy_space(diagram, action, i)
-        for i, action in enumerate(base.actions, start=1)
-    ]
-
     better = max if sense == "max" else min
     best: tuple[Strategy, float] | None = None
     choice_lists = [
-        list(itertools.product(states, repeat=len(configs)))
-        for _, configs, states in spaces
+        list(itertools.product(_label_order(base.states[action]), repeat=_rows(base, i)))
+        for i, action in enumerate(base.actions, start=1)
     ]
     for picks in itertools.product(*choice_lists):
-        policies = {}
-        for (parents, configs, _), chosen_rows, action in zip(
-            spaces, picks, base.actions
-        ):
-            policies[action] = Policy(
-                parents,
-                {
-                    c: tuple(1.0 if s == chosen else 0.0 for s in base.states[action])
-                    for c, chosen in zip(configs, chosen_rows)
-                },
-            )
-        strategy = Strategy("enumerated", policies)
+        strategy = _pure_strategy(base, "enumerated", picks)
         value = consequence_direct(diagram, strategy, k)
         if best is None or better(value, best[1]) != best[1]:
             best = (strategy, value)
@@ -132,8 +116,5 @@ def strategy_count(diagram: InfluenceDiagram) -> int:
     base = diagram.base
     total = 1
     for i, action in enumerate(base.actions, start=1):
-        rows = math.prod(
-            len(base.states[v]) for v in base.vars[: base.after_l(i)]
-        )
-        total *= len(base.states[action]) ** rows
+        total *= len(base.states[action]) ** _rows(base, i)
     return total

@@ -23,8 +23,9 @@ from .model import (
     InfluenceDiagram,
     PrefixSource,
     Strategy,
-    _factor_array,
+    factor_array,
     joint_distribution,
+    mechanism,
     observable_joint,
     support,
 )
@@ -93,17 +94,13 @@ def check_simple_stability_graphical(diagram: InfluenceDiagram) -> StabilityRepo
     return StabilityReport("simple_stability_graphical", tuple(stages))
 
 
-def _past_configs(diagram: InfluenceDiagram, i: int):
-    base = diagram.base
-    past = base.vars[: base.before_l(i)]
-    return past, list(itertools.product(*(base.states[v] for v in past)))
-
-
 def check_simple_stability_numeric(
     diagram: InfluenceDiagram, strategies: Iterable[Strategy], tol: float = TOL
 ) -> StabilityReport:
     """Equality of covariate-block conditionals across the observational
-    regime and every supplied strategy, wherever both sides are defined."""
+    regime and every supplied strategy, wherever both sides are defined.
+    The witness is the first past configuration in row-major order that
+    differs, and within it the first differing pair of regimes."""
     base = diagram.base
     regimes = [("obs", "obs")] + [(s.name, s) for s in strategies]
     sources = [PrefixSource(base, observable_joint(diagram, r).probs, name) for name, r in regimes]
@@ -112,31 +109,25 @@ def check_simple_stability_numeric(
         if not base.block(i):
             stages.append(StageVerdict(i, True))
             continue
-        past, configs = _past_configs(diagram, i)
-        tables = [
-            (src.label, src.marginal(base.after_l(i)).reshape(len(configs), -1))
-            for src in sources
-        ]
-        verdict: StageVerdict | None = None
-        for row, event in enumerate(configs):
-            rows = []
-            for name, flat in tables:
-                mass = flat[row].sum()
-                if mass > 0.0:
-                    rows.append((name, flat[row] / mass))
-            for (na, va), (nb, vb) in itertools.combinations(rows, 2):
-                if np.max(np.abs(va - vb)) > tol:
-                    verdict = StageVerdict(
-                        i,
-                        False,
-                        DivergenceWitness(
-                            tuple(zip(past, event)), na, nb, tuple(va), tuple(vb)
-                        ),
-                    )
-                    break
-            if verdict:
-                break
-        stages.append(verdict or StageVerdict(i, True))
+        lo, hi = base.before_l(i), base.after_l(i)
+        first = None  # (row, left source, right source)
+        for a, b in itertools.combinations(sources, 2):
+            defined = a.support().masks[lo] & b.support().masks[lo]
+            far = np.any(np.abs(a.given(lo, hi) - b.given(lo, hi)) > tol, axis=-1)
+            bad = (defined & far).reshape(-1)
+            if bad.any() and (first is None or np.argmax(bad) < first[0]):
+                first = (int(np.argmax(bad)), a, b)
+        if first is None:
+            stages.append(StageVerdict(i, True))
+            continue
+        row, a, b = first
+        event = np.unravel_index(row, a.marginal(lo).shape)
+        labels = tuple(base.states[v][j] for v, j in zip(base.vars, event))
+        witness = DivergenceWitness(
+            tuple(zip(base.vars, labels)), a.label, b.label,
+            tuple(a.given(lo, hi)[event]), tuple(b.given(lo, hi)[event]),
+        )
+        stages.append(StageVerdict(i, False, witness))
     return StabilityReport("simple_stability_numeric", tuple(stages))
 
 
@@ -189,44 +180,33 @@ def check_sequential_irrelevance_numeric(
             continue
         past = base.vars[: base.before_l(i)]
         wanted = tuple(past) + u_past + tuple(block)
-        margin = joint.marginal(wanted).reordered(wanted)
-        p = len(past)
-        u = len(u_past)
-        arr = margin.probs.reshape(
-            int(np.prod(margin.probs.shape[:p], dtype=np.int64)) if p else 1,
-            int(np.prod(margin.probs.shape[p : p + u], dtype=np.int64)),
-            -1,
-        )
-        verdict = None
         past_configs = list(itertools.product(*(base.states[v] for v in past)))
         u_configs = list(itertools.product(*(diagram.states[v] for v in u_past)))
-        for row, event in enumerate(past_configs):
-            seen = None
-            for ucol, uval in enumerate(u_configs):
-                mass = arr[row, ucol].sum()
-                if mass <= 0.0:
-                    continue
-                cond = arr[row, ucol] / mass
-                if seen is None:
-                    seen = (uval, cond)
-                elif np.max(np.abs(cond - seen[1])) > tol:
-                    ev = tuple(zip(past, event)) + tuple(zip(u_past, uval))
-                    ref = tuple(zip(u_past, seen[0]))
-                    verdict = StageVerdict(
-                        i,
-                        False,
-                        DivergenceWitness(
-                            ev,
-                            "given " + ",".join(f"{v}={s}" for v, s in ref),
-                            "given " + ",".join(f"{v}={s}" for v, s in ev[-u:]),
-                            tuple(seen[1]),
-                            tuple(cond),
-                        ),
-                    )
-                    break
-            if verdict:
-                break
-        stages.append(verdict or StageVerdict(i, True))
+        arr = joint.marginal(wanted).reordered(wanted).probs.reshape(
+            len(past_configs), len(u_configs), -1
+        )
+        # The block given (past, hidden past), compared in each past row
+        # with the first defined hidden configuration of that row.
+        mass = arr.sum(axis=-1, keepdims=True)
+        cond = np.divide(arr, mass, out=np.zeros(arr.shape), where=mass > 0.0)
+        defined = mass[..., 0] > 0.0
+        first = np.argmax(defined, axis=1)
+        far = np.any(np.abs(cond - cond[np.arange(len(arr)), first][:, None]) > tol, axis=-1)
+        hits = np.argwhere(defined & far)
+        if not len(hits):
+            stages.append(StageVerdict(i, True))
+            continue
+        row, ucol = hits[0]
+        ev = tuple(zip(past, past_configs[row])) + tuple(zip(u_past, u_configs[ucol]))
+        ref = tuple(zip(u_past, u_configs[first[row]]))
+        witness = DivergenceWitness(
+            ev,
+            "given " + ",".join(f"{v}={s}" for v, s in ref),
+            "given " + ",".join(f"{v}={s}" for v, s in ev[-len(u_past) :]),
+            tuple(cond[row, first[row]]),
+            tuple(cond[row, ucol]),
+        )
+        stages.append(StageVerdict(i, False, witness))
     extras = {s.name: extended_positivity(diagram, s) for s in strategies}
     return StabilityReport("sequential_irrelevance_numeric", tuple(stages), extras)
 
@@ -249,18 +229,12 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
 
     parent_child = True
     for a in diagram.actions:
-        pol = strategy.policies[a]
-        cpt = diagram.cpts[a]
-        joint_parents = diagram.sort(set(pol.parents) | set(cpt.parents))
-        pol_pick = [joint_parents.index(p) for p in pol.parents]
-        cpt_pick = [joint_parents.index(p) for p in cpt.parents]
-        for config in itertools.product(*(diagram.states[p] for p in joint_parents)):
-            pe = pol.row(tuple(config[j] for j in pol_pick))
-            po = cpt.row(tuple(config[j] for j in cpt_pick))
-            if any(e > 0.0 and o <= 0.0 for e, o in zip(pe, po)):
-                parent_child = False
-                break
-        if not parent_child:
+        pol, cpt = strategy.policies[a], diagram.cpts[a]
+        axes = diagram.sort(set(pol.parents) | set(cpt.parents)) + (a,)
+        pe = factor_array(diagram.states, axes, a, pol.parents, pol.row)
+        po = factor_array(diagram.states, axes, a, cpt.parents, cpt.row)
+        if np.any((pe > 0.0) & (po <= 0.0)):
+            parent_child = False
             break
 
     general, _ = check_cond6(obs_support, strategy)
@@ -286,6 +260,7 @@ def support_propagation(
         mask = np.ones(diagram.cards(), dtype=bool)
         for v in diagram.order:
             # One AND per factor: a product of tiny entries could underflow to 0.
-            mask &= _factor_array(diagram, regime, v) > 0.0
+            mech = mechanism(diagram, regime, v)
+            mask &= factor_array(diagram.states, diagram.order, v, *mech) > 0.0
         out[regime if regime == "obs" else regime.name] = mask
     return out

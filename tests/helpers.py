@@ -137,3 +137,23 @@ def f4_without_action_one():
     cpts = dict(d.cpts)
     cpts["A1"] = Cpt("A1", ("U",), {("0",): (1.0, 0.0), ("1",): (1.0, 0.0)})
     return InfluenceDiagram(d.variables, d.dag.edges, cpts), strats
+
+
+def zero_action_rows(diagram: InfluenceDiagram, seed: int) -> InfluenceDiagram:
+    """The diagram with some observational action rows made deterministic,
+    so that strategy-positive actions can fall outside the support."""
+    gen = rng(seed)
+    cpts = dict(diagram.cpts)
+    for a in diagram.actions:
+        cpt = diagram.cpts[a]
+        table = dict(cpt.table)
+        for config in table:
+            if gen.random() < 0.3:
+                chosen = gen.integers(len(diagram.states[a]))
+                table[config] = tuple(
+                    1.0 if j == chosen else 0.0 for j in range(len(diagram.states[a]))
+                )
+        cpts[a] = Cpt(a, cpt.parents, table)
+    return InfluenceDiagram(
+        diagram.variables, diagram.dag.edges, cpts, diagram.obs_parents, diagram.int_parents
+    )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regimes.data import Dataset, EstimatedSource, estimate_conditionals, sample
-from regimes.errors import InputError
+from regimes.errors import InputError, PositivityError
 from regimes.fixtures import f1
 from regimes.grecursion import g_recursion
 from regimes.model import (
@@ -132,6 +132,13 @@ class TestEstimation:
         src = estimate_conditionals(ds, d.base, alpha=0.0)
         assert src.l_conditional(2, ("0", "1")) is UNDEFINED
         assert not src.possible(("1",))
+
+    def test_no_rows_fail_positivity_at_the_root(self):
+        d, strats = f1()
+        ds = Dataset.from_text(" ".join(d.base.vars) + "\n", d.base)
+        with pytest.raises(PositivityError) as err:
+            g_recursion(estimate_conditionals(ds, d.base, alpha=0.0), strats["stat"], K01)
+        assert err.value.history == ()
 
     def test_smoothing_never_undefined(self):
         d, _ = f1()

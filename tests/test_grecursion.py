@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import f4_without_action_one, random_strategy
-from regimes.errors import InputError, PositivityError
+from regimes.errors import InputError, PolicyError, PositivityError
 from regimes.fixtures import complete_stable, f1, f2
 from regimes.grecursion import (
     build_dag_i,
@@ -25,6 +25,7 @@ from regimes.model import (
     Cpt,
     ExactSource,
     InfluenceDiagram,
+    Policy,
     Strategy,
     Variable,
     conditional,
@@ -141,6 +142,51 @@ class TestPositivityFailure:
         with pytest.raises(PositivityError) as err:
             g_recursion(ExactSource(d), strats[name], K01)
         assert err.value.history == witness
+
+
+class TestOnePositivityWitness:
+    def test_recursion_raises_the_cond6_witness(self):
+        # f1 with A1 never 1 after L1=1 and A2 never 1 after (L1, A1, L2) = (0, 1, 0):
+        # the static strategy reaches both holes, the stage-1 one comes first.
+        d, strats = f1()
+        cpts = dict(d.cpts)
+        for var, config in (("A1", ("1",)), ("A2", ("0", "1", "0"))):
+            table = dict(d.cpts[var].table)
+            table[config] = (1.0, 0.0)
+            cpts[var] = Cpt(var, d.cpts[var].parents, table)
+        d = InfluenceDiagram(d.variables, d.dag.edges, cpts, d.obs_parents, d.int_parents)
+        ok, witness = check_cond6(support(d, "obs"), strats["stat"])
+        assert not ok and witness == ("1", "1")
+        with pytest.raises(PositivityError) as err:
+            g_recursion(ExactSource(d), strats["stat"], K01)
+        assert err.value.history == witness
+
+
+A2_ANY = Policy((), {(): (0.5, 0.5)})
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        Strategy("late", {"A1": Policy(("L2",), {("0",): (1.0, 0.0), ("1",): (0.0, 1.0)}),
+                          "A2": A2_ANY}),
+        Strategy("partial", {"A2": A2_ANY}),
+    ],
+    ids=["A1-reads-L2", "no-A1"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, s: recursion_table(ExactSource(d), s, K01),
+        lambda d, s: gamma_support(support(d, "obs"), s),
+        lambda d, s: check_cond6(support(d, "obs"), s),
+    ],
+    ids=["recursion_table", "gamma_support", "check_cond6"],
+)
+def test_invalid_strategy_rejected(call, strategy):
+    d, _ = f1()
+    with pytest.raises(PolicyError):
+        call(d, strategy)
 
 
 class TestGammaSupport:

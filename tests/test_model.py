@@ -369,3 +369,32 @@ def test_bad_history_label_rejected(make, query):
     d, _ = f1()
     with pytest.raises(InputError, match="'9' is not a state of A1"):
         query(make(d))
+
+
+@pytest.mark.parametrize("make", [SOURCES["exact"], SOURCES["estimated"]], ids=["exact", "estimated"])
+def test_over_long_history_rejected(make):
+    d, _ = f1()
+    with pytest.raises(InputError, match="stage boundary"):
+        make(d).possible(("0",) * 6)
+
+
+@pytest.mark.parametrize("make", SOURCES.values(), ids=SOURCES.keys())
+def test_l_conditional_returns_a_copy(make):
+    d, _ = f1()
+    src = make(d)
+    src.l_conditional(1, ())[:] = -1.0
+    assert src.l_conditional(1, ()).min() >= 0.0
+
+
+def test_smoothed_support_holds_every_history():
+    d, _ = f1()
+    sup = SOURCES["smoothed"](d).support()
+    assert len(sup) == sum(2**m for m in d.base.boundaries)
+    assert ("1", "1", "1", "1", "1") in sup
+
+
+def test_support_sets_compare_by_content():
+    d, strats = f1()
+    stat = Strategy.static("s", {"A1": "1", "A2": "0"}, d.states)
+    assert support(d, "obs") == ExactSource(d).support()
+    assert support(d, stat) != support(d, "obs")

@@ -2,17 +2,27 @@
 
 The averaging recursion must reproduce the exact oracle wherever the
 mixed-diagram check and positivity license it, and the max/min recursion
-must find the same optimum as exhaustive enumeration.
+must find the same optimum as exhaustive enumeration.  The live-frontier
+masks must agree with per-history definitions of the frontier and of
+the positivity witness.
 """
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dirichlet_row, random_extended_id, rng
+from helpers import dirichlet_row, random_extended_id, random_strategy, rng, zero_action_rows
+from regimes.errors import PositivityError
 from regimes.fixtures import complete_stable
-from regimes.grecursion import check_cond6, check_graphsep, recursion_table
+from regimes.grecursion import (
+    check_cond6,
+    check_graphsep,
+    gamma_support,
+    recursion_table,
+    verify_general_conditions,
+)
 from regimes.model import (
     ExactSource,
     Policy,
@@ -67,3 +77,76 @@ def test_optimizer_matches_enumeration(seed, n_actions, sense):
     _, value = optimal_strategy(ExactSource(diagram), K01, sense)
     _, best = enumerate_strategies(diagram, K01, sense)
     assert abs(value - best) <= 1e-9
+
+
+def naive_gamma(obs_support, strategy):
+    """Per-history definition: observationally possible histories whose
+    every action the strategy gives positive probability."""
+    base = obs_support.base
+    live = set()
+    for h in obs_support.histories:
+        ok = True
+        for i, action in enumerate(base.actions, start=1):
+            cut = base.after_a(i)
+            if len(h) < cut:
+                break
+            pol = strategy.policies[action]
+            row = pol.row(tuple(h[base.position(p)] for p in pol.parents))
+            if row[base.states[action].index(h[cut - 1])] <= 0.0:
+                ok = False
+                break
+        if ok:
+            live.add(h)
+    return live
+
+
+def naive_cond6(obs_support, strategy):
+    """Per-history definition: the first strategy-positive extension of a
+    live history (support order, then declared action order) that is
+    observationally impossible."""
+    base = obs_support.base
+    live = naive_gamma(obs_support, strategy)
+    for h in sorted(live, key=lambda h: (len(h), h)):
+        for i, action in enumerate(base.actions, start=1):
+            if len(h) == base.after_l(i):
+                pol = strategy.policies[action]
+                row = pol.row(tuple(h[base.position(p)] for p in pol.parents))
+                for state, p in zip(base.states[action], row):
+                    if p > 0.0 and h + (state,) not in obs_support:
+                        return False, h + (state,)
+    return True, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_live_masks_match_per_history_definitions(seed, n_actions, confounded, other_seed):
+    diagram = zero_action_rows(
+        random_extended_id(seed, n_actions=n_actions, hidden_to_action=confounded), other_seed
+    )
+    strategy = random_strategy(diagram, other_seed)
+    obs = support(diagram, "obs")
+    assert set(gamma_support(obs, strategy).histories) == naive_gamma(obs, strategy)
+    ok, witness = check_cond6(obs, strategy)
+    assert (ok, witness) == naive_cond6(obs, strategy)
+    if not ok:
+        with pytest.raises(PositivityError) as err:
+            recursion_table(ExactSource(diagram), strategy, K01)
+        assert err.value.history == witness
+    # These three hold by construction of the artificial distributions.
+    report = verify_general_conditions(diagram, strategy)
+    assert report.support_biconditional and report.l_factors and report.action_factors
+    assert report.positivity == ok
+
+
+def test_zeroed_action_rows_break_positivity():
+    """The generator behind the mask property reaches failing cases."""
+    verdicts = set()
+    for seed in range(30):
+        diagram = zero_action_rows(random_extended_id(seed, n_actions=2), seed)
+        verdicts.add(check_cond6(support(diagram, "obs"), random_strategy(diagram, seed))[0])
+    assert verdicts == {True, False}
