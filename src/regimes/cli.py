@@ -2,7 +2,8 @@
 
 Reports go to stdout as deterministic key=value lines; diagnostics go to
 stderr.  Exit codes: 0 success, 1 when a checked condition is false,
-2 on usage or model errors.
+2 on usage or model errors, 3 on an internal error (a bug: any other
+exception, reported as one ``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .parser import ModelDocument, parse_model
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _fmt(x) -> str:
@@ -317,6 +319,9 @@ def main(argv=None) -> int:
     except (RegimesError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def entry() -> None:

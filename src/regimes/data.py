@@ -95,9 +95,9 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
     col = {v: j for j, v in enumerate(diagram.order)}
 
     for j, v in enumerate(diagram.order):
-        parents, rows = mechanism(diagram, regime, v)
+        parents, array = mechanism(diagram, regime, v)
         axes = diagram.sort(parents) + (v,)
-        table = factor_array(diagram.states, axes, v, parents, rows)
+        table = factor_array(axes, v, parents, array)
         cum = np.cumsum(table.reshape(-1, len(diagram.states[v])), axis=1)
         cum[:, -1] = np.maximum(cum[:, -1], 1.0)
         radix = np.zeros(n, dtype=np.int64)

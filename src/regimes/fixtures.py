@@ -3,14 +3,18 @@
 Each builder returns ``(diagram, strategies)``.  Table entries are drawn
 from a symmetric Dirichlet with unit concentration under a seeded
 counter-based generator, so every build is reproducible and generic
-(strictly positive, no accidental independencies).
+(strictly positive, no accidental independencies).  Each table takes one
+batch of rows, parent configurations in row-major order, in the order
+the builder names them: the diagram's tables first, then the strategies'.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .model import Cpt, InfluenceDiagram, Policy, Strategy, Variable
+from .model import Cpt, InfluenceDiagram, Policy, Strategy, Table, Variable
 
 B = ("0", "1")
 
@@ -19,20 +23,19 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _rows(rng, parents_cards: int, width: int) -> list[tuple[float, ...]]:
-    return [tuple(map(float, rng.dirichlet(np.ones(width)))) for _ in range(parents_cards)]
+def _table(rng, parents: tuple[str, ...], width: int) -> Table:
+    """Random binary-parent table: one Dirichlet row per configuration."""
+    states = (B,) * len(parents)
+    rows = rng.dirichlet(np.ones(width), size=math.prod(map(len, states)))
+    return Table(states, rows.reshape(tuple(map(len, states)) + (width,)))
 
 
-def _cpt(rng, child: str, parents: tuple[str, ...], states) -> Cpt:
-    import itertools
-
-    configs = list(itertools.product(*(states[p] for p in parents)))
-    rows = _rows(rng, len(configs), len(states[child]))
-    return Cpt(child, parents, dict(zip(configs, rows)))
+def _random_cpts(rng, parent_map) -> dict[str, Cpt]:
+    return {v: Cpt(v, tuple(ps), _table(rng, tuple(ps), 2)) for v, ps in parent_map.items()}
 
 
-def _random_cpts(rng, parent_map, states) -> dict[str, Cpt]:
-    return {v: _cpt(rng, v, tuple(ps), states) for v, ps in parent_map.items()}
+def _policy(rng, *parents: str) -> Policy:
+    return Policy(parents, _table(rng, parents, 2))
 
 
 def complete_stable(n_actions: int = 2, seed: int = 1):
@@ -50,33 +53,13 @@ def complete_stable(n_actions: int = 2, seed: int = 1):
     states = {v: B for v in names}
     parent_map = {v: tuple(names[:i]) for i, v in enumerate(names)}
     rng = _rng(seed)
-    diagram = InfluenceDiagram(variables, edges, _random_cpts(rng, parent_map, states))
-
+    diagram = InfluenceDiagram(variables, edges, _random_cpts(rng, parent_map))
+    actions = range(1, n_actions + 1)
+    identity = {("0",): (1.0, 0.0), ("1",): (0.0, 1.0)}
     strategies = {
         "stat": Strategy.static("stat", {a: "1" for a in diagram.actions}, states),
-        "dyn": Strategy(
-            "dyn",
-            {
-                f"A{i}": Policy(
-                    (f"L{i}",),
-                    {("0",): (1.0, 0.0), ("1",): (0.0, 1.0)},
-                )
-                for i in range(1, n_actions + 1)
-            },
-        ),
-        "mix": Strategy(
-            "mix",
-            {
-                f"A{i}": Policy(
-                    (f"L{i}",),
-                    {
-                        ("0",): tuple(map(float, rng.dirichlet(np.ones(2)))),
-                        ("1",): tuple(map(float, rng.dirichlet(np.ones(2)))),
-                    },
-                )
-                for i in range(1, n_actions + 1)
-            },
-        ),
+        "dyn": Strategy("dyn", {f"A{i}": Policy((f"L{i}",), identity) for i in actions}),
+        "mix": Strategy("mix", {f"A{i}": _policy(rng, f"L{i}") for i in actions}),
     }
     return diagram, strategies
 
@@ -114,7 +97,6 @@ def f2(seed: int = 2, wide: bool = False):
         ("sigma", "A1"),
         ("sigma", "A2"),
     ]
-    states = {v.name: B for v in variables}
     parent_map = {
         "U1": (),
         "A1": ("U1",),
@@ -127,37 +109,13 @@ def f2(seed: int = 2, wide: bool = False):
     diagram = InfluenceDiagram(
         variables,
         edges,
-        _random_cpts(rng, parent_map, states),
+        _random_cpts(rng, parent_map),
         obs_parents={"A1": ("U1",), "A2": ("A1", "L2")},
         int_parents={"A1": (), "A2": ("A1", "L2") if wide else ("A1",)},
     )
     strategies = {
-        "e2": Strategy(
-            "e2",
-            {
-                "A1": Policy((), {(): tuple(map(float, rng.dirichlet(np.ones(2))))}),
-                "A2": Policy(
-                    ("A1",),
-                    {
-                        ("0",): tuple(map(float, rng.dirichlet(np.ones(2)))),
-                        ("1",): tuple(map(float, rng.dirichlet(np.ones(2)))),
-                    },
-                ),
-            },
-        ),
-        "e2wide": Strategy(
-            "e2wide",
-            {
-                "A1": Policy((), {(): tuple(map(float, rng.dirichlet(np.ones(2))))}),
-                "A2": Policy(
-                    ("A1", "L2"),
-                    {
-                        c: tuple(map(float, rng.dirichlet(np.ones(2))))
-                        for c in [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
-                    },
-                ),
-            },
-        ),
+        "e2": Strategy("e2", {"A1": _policy(rng), "A2": _policy(rng, "A1")}),
+        "e2wide": Strategy("e2wide", {"A1": _policy(rng), "A2": _policy(rng, "A1", "L2")}),
     }
     return diagram, strategies
 
@@ -181,25 +139,10 @@ def f3(seed: int = 3):
         ("sigma", "A"),
         ("sigma", "B"),
     ]
-    states = {v.name: B for v in variables}
     parent_map = {"U": (), "B": (), "L": ("U", "B"), "A": ("U",), "Y": ("L", "A")}
     rng = _rng(seed)
-    diagram = InfluenceDiagram(variables, edges, _random_cpts(rng, parent_map, states))
-    strategies = {
-        "e": Strategy(
-            "e",
-            {
-                "B": Policy((), {(): tuple(map(float, rng.dirichlet(np.ones(2))))}),
-                "A": Policy(
-                    ("L",),
-                    {
-                        ("0",): tuple(map(float, rng.dirichlet(np.ones(2)))),
-                        ("1",): tuple(map(float, rng.dirichlet(np.ones(2)))),
-                    },
-                ),
-            },
-        )
-    }
+    diagram = InfluenceDiagram(variables, edges, _random_cpts(rng, parent_map))
+    strategies = {"e": Strategy("e", {"B": _policy(rng), "A": _policy(rng, "L")})}
     return diagram, strategies
 
 
@@ -231,15 +174,9 @@ def f4(seed: int = 4, two_actions: bool = False):
     variables.append(Variable("Y", "resp", B))
     states = {v.name: B for v in variables}
     rng = _rng(seed)
-    diagram = InfluenceDiagram(variables, edges, _random_cpts(rng, parent_map, states))
+    diagram = InfluenceDiagram(variables, edges, _random_cpts(rng, parent_map))
     strategies = {
-        "e": Strategy(
-            "e",
-            {
-                a: Policy((), {(): tuple(map(float, rng.dirichlet(np.ones(2))))})
-                for a in diagram.actions
-            },
-        ),
+        "e": Strategy("e", {a: _policy(rng) for a in diagram.actions}),
         "pick1": Strategy.static("pick1", {a: "1" for a in diagram.actions}, states),
     }
     return diagram, strategies
@@ -265,23 +202,8 @@ def f5(seed: int = 5):
         ("sigma", "A1"),
         ("sigma", "A2"),
     ]
-    states = {v.name: B for v in variables}
     parent_map = {"Z": (), "A1": (), "X": ("Z", "A1"), "A2": ("X",), "Y": ("X", "A2")}
     rng = _rng(seed)
-    diagram = InfluenceDiagram(variables, edges, _random_cpts(rng, parent_map, states))
-    strategies = {
-        "e": Strategy(
-            "e",
-            {
-                "A1": Policy((), {(): tuple(map(float, rng.dirichlet(np.ones(2))))}),
-                "A2": Policy(
-                    ("X",),
-                    {
-                        ("0",): tuple(map(float, rng.dirichlet(np.ones(2)))),
-                        ("1",): tuple(map(float, rng.dirichlet(np.ones(2)))),
-                    },
-                ),
-            },
-        )
-    }
+    diagram = InfluenceDiagram(variables, edges, _random_cpts(rng, parent_map))
+    strategies = {"e": Strategy("e", {"A1": _policy(rng), "A2": _policy(rng, "X")})}
     return diagram, strategies

@@ -8,6 +8,10 @@ string ``"obs"`` or a strategy as the regime fixes one exact joint
 distribution, from which marginals, conditionals, supports and response
 expectations are computed by direct enumeration.  These exact quantities
 are the oracles that the recursive evaluator is tested against.
+
+Every table is one array over (its parents..., child) behind a ``Table``
+label view: ``Cpt`` and ``Policy`` accept label dicts, convert and check
+them once, and return rows by label; the engines read the arrays.
 """
 
 from __future__ import annotations
@@ -90,8 +94,84 @@ def row_problem(row, width: int) -> str | None:
     return None
 
 
+class Table(Mapping):
+    """Read-only label view of one dense table.
+
+    ``array`` holds the child's distribution for every parent
+    configuration: one axis per parent (``states`` in declared order),
+    the child's axis last.  ``table[config]`` returns that row as a tuple
+    of floats; iteration runs over the configurations in row-major order.
+    The array is trusted: tables built from labels pass ``_checked_array``.
+    """
+
+    def __init__(self, states: tuple[tuple[str, ...], ...], array: np.ndarray):
+        self.states = states
+        self.array = array
+        array.flags.writeable = False
+
+    def __getitem__(self, config) -> tuple[float, ...]:
+        if not isinstance(config, tuple) or len(config) != len(self.states):
+            raise KeyError(config)
+        try:
+            idx = tuple(states.index(s) for states, s in zip(self.states, config))
+        except ValueError:
+            raise KeyError(config) from None
+        return tuple(self.array[idx].tolist())
+
+    def __iter__(self):
+        return itertools.product(*self.states)
+
+    def __len__(self) -> int:
+        return math.prod(len(s) for s in self.states)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Table) and other.states == self.states:
+            return np.array_equal(self.array, other.array)
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"Table({dict(self)!r})"
+
+
+def _checked_array(table: Mapping, states, width: int, what: str, error) -> np.ndarray | None:
+    """The rows of a label-keyed table as one array over (parents..., child),
+    or None unless its keys are exactly the parent configurations.  Raises
+    ``error`` naming the first bad row in row-major order."""
+    configs = list(itertools.product(*states))
+    if len(table) != len(configs) or not all(c in table for c in configs):
+        return None
+    rows = [table[c] for c in configs]
+    for config, row in zip(configs, rows):
+        problem = row_problem(row, width)
+        if problem:
+            raise error(f"{what}: row {config} {problem}")
+    return np.array(rows, dtype=float).reshape(tuple(map(len, states)) + (width,))
+
+
+class _Dense:
+    """Shared by ``Cpt`` and ``Policy``: the dense form the engines read."""
+
+    @property
+    def array(self) -> np.ndarray:
+        return self.table.array
+
+    def _densify(self, states, width: int, what: str, error) -> bool:
+        """Turn ``table`` into a checked ``Table`` over these parent states,
+        converting a label dict once; False on missing or unknown rows."""
+        if len(set(self.parents)) != len(self.parents):
+            raise error(f"{what} lists a parent twice")
+        table = self.table
+        if isinstance(table, Table) and table.states == states and table.array.shape[-1] == width:
+            return True
+        array = _checked_array(table, states, width, what, error)
+        if array is None:
+            return False
+        object.__setattr__(self, "table", Table(states, array))
+        return True
+
+
 @dataclass(frozen=True)
-class Cpt:
+class Cpt(_Dense):
     """Distribution of ``child`` for every configuration of ``parents``."""
 
     child: str
@@ -99,18 +179,13 @@ class Cpt:
     table: Mapping[tuple[str, ...], tuple[float, ...]]
 
     def validate(self, states: Mapping[str, tuple[str, ...]]) -> None:
-        expected = list(itertools.product(*(states[p] for p in self.parents)))
-        if set(self.table) != set(expected):
+        what = f"cpt for {self.child}"
+        own = tuple(states[p] for p in self.parents)
+        if not self._densify(own, len(states[self.child]), what, ModelError):
+            expected = list(itertools.product(*own))
             missing = [c for c in expected if c not in self.table]
             extra = [c for c in self.table if c not in set(expected)]
-            raise ModelError(
-                f"cpt for {self.child}: missing rows {missing[:3]}, unknown rows {extra[:3]}"
-            )
-        width = len(states[self.child])
-        for config, row in self.table.items():
-            problem = row_problem(row, width)
-            if problem:
-                raise ModelError(f"cpt for {self.child}: row {config} {problem}")
+            raise ModelError(f"{what}: missing rows {missing[:3]}, unknown rows {extra[:3]}")
 
     def row(self, config: tuple[str, ...]) -> tuple[float, ...]:
         try:
@@ -119,18 +194,18 @@ class Cpt:
             raise ModelError(f"cpt for {self.child}: no row for {config}") from None
 
     def lift(self, parents: tuple[str, ...], states: Mapping[str, tuple[str, ...]]) -> "Cpt":
-        """Re-key to a parent superset; added parents do not affect the rows."""
+        """Re-key a validated table to a parent superset; added parents do
+        not affect the rows."""
         if parents == self.parents:
             return self
-        pick = [parents.index(p) for p in self.parents]
-        return Cpt(self.child, parents, {
-            config: self.table[tuple(config[i] for i in pick)]
-            for config in itertools.product(*(states[p] for p in parents))
-        })
+        axes = parents + (self.child,)
+        own = factor_array(axes, self.child, self.parents, self.array)
+        array = np.broadcast_to(own, tuple(len(states[v]) for v in axes))
+        return Cpt(self.child, parents, Table(tuple(states[p] for p in parents), array))
 
 
 @dataclass(frozen=True)
-class Policy:
+class Policy(_Dense):
     """One action's interventional mechanism: rows over policy-parent configs."""
 
     parents: tuple[str, ...]
@@ -262,17 +337,12 @@ class InfoBase:
                     raise PolicyError(f"policy for {a} reads {p!r}, which is hidden or unknown")
                 if self._pos[p] >= self._pos[a]:
                     raise PolicyError(f"policy for {a} reads {p}, which does not precede it")
-            expected = set(itertools.product(*(self.states[p] for p in pol.parents)))
-            if set(pol.table) != expected:
+            own = tuple(self.states[p] for p in pol.parents)
+            if not pol._densify(own, len(self.states[a]), f"policy for {a}", PolicyError):
                 raise PolicyError(
                     f"policy for {a} must have one row per parent configuration "
-                    f"({len(pol.table)} given, {len(expected)} required)"
+                    f"({len(pol.table)} given, {math.prod(map(len, own))} required)"
                 )
-            width = len(self.states[a])
-            for config, row in pol.table.items():
-                problem = row_problem(row, width)
-                if problem:
-                    raise PolicyError(f"policy for {a}: row {config} {problem}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,10 +466,8 @@ class InfluenceDiagram:
                     f"cpt for {v} conditions on {sorted(set(cpt.parents) - set(want))}, "
                     f"not among its parents"
                 )
-            if set(cpt.parents) != set(want):
-                cpt = cpt.lift(want, self.states)
             cpt.validate(self.states)
-            self.cpts[v] = cpt
+            self.cpts[v] = cpt if set(cpt.parents) == set(want) else cpt.lift(want, self.states)
 
         lblocks, current = [], []
         for v in names:
@@ -514,28 +582,24 @@ def _check_capacity(cards: Iterable[int]) -> None:
 
 
 def mechanism(diagram: InfluenceDiagram, regime: Regime, var: str):
-    """``(parents, row)`` of the table that generates ``var`` under a regime:
-    the strategy's policy for an action under a strategy, the diagram's
-    table otherwise."""
+    """``(parents, array)`` of the table that generates ``var`` under a
+    regime: the strategy's policy for an action under a strategy, the
+    diagram's table otherwise."""
     if diagram.kinds[var] == "act" and regime != "obs":
-        pol = regime.policies[var]
-        return pol.parents, pol.row
-    cpt = diagram.cpts[var]
-    return cpt.parents, cpt.row
+        table = regime.policies[var]
+    else:
+        table = diagram.cpts[var]
+    return table.parents, table.array
 
 
-def factor_array(states: Mapping, axes: tuple[str, ...], var: str, parents, rows) -> np.ndarray:
-    """Dense table of one mechanism (``parents``, ``rows``) of ``var`` over
-    ``axes``: the parents and ``var`` on their own axes, size 1 on the
-    others.  The parents must precede ``var`` in ``axes``.  This is the only
-    place that turns mechanism rows into an array."""
-    own = tuple(v for v in axes if v == var or v in parents)
-    pick = [own.index(p) for p in parents]
-    flat = [
-        rows(tuple(config[i] for i in pick))
-        for config in itertools.product(*(states[v] for v in own[:-1]))
-    ]
-    return np.asarray(flat).reshape([len(states[v]) if v in own else 1 for v in axes])
+def factor_array(axes: tuple[str, ...], var: str, parents, array: np.ndarray) -> np.ndarray:
+    """One mechanism's ``array`` over (``parents``..., ``var``) laid out on
+    ``axes``: its own variables on their axes, size 1 on the others.  The
+    parents must precede ``var`` in ``axes``."""
+    own = (*parents, var)
+    perm = [own.index(v) for v in axes if v in own]
+    shape = [array.shape[own.index(v)] if v in own else 1 for v in axes]
+    return np.transpose(array, perm).reshape(shape)
 
 
 def _nonaction_product(diagram: InfluenceDiagram) -> np.ndarray:
@@ -546,7 +610,7 @@ def _nonaction_product(diagram: InfluenceDiagram) -> np.ndarray:
         for v in diagram.order:
             if diagram.kinds[v] == "act":
                 continue
-            probs *= factor_array(diagram.states, diagram.order, v, *mechanism(diagram, "obs", v))
+            probs *= factor_array(diagram.order, v, *mechanism(diagram, "obs", v))
         diagram._nonaction_cache = probs
         cached = probs
     return cached
@@ -557,8 +621,7 @@ def joint_with_action_selector(diagram: InfluenceDiagram, selector) -> JointTabl
     _check_capacity(diagram.cards())
     probs = _nonaction_product(diagram).copy()
     for v in diagram.actions:
-        mech = mechanism(diagram, selector(v), v)
-        probs *= factor_array(diagram.states, diagram.order, v, *mech)
+        probs *= factor_array(diagram.order, v, *mechanism(diagram, selector(v), v))
     return JointTable(diagram.order, tuple(diagram.states[v] for v in diagram.order), probs)
 
 

@@ -20,6 +20,7 @@ from .model import (
     InfluenceDiagram,
     Policy,
     Strategy,
+    Table,
     consequence_direct,
 )
 
@@ -50,7 +51,7 @@ def optimal_strategy(source, k, sense: str = "max") -> tuple[Strategy, float]:
             take = possible[..., j] & ~(v <= best if sense == "max" else v >= best)
             best = np.where(take, v, best)
             choice[take] = j
-        choices[i] = choice.ravel().tolist()
+        choices[i] = choice.ravel()
         return best
 
     _, values = _backward(source, k, best_action)
@@ -73,11 +74,11 @@ def _pure_strategy(base, name: str, choices) -> Strategy:
     policies = {}
     for i, action in enumerate(base.actions, start=1):
         parents = base.vars[: base.after_l(i)]
+        states = tuple(base.states[v] for v in parents)
         width = len(base.states[action])
-        one_hot = [tuple(1.0 if j == c else 0.0 for j in range(width)) for c in range(width)]
-        configs = itertools.product(*(base.states[v] for v in parents))
-        table = {c: one_hot[j] for c, j in zip(configs, choices[i - 1])}
-        policies[action] = Policy(parents, table)
+        one_hot = np.eye(width)[np.asarray(choices[i - 1])]
+        shape = tuple(map(len, states)) + (width,)
+        policies[action] = Policy(parents, Table(states, one_hot.reshape(shape)))
     return Strategy(name, policies)
 
 

@@ -24,10 +24,16 @@ reporting the offending line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ModelError, ParseError, PolicyError
-from .model import KINDS, SIGMA, Cpt, InfluenceDiagram, Policy, Strategy, Variable, row_problem
+from .model import (
+    KINDS, MAX_JOINT_CELLS, SIGMA, Cpt, InfluenceDiagram, Policy, Strategy, Table, Variable,
+    row_problem,
+)
 
 
 @dataclass
@@ -58,10 +64,35 @@ def _join_list(items) -> str:
     return ",".join(items) if items else "-"
 
 
+class _Block:
+    """An open ``cpt`` or ``assign`` block: rows are written straight into
+    the array, ``filled`` marks the configurations seen so far."""
+
+    def __init__(self, name: str, parents: tuple[str, ...], variables, lineno: int):
+        self.name, self.parents, self.lineno = name, parents, lineno
+        self.states = tuple(variables[p].states for p in parents)
+        self.width = len(variables[name].states)
+        shape = tuple(map(len, self.states))
+        # A table never has more cells than the joint, whose cap applies here.
+        if math.prod(shape) * self.width > MAX_JOINT_CELLS:
+            raise ParseError(f"table for {name} exceeds {MAX_JOINT_CELLS} cells", line=lineno)
+        self.array = np.zeros(shape + (self.width,))
+        self.filled = np.zeros(shape, dtype=bool)
+
+    def labels(self, mask) -> list[tuple[str, ...]]:
+        return [tuple(s[j] for s, j in zip(self.states, idx)) for idx in np.argwhere(mask)]
+
+    def table(self):
+        """The dense table, or the label rows given so far when some are missing."""
+        if self.filled.all():
+            return Table(self.states, self.array)
+        return dict(zip(self.labels(self.filled), map(tuple, self.array[self.filled].tolist())))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.raw = text.splitlines()
-        self.variables: list[Variable] = []
+        self.variables: dict[str, Variable] = {}
         self.var_lines: dict[str, int] = {}
         self.order: tuple[str, ...] | None = None
         self.edges: list[tuple[str, str]] = []
@@ -71,15 +102,12 @@ class _Parser:
         self.strategies: dict[str, dict[str, Policy]] = {}
         self.strategy_order: list[str] = []
         # open blocks
-        self._cpt: tuple[str, tuple[str, ...], dict, int] | None = None
+        self._cpt: _Block | None = None
         self._strategy: str | None = None
-        self._assign: tuple[str, tuple[str, ...], dict, int] | None = None
+        self._assign: _Block | None = None
 
     def fail(self, line: int, message: str):
         raise ParseError(message, line=line)
-
-    def names(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
 
     def parse(self) -> ModelDocument:
         for lineno, raw in enumerate(self.raw, start=1):
@@ -118,7 +146,7 @@ class _Parser:
             var = Variable(name, opts["kind"], _split_list(opts["states"]))
         except ModelError as exc:
             self.fail(lineno, str(exc))
-        self.variables.append(var)
+        self.variables[name] = var
         self.var_lines[name] = lineno
 
     def _on_order(self, tokens, lineno):
@@ -139,7 +167,7 @@ class _Parser:
                 self.fail(lineno, f"unknown variable {w!r}")
         if v == SIGMA:
             self.fail(lineno, f"{SIGMA} cannot be a child")
-        if u == SIGMA and self.names()[v].kind != "act":
+        if u == SIGMA and self.variables[v].kind != "act":
             self.fail(lineno, f"arrow {SIGMA} -> {v} enters a non-action")
         if (u, v) in self.edges:
             self.fail(lineno, f"duplicate edge {u} -> {v}")
@@ -149,7 +177,7 @@ class _Parser:
         if len(tokens) != 3:
             self.fail(lineno, "expected: <directive> <action> <p1,p2,...|->")
         action = tokens[1]
-        if action not in self.var_lines or self.names()[action].kind != "act":
+        if action not in self.var_lines or self.variables[action].kind != "act":
             self.fail(lineno, f"{action!r} is not a declared action")
         if action in target:
             self.fail(lineno, f"duplicate parent annotation for {action}")
@@ -179,7 +207,7 @@ class _Parser:
         for p in parents:
             if p not in self.var_lines:
                 self.fail(lineno, f"unknown variable {p!r}")
-        self._cpt = (child, parents, {}, lineno)
+        self._cpt = _Block(child, parents, self.variables, lineno)
 
     def _on_strategy(self, tokens, lineno):
         self._close_cpt()
@@ -201,7 +229,7 @@ class _Parser:
         if len(tokens) != 4 or tokens[2] != "|":
             self.fail(lineno, "expected: assign <action> | <p1,p2,...|->")
         action = tokens[1]
-        if action not in self.var_lines or self.names()[action].kind != "act":
+        if action not in self.var_lines or self.variables[action].kind != "act":
             self.fail(lineno, f"{action!r} is not a declared action")
         if action in self.strategies[self._strategy]:
             self.fail(lineno, f"duplicate assign for {action} in strategy {self._strategy}")
@@ -209,96 +237,81 @@ class _Parser:
         for p in parents:
             if p not in self.var_lines:
                 self.fail(lineno, f"unknown variable {p!r}")
-        self._assign = (action, parents, {}, lineno)
+        self._assign = _Block(action, parents, self.variables, lineno)
 
-    def _row_key(self, tokens, lineno, parents):
+    def _row_index(self, tokens, lineno, block: _Block, duplicate: str):
+        """State indices of a row's parent configuration in ``block``."""
         if len(tokens) < 3 or tokens[2] != ":":
             self.fail(lineno, "expected: row <s1,s2,...|-> : <values>")
         key = _split_list(tokens[1])
-        if len(key) != len(parents):
-            self.fail(lineno, f"row names {len(key)} parent states, want {len(parents)}")
-        names = self.names()
-        for p, s in zip(parents, key):
-            if s not in names[p].states:
+        if len(key) != len(block.parents):
+            self.fail(lineno, f"row names {len(key)} parent states, want {len(block.parents)}")
+        for p, s, states in zip(block.parents, key, block.states):
+            if s not in states:
                 self.fail(lineno, f"{s!r} is not a state of {p}")
-        return key
+        idx = tuple(states.index(s) for s, states in zip(key, block.states))
+        if block.filled[idx]:
+            self.fail(lineno, f"duplicate row {key} {duplicate}")
+        block.filled[idx] = True
+        return idx
 
-    def _probs(self, tokens, lineno):
+    def _probs(self, tokens, lineno, width):
         try:
-            return tuple(float(t) for t in tokens)
+            probs = tuple(float(t) for t in tokens)
         except ValueError:
             self.fail(lineno, f"expected probabilities, got {tokens}")
+        problem = row_problem(probs, width)
+        if problem:
+            self.fail(lineno, f"row {problem}")
+        return probs
 
     def _on_row(self, tokens, lineno):
         if self._cpt is not None:
-            child, parents, rows, _ = self._cpt
-            key = self._row_key(tokens, lineno, parents)
-            if key in rows:
-                self.fail(lineno, f"duplicate row {key} in cpt for {child}")
-            probs = self._probs(tokens[3:], lineno)
-            self._check_row(probs, len(self.names()[child].states), lineno)
-            rows[key] = probs
+            block = self._cpt
+            idx = self._row_index(tokens, lineno, block, f"in cpt for {block.name}")
+            block.array[idx] = self._probs(tokens[3:], lineno, block.width)
         elif self._assign is not None:
-            action, parents, rows, _ = self._assign
-            key = self._row_key(tokens, lineno, parents)
-            if key in rows:
-                self.fail(lineno, f"duplicate row {key} for {action}")
+            block = self._assign
+            idx = self._row_index(tokens, lineno, block, f"for {block.name}")
             if len(tokens) != 4:
                 self.fail(lineno, "deterministic row takes a single action state")
-            chosen = tokens[3]
-            states = self.names()[action].states
-            if chosen not in states:
-                self.fail(lineno, f"{chosen!r} is not a state of {action}")
-            rows[key] = tuple(1.0 if s == chosen else 0.0 for s in states)
+            states = self.variables[block.name].states
+            if tokens[3] not in states:
+                self.fail(lineno, f"{tokens[3]!r} is not a state of {block.name}")
+            block.array[idx + (states.index(tokens[3]),)] = 1.0
         else:
             self.fail(lineno, "row outside a cpt or assign block")
 
     def _on_prow(self, tokens, lineno):
         if self._assign is None:
             self.fail(lineno, "prow outside an assign block")
-        action, parents, rows, _ = self._assign
-        key = self._row_key(tokens, lineno, parents)
-        if key in rows:
-            self.fail(lineno, f"duplicate row {key} for {action}")
-        probs = self._probs(tokens[3:], lineno)
-        self._check_row(probs, len(self.names()[action].states), lineno)
-        rows[key] = probs
-
-    def _check_row(self, probs, width, lineno):
-        problem = row_problem(probs, width)
-        if problem:
-            self.fail(lineno, f"row {problem}")
+        block = self._assign
+        idx = self._row_index(tokens, lineno, block, f"for {block.name}")
+        block.array[idx] = self._probs(tokens[3:], lineno, block.width)
 
     # ------------------------------------------------------------------
     # assembly
 
     def _close_cpt(self):
-        if self._cpt is None:
+        block, self._cpt = self._cpt, None
+        if block is None:
             return
-        child, parents, rows, lineno = self._cpt
-        self._cpt = None
-        states = {v.name: v.states for v in self.variables}
-        cpt = Cpt(child, parents, rows)
-        try:
-            cpt.validate(states)
-        except ModelError as exc:
-            self.fail(lineno, str(exc))
-        self.cpts[child] = cpt
+        if not block.filled.all():
+            missing = block.labels(~block.filled)[:3]
+            self.fail(block.lineno, f"cpt for {block.name}: missing rows {missing}, unknown rows []")
+        self.cpts[block.name] = Cpt(block.name, block.parents, block.table())
 
     def _close_assign(self):
-        if self._assign is None:
-            return
-        action, parents, rows, lineno = self._assign
-        self._assign = None
-        self.strategies[self._strategy][action] = Policy(parents, rows)
+        block, self._assign = self._assign, None
+        if block is not None:
+            self.strategies[self._strategy][block.name] = Policy(block.parents, block.table())
 
     def _build(self) -> ModelDocument:
         if not self.variables:
             raise ParseError("no variables declared")
         if self.order is None:
             raise ParseError("missing order line")
-        by_name = self.names()
-        variables = [by_name[v] for v in self.order]
+        variables = [self.variables[v] for v in self.order]
         try:
             diagram = InfluenceDiagram(
                 variables, self.edges, self.cpts,

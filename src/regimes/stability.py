@@ -231,8 +231,8 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
     for a in diagram.actions:
         pol, cpt = strategy.policies[a], diagram.cpts[a]
         axes = diagram.sort(set(pol.parents) | set(cpt.parents)) + (a,)
-        pe = factor_array(diagram.states, axes, a, pol.parents, pol.row)
-        po = factor_array(diagram.states, axes, a, cpt.parents, cpt.row)
+        pe = factor_array(axes, a, pol.parents, pol.array)
+        po = factor_array(axes, a, cpt.parents, cpt.array)
         if np.any((pe > 0.0) & (po <= 0.0)):
             parent_child = False
             break
@@ -260,7 +260,6 @@ def support_propagation(
         mask = np.ones(diagram.cards(), dtype=bool)
         for v in diagram.order:
             # One AND per factor: a product of tiny entries could underflow to 0.
-            mech = mechanism(diagram, regime, v)
-            mask &= factor_array(diagram.states, diagram.order, v, *mech) > 0.0
+            mask &= factor_array(diagram.order, v, *mechanism(diagram, regime, v)) > 0.0
         out[regime if regime == "obs" else regime.name] = mask
     return out

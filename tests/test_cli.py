@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from helpers import f4_without_action_one
+from regimes import grecursion
 from regimes.cli import main
 from regimes.parser import ModelDocument, format_model
 
@@ -258,3 +259,13 @@ class TestErrorsAndDeterminism:
                 "--n", "300", "--seed", "9", "--out", str(f),
             )
         assert f_a.read_bytes() == f_b.read_bytes()
+
+
+def test_crash_exits_3_with_one_line(monkeypatch):
+    def crash(*args):
+        raise AssertionError("recursion disagrees with the oracle by 0.5")
+
+    monkeypatch.setattr(grecursion, "g_recursion", crash)
+    code, out, err = run("grec", "--model", model("f1.id"), "--strategy", "stat")
+    assert (code, out) == (3, "")
+    assert err == "internal error: AssertionError('recursion disagrees with the oracle by 0.5')\n"

@@ -182,3 +182,13 @@ def test_format_parse_round_trip(seed, n_actions, hidden_to_action, row):
         s = Strategy(s.name, {**s.policies, a: Policy(pol.parents, table)})
     doc = ModelDocument(d, {s.name: s})
     assert parse_model(format_model(doc)) == doc
+
+
+def test_oversized_table_header_fails_before_allocating():
+    names = [f"L{i}" for i in range(23)]
+    text = "".join(f"var {v} kind=obs states=0,1\n" for v in names)
+    text += "var Y kind=resp states=0,1\norder " + " ".join(names) + " Y\n"
+    text += "cpt Y | " + ",".join(names) + "\n"
+    with pytest.raises(ParseError, match="exceeds") as err:
+        parse_model(text)
+    assert err.value.line == 26

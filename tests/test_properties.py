@@ -4,11 +4,13 @@ The averaging recursion must reproduce the exact oracle wherever the
 mixed-diagram check and positivity license it, and the max/min recursion
 must find the same optimum as exhaustive enumeration.  The live-frontier
 masks must agree with per-history definitions of the frontier and of
-the positivity witness.
+the positivity witness, and the artificial joints must satisfy the three
+conditions that hold by their construction.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from regimes.fixtures import complete_stable
 from regimes.grecursion import (
     check_cond6,
     check_graphsep,
+    construct_p_i,
     gamma_support,
     recursion_table,
     verify_general_conditions,
@@ -26,8 +29,10 @@ from regimes.grecursion import (
 from regimes.model import (
     ExactSource,
     Policy,
+    PrefixSource,
     Strategy,
     consequence_direct,
+    factor_array,
     support,
 )
 from regimes.optimize import enumerate_strategies, optimal_strategy
@@ -117,6 +122,36 @@ def naive_cond6(obs_support, strategy):
     return True, None
 
 
+def by_construction_conditions(diagram, strategy, tol=1e-9):
+    """(support biconditional, l-factors, action factors), computed on the
+    artificial joints over histories live under the strategy and P_{i-1}:
+    the checks ``verify_general_conditions`` leaves to ``construct_p_i``."""
+    base = diagram.base
+    diagram.validate_strategy(strategy)
+    p = [
+        PrefixSource(base, construct_p_i(diagram, strategy, i).marginal(base.vars).probs, f"p{i}")
+        for i in range(base.n + 1)
+    ]
+    obs = ExactSource(diagram)
+    gamma = gamma_support(obs.support(), strategy)
+
+    def differs(left, right):
+        return np.any(np.abs(left - right) > tol, axis=-1)
+
+    support_ok = l_ok = a_ok = True
+    for i in range(1, base.n + 2):
+        lo, hi = base.before_l(i), base.after_l(i)
+        on = gamma.masks[lo] & p[i - 1].support().masks[lo]
+        l_ok &= not (on & differs(p[i - 1].given(lo, hi), obs.given(lo, hi))).any()
+    for i in range(1, base.n + 1):
+        lo, m, pol = base.after_l(i), base.after_a(i), strategy.policies[base.action(i)]
+        support_ok &= np.array_equal(p[i].marginal(m) > 0.0, obs.marginal(m) > 0.0)
+        policy = factor_array(base.vars[:m], base.action(i), pol.parents, pol.array)
+        on = gamma.masks[lo] & p[i - 1].support().masks[lo]
+        a_ok &= not (on & differs(p[i - 1].given(lo, m), policy)).any()
+    return support_ok, l_ok, a_ok
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(0, 10**6),
@@ -138,6 +173,7 @@ def test_live_masks_match_per_history_definitions(seed, n_actions, confounded, o
             recursion_table(ExactSource(diagram), strategy, K01)
         assert err.value.history == witness
     # These three hold by construction of the artificial distributions.
+    assert by_construction_conditions(diagram, strategy) == (True, True, True)
     report = verify_general_conditions(diagram, strategy)
     assert report.support_biconditional and report.l_factors and report.action_factors
     assert report.positivity == ok
