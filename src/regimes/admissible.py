@@ -8,11 +8,14 @@ separates the response from the regime node given the pool and the
 actions so far; by completeness of the construction, some admissible
 sequence exists for an ordering if and only if the pool sequence itself
 is admissible.
+
+The orderings searched are the linear extensions of reachability among
+the actions, generated directly.  Unrelated actions still give up to N!
+of them, hence the cap on N.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,7 +60,9 @@ def _interventional_dag(diagram: InfluenceDiagram):
     return build_dag_i(diagram, 0).drop([SIGMA])
 
 
-def _require_actions_reach_response(diagram: InfluenceDiagram) -> None:
+def _reaching(diagram: InfluenceDiagram):
+    """The interventional diagram, once every action is checked to reach
+    the response in it."""
     d_e = _interventional_dag(diagram)
     for a in diagram.actions:
         if diagram.response not in descendants(d_e, {a}):
@@ -65,26 +70,46 @@ def _require_actions_reach_response(diagram: InfluenceDiagram) -> None:
                 f"action {a} is not an ancestor of the response under the "
                 f"interventional mechanism"
             )
+    return d_e
 
 
-def _pools(diagram: InfluenceDiagram, order: tuple[str, ...]):
-    """Per-stage candidate pools M_1 <= ... <= M_N."""
-    d_e = _interventional_dag(diagram)
-    observables = set(diagram.observables)
-    pools = []
-    for i in range(1, len(order) + 1):
-        down = set(descendants(d_e, order[i - 1 :]))
-        an_y = set(ancestral_closure(build_dag_i(diagram, i, order), {diagram.response}))
-        pool = diagram.sort((observables - down) & an_y)
-        pools.append(pool)
-        if i > 1 and not set(pools[i - 2]) <= set(pool):
-            raise AssertionError("stage pools must be nested")
-    return tuple(pools)
+class _Stages:
+    """One ordering's stage diagrams, each built once, with the
+    descendants of the remaining actions and the pools M_1 <= ... <= M_N."""
+
+    def __init__(self, diagram: InfluenceDiagram, order: tuple[str, ...], d_e):
+        self.diagram, self.order = diagram, order
+        self.dags = [build_dag_i(diagram, i, order) for i in range(1, len(order) + 1)]
+        self.down = [set(descendants(d_e, order[i:])) for i in range(len(order))]
+        observables = set(diagram.observables)
+        pools: list[tuple[str, ...]] = []
+        for dag, down in zip(self.dags, self.down):
+            an_y = set(ancestral_closure(dag, {diagram.response}))
+            pool = diagram.sort((observables - down) & an_y)
+            if pools and not set(pools[-1]) <= set(pool):
+                raise AssertionError("stage pools must be nested")
+            pools.append(pool)
+        self.pools = tuple(pools)
+
+    def verdict(self, i: int, conditioning) -> bool:
+        cond = set(conditioning) | set(self.order[:i])
+        return separated(self.dags[i - 1], {self.diagram.response}, {SIGMA}, cond)
 
 
-def _stage_verdict(diagram, order, i, conditioning) -> bool:
-    cond = set(conditioning) | set(order[:i])
-    return separated(build_dag_i(diagram, i, order), {diagram.response}, {SIGMA}, cond)
+def _checked_stages(diagram, action_order, strategy) -> _Stages:
+    """Run the preconditions of a public call, then build its stages."""
+    _check_int_strategy(diagram, strategy)
+    d_e = _reaching(diagram)
+    return _Stages(diagram, _the_order(diagram, action_order), d_e)
+
+
+def _candidate(stages: _Stages) -> AdmissibleSequence:
+    sets, prev = [], set()
+    for pool in stages.pools:
+        sets.append(stages.diagram.sort(set(pool) - prev))
+        prev = set(pool)
+    verdicts = (stages.verdict(i, pool) for i, pool in enumerate(stages.pools, start=1))
+    return AdmissibleSequence(stages.order, tuple(sets), stages.pools, tuple(verdicts))
 
 
 def compute_candidate_sequence(
@@ -93,18 +118,7 @@ def compute_candidate_sequence(
     strategy: Strategy | None = None,
 ) -> AdmissibleSequence:
     """Stage pools, their increments, and the per-stage verdicts."""
-    _check_int_strategy(diagram, strategy)
-    _require_actions_reach_response(diagram)
-    order = _the_order(diagram, action_order)
-    pools = _pools(diagram, order)
-    sets = []
-    prev: set[str] = set()
-    verdicts = []
-    for i, pool in enumerate(pools, start=1):
-        sets.append(diagram.sort(set(pool) - prev))
-        prev = set(pool)
-        verdicts.append(_stage_verdict(diagram, order, i, pool))
-    return AdmissibleSequence(order, tuple(sets), pools, tuple(verdicts))
+    return _candidate(_checked_stages(diagram, action_order, strategy))
 
 
 def check_admissible(
@@ -114,11 +128,9 @@ def check_admissible(
     strategy: Strategy | None = None,
 ) -> AdmissibleSequence:
     """Verdicts for a caller-supplied covariate sequence."""
-    _check_int_strategy(diagram, strategy)
-    _require_actions_reach_response(diagram)
-    order = _the_order(diagram, action_order)
-    if len(sets) != len(order):
-        raise InputError(f"need {len(order)} covariate sets, got {len(sets)}")
+    stages = _checked_stages(diagram, action_order, strategy)
+    if len(sets) != len(stages.order):
+        raise InputError(f"need {len(stages.order)} covariate sets, got {len(sets)}")
     norm = [diagram.sort(s) for s in sets]
     seen: set[str] = set()
     observables = set(diagram.observables)
@@ -129,20 +141,17 @@ def check_admissible(
             if v not in observables:
                 raise InputError(f"{v} is not an observable covariate")
             seen.add(v)
-    d_e = _interventional_dag(diagram)
     cum: set[str] = set()
     verdicts = []
     for i, s in enumerate(norm, start=1):
         cum |= set(s)
-        down = set(descendants(d_e, order[i - 1 :]))
-        bad = cum & down
+        bad = cum & stages.down[i - 1]
         if bad:
             raise InputError(
                 f"stage {i}: {diagram.sort(bad)} descend from remaining actions"
             )
-        verdicts.append(_stage_verdict(diagram, order, i, cum))
-    pools = _pools(diagram, order)
-    return AdmissibleSequence(order, tuple(norm), pools, tuple(verdicts))
+        verdicts.append(stages.verdict(i, cum))
+    return AdmissibleSequence(stages.order, tuple(norm), stages.pools, tuple(verdicts))
 
 
 def improve_sequence(
@@ -161,48 +170,45 @@ def improve_sequence(
     """
     _check_int_strategy(diagram, strategy)
     order = _the_order(diagram, action_order)
-    if candidate is None:
-        candidate = compute_candidate_sequence(diagram, order, strategy)
-    elif candidate.order != order:
+    if candidate is not None and candidate.order != order:
         raise InputError("candidate was computed for a different action order")
-    pools = candidate.pools
+    stages = _Stages(diagram, order, _reaching(diagram))
+    if candidate is None:
+        candidate = _candidate(stages)
     sets: list[tuple[str, ...]] = []
     cum: set[str] = set()
-    verdicts = []
-    for i, pool in enumerate(pools, start=1):
-        if not _stage_verdict(diagram, order, i, pool):
+    for i, pool in enumerate(candidate.pools, start=1):
+        if not stages.verdict(i, pool):
             return candidate
         keep = set(pool) - cum
         changed = True
         while changed:
             changed = False
             for v in sorted(keep, key=diagram.index.__getitem__, reverse=True):
-                trial = (cum | keep) - {v}
-                if _stage_verdict(diagram, order, i, trial):
+                if stages.verdict(i, (cum | keep) - {v}):
                     keep.discard(v)
                     changed = True
         sets.append(diagram.sort(keep))
         cum |= keep
-        verdicts.append(True)
-    return AdmissibleSequence(order, tuple(sets), pools, tuple(verdicts))
+    return AdmissibleSequence(order, tuple(sets), candidate.pools, (True,) * len(sets))
 
 
 def _orders_consistent_with(diagram: InfluenceDiagram):
-    """Permutations of the actions respecting interventional-graph
-    reachability, in declaration-lexicographic order."""
+    """Linear extensions of interventional-graph reachability among the
+    actions, in declaration-lexicographic order: an action is placed once
+    every action it descends from has been placed."""
+    actions = diagram.actions
     d_e = _interventional_dag(diagram)
-    below = {
-        a: set(descendants(d_e, {a})) & set(diagram.actions) - {a}
-        for a in diagram.actions
-    }
-    for perm in itertools.permutations(diagram.actions):
-        ok = True
-        for i, a in enumerate(perm):
-            if below[a] & set(perm[: i + 1]):
-                ok = False
-                break
-        if ok:
-            yield perm
+    above = {a: set(ancestral_closure(d_e, {a})) & set(actions) - {a} for a in actions}
+
+    def extend(prefix: tuple[str, ...]):
+        if len(prefix) == len(actions):
+            yield prefix
+        for a in actions:
+            if a not in prefix and above[a] <= set(prefix):
+                yield from extend(prefix + (a,))
+
+    return extend(())
 
 
 def search_admissible_ordering(
@@ -215,9 +221,9 @@ def search_admissible_ordering(
             f"{diagram.n} actions exceed the ordering-search cap of {MAX_SEARCH_ACTIONS}"
         )
     _check_int_strategy(diagram, strategy)
-    _require_actions_reach_response(diagram)
+    d_e = _reaching(diagram)
     for order in _orders_consistent_with(diagram):
-        seq = compute_candidate_sequence(diagram, order, strategy)
+        seq = _candidate(_Stages(diagram, order, d_e))
         if seq.admissible:
             return order, seq
     return None

@@ -4,11 +4,16 @@ Reports go to stdout as deterministic key=value lines; diagnostics go to
 stderr.  Exit codes: 0 success, 1 when a checked condition is false,
 2 on usage or model errors, 3 on an internal error (a bug: any other
 exception, reported as one ``internal error:`` line on stderr).
+
+The argparse parser is built once per process and binds the ``cmd_*``
+handlers then; what a handler looks up when it runs (``grec.g_recursion``,
+``parse_model``) still resolves on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -153,32 +158,24 @@ def cmd_verify_general(doc: ModelDocument, args) -> int:
     return 0 if report.overall else CHECK_FAILED
 
 
-def _fmt_sequence(sets) -> str:
-    return ";".join(",".join(s) for s in sets)
-
-
 def cmd_admissible(doc: ModelDocument, args) -> int:
     diagram = doc.diagram
     strategy = doc.strategy(args.strategy) if args.strategy else None
     if args.order:
-        order = tuple(args.order.split(","))
-        seq = adm.compute_candidate_sequence(diagram, order, strategy)
-        if args.improve and seq.admissible:
-            seq = adm.improve_sequence(diagram, order, seq, strategy)
-        _emit("ordering", ",".join(order))
-        _emit("sequence", _fmt_sequence(seq.sets))
+        seq = adm.compute_candidate_sequence(diagram, args.order.split(","), strategy)
+    else:
+        hit = adm.search_admissible_ordering(diagram, strategy)
+        if hit is None:
+            _emit("ordering", "none")
+            return CHECK_FAILED
+        seq = hit[1]
+    if args.improve and seq.admissible:
+        seq = adm.improve_sequence(diagram, seq.order, seq, strategy)
+    _emit("ordering", ",".join(seq.order))
+    _emit("sequence", ";".join(",".join(s) for s in seq.sets))
+    if args.order:
         _emit("admissible", seq.admissible)
-        return 0 if seq.admissible else CHECK_FAILED
-    hit = adm.search_admissible_ordering(diagram, strategy)
-    if hit is None:
-        _emit("ordering", "none")
-        return CHECK_FAILED
-    order, seq = hit
-    if args.improve:
-        seq = adm.improve_sequence(diagram, order, seq, strategy)
-    _emit("ordering", ",".join(order))
-    _emit("sequence", _fmt_sequence(seq.sets))
-    return 0
+    return 0 if seq.admissible else CHECK_FAILED
 
 
 def cmd_optimize(doc: ModelDocument, args) -> int:
@@ -242,6 +239,7 @@ def _add_k_flags(sub):
     sub.add_argument("--k", help="full response functional as state=value,...")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="regimes",

@@ -317,7 +317,7 @@ class GeneralConditionsReport:
 
 
 def verify_general_conditions(
-    diagram: InfluenceDiagram, strategy: Strategy, tol: float = TOL
+    diagram: InfluenceDiagram, strategy: Strategy
 ) -> GeneralConditionsReport:
     """Check the artificial-distribution route stage by stage.
 
@@ -348,7 +348,7 @@ def verify_general_conditions(
         left, right = (
             p[j].given(m, full).reshape(on.shape + (-1, width)).sum(axis=-2) for j in (i - 1, i)
         )
-        bad = on & np.any(np.abs(left - right) > tol, axis=-1)
+        bad = on & np.any(np.abs(left - right) > TOL, axis=-1)
         y_failures += [(i, h) for h in sorted(base.histories(bad))][: 3 - len(y_failures)]
 
     y_ok, delta = not y_failures, None

@@ -25,7 +25,7 @@ reporting the offending line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class ModelDocument:
 
     diagram: InfluenceDiagram
     strategies: dict[str, Strategy]
-    lines: dict = field(default_factory=dict, compare=False)
 
     def strategy(self, name: str) -> Strategy:
         try:
@@ -100,7 +99,6 @@ class _Parser:
         self.int_parents: dict[str, tuple[str, ...]] = {}
         self.cpts: dict[str, Cpt] = {}
         self.strategies: dict[str, dict[str, Policy]] = {}
-        self.strategy_order: list[str] = []
         # open blocks
         self._cpt: _Block | None = None
         self._strategy: str | None = None
@@ -218,7 +216,6 @@ class _Parser:
         if name in self.strategies:
             self.fail(lineno, f"duplicate strategy {name!r}")
         self.strategies[name] = {}
-        self.strategy_order.append(name)
         self._strategy = name
 
     def _on_assign(self, tokens, lineno):
@@ -320,8 +317,8 @@ class _Parser:
         except ModelError as exc:
             raise ParseError(str(exc), line=getattr(self, "_order_line", None)) from None
         strategies = {}
-        for name in self.strategy_order:
-            strategy = Strategy(name, dict(self.strategies[name]))
+        for name, policies in self.strategies.items():
+            strategy = Strategy(name, dict(policies))
             try:
                 diagram.validate_strategy(strategy)
             except PolicyError as exc:

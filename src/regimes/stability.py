@@ -95,7 +95,7 @@ def check_simple_stability_graphical(diagram: InfluenceDiagram) -> StabilityRepo
 
 
 def check_simple_stability_numeric(
-    diagram: InfluenceDiagram, strategies: Iterable[Strategy], tol: float = TOL
+    diagram: InfluenceDiagram, strategies: Iterable[Strategy]
 ) -> StabilityReport:
     """Equality of covariate-block conditionals across the observational
     regime and every supplied strategy, wherever both sides are defined.
@@ -113,7 +113,7 @@ def check_simple_stability_numeric(
         first = None  # (row, left source, right source)
         for a, b in itertools.combinations(sources, 2):
             defined = a.support().masks[lo] & b.support().masks[lo]
-            far = np.any(np.abs(a.given(lo, hi) - b.given(lo, hi)) > tol, axis=-1)
+            far = np.any(np.abs(a.given(lo, hi) - b.given(lo, hi)) > TOL, axis=-1)
             bad = (defined & far).reshape(-1)
             if bad.any() and (first is None or np.argmax(bad) < first[0]):
                 first = (int(np.argmax(bad)), a, b)
@@ -150,9 +150,7 @@ def extended_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> bool:
 
 
 def check_sequential_irrelevance_numeric(
-    diagram: InfluenceDiagram,
-    strategies: Iterable[Strategy] = (),
-    tol: float = TOL,
+    diagram: InfluenceDiagram, strategies: Iterable[Strategy] = ()
 ) -> StabilityReport:
     """Independence of each covariate block from all earlier hidden
     variables given the observed past, tested on the observational joint.
@@ -191,7 +189,7 @@ def check_sequential_irrelevance_numeric(
         cond = np.divide(arr, mass, out=np.zeros(arr.shape), where=mass > 0.0)
         defined = mass[..., 0] > 0.0
         first = np.argmax(defined, axis=1)
-        far = np.any(np.abs(cond - cond[np.arange(len(arr)), first][:, None]) > tol, axis=-1)
+        far = np.any(np.abs(cond - cond[np.arange(len(arr)), first][:, None]) > TOL, axis=-1)
         hits = np.argwhere(defined & far)
         if not len(hits):
             stages.append(StageVerdict(i, True))

@@ -1,9 +1,13 @@
 import itertools
+import math
 
 import pytest
 
 from helpers import random_extended_id
+import regimes.admissible as adm
 from regimes.admissible import (
+    _interventional_dag,
+    _orders_consistent_with,
     check_admissible,
     compute_candidate_sequence,
     improve_sequence,
@@ -11,6 +15,7 @@ from regimes.admissible import (
 )
 from regimes.errors import CapacityError, InputError, ModelError
 from regimes.fixtures import f1, f3, f4, f5
+from regimes.graph import descendants
 from regimes.model import Cpt, InfluenceDiagram, Variable
 
 
@@ -111,6 +116,15 @@ class TestImproveSequence:
         assert not candidate.admissible
         assert improve_sequence(d, candidate=candidate) is candidate
 
+    def test_stage_diagrams_built_once(self, monkeypatch):
+        # N stage diagrams plus the interventional one, none per greedy trial
+        d, _ = f5()
+        candidate = compute_candidate_sequence(d)
+        build, calls = adm.build_dag_i, []
+        monkeypatch.setattr(adm, "build_dag_i", lambda *a: calls.append(a) or build(*a))
+        assert improve_sequence(d, candidate=candidate).sets == ((), ("X",))
+        assert len(calls) <= len(d.actions) + 1
+
     def test_improved_still_admissible(self):
         for seed in range(20):
             d = random_extended_id(seed, n_actions=2, hidden_to_action=False)
@@ -147,6 +161,35 @@ def _all_valid_sequences(diagram, order):
             if where:
                 sets[where - 1].append(v)
         yield [tuple(s) for s in sets]
+
+
+def _filtered_permutations(diagram):
+    """Every permutation of the actions with no action placed after one of
+    its descendants, in declaration-lexicographic order."""
+    d_e = _interventional_dag(diagram)
+    actions = diagram.actions
+    below = {a: set(descendants(d_e, {a})) & set(actions) - {a} for a in actions}
+    return [
+        perm for perm in itertools.permutations(actions)
+        if not any(below[a] & set(perm[: i + 1]) for i, a in enumerate(perm))
+    ]
+
+
+@pytest.mark.parametrize("n_actions", [2, 3, 4, 5, 6])
+def test_orderings_are_the_filtered_permutations(n_actions):
+    counts = set()
+    shapes = [dict(p_edge=p) for p in (0.0, 0.15, 0.4)]
+    shapes.append(dict(p_edge=1.0, p_hidden=0.0, p_obs=0.0))  # a chain of actions
+    for seed in range(8):
+        for shape in shapes:
+            d = random_extended_id(
+                seed, n_actions=n_actions, hidden_to_action=seed % 2 == 1, **shape
+            )
+            orders = list(_orders_consistent_with(d))
+            assert orders == _filtered_permutations(d)
+            counts.add(len(orders))
+    # unrelated actions (no edges) and a chain are both covered
+    assert {1, math.factorial(n_actions)} <= counts
 
 
 class TestSearchAndCompleteness:

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import f4_without_action_one
 from regimes import grecursion
-from regimes.cli import main
+from regimes.cli import build_parser, main
 from regimes.parser import ModelDocument, format_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -269,3 +269,20 @@ def test_crash_exits_3_with_one_line(monkeypatch):
     code, out, err = run("grec", "--model", model("f1.id"), "--strategy", "stat")
     assert (code, out) == (3, "")
     assert err == "internal error: AssertionError('recursion disagrees with the oracle by 0.5')\n"
+
+
+def test_reused_parser_carries_nothing_between_calls():
+    f1, f2 = model("f1.id"), model("f2.id")
+
+    def alone(*argv):
+        build_parser.cache_clear()
+        return run(*argv)
+
+    stability = alone("stability", "--model", f2, "--numeric")
+    optimize = alone("optimize", "--model", f1)
+    parser = build_parser()
+    assert run("stability", "--model", f2, "--numeric", "--strategy", "e2")[0] == 1
+    assert run("stability", "--model", f2, "--numeric") == stability
+    assert kv(run("optimize", "--model", f1, "--min")[1])["sense"] == "min"
+    assert run("optimize", "--model", f1) == optimize
+    assert build_parser() is parser

@@ -1,4 +1,5 @@
-"""Golden CLI transcript: stdout and exit code of the evaluation commands.
+"""Golden CLI transcript: stdout and exit code of every command but
+``simulate``.
 
 Covers ``grec``, ``evaluate``, ``verify-general``, ``optimize`` and
 ``optimize --min`` for every shipped model and strategy and for
@@ -10,16 +11,26 @@ change in summation order fails here, not only in the benchmark's
 digests; the binary shipped models alone cannot show it, since two terms
 add the same way in either order.
 
+The identification commands (``stability``, ``seqrand``, ``seqirrel``,
+``positivity``, ``graphsep`` and ``admissible`` with every ``--order``
+permutation, each with and without ``--improve``) run on the same models
+and on ``golden/orderings.id``: ``random_extended_id(1, n_actions=4,
+p_edge=0.3, hidden_to_action=True)`` from ``helpers`` written by
+``format_model``, whose actions have five consistent orderings, none
+admissible.
+
 Regenerate the stored text (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
 import io
+import itertools
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from regimes.cli import main
+from regimes.parser import parse_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -39,7 +50,8 @@ def _strategies(path: Path):
 
 
 def _commands(data: str):
-    for path in sorted(MODELS.glob("*.id")) + [GOLDEN_DIR / "ternary.id"]:
+    models = sorted(MODELS.glob("*.id")) + [GOLDEN_DIR / "ternary.id"]
+    for path in models:
         m = ["--model", str(path)]
         for name in _strategies(path):
             for cmd in ("grec", "evaluate", "verify-general"):
@@ -51,6 +63,29 @@ def _commands(data: str):
         yield ["estimate", *m, *alpha]
         for name in _strategies(MODELS / DATA_MODEL):
             yield ["estimate", *m, *alpha, "--strategy", name]
+    for path in models + [GOLDEN_DIR / "orderings.id"]:
+        yield from _identification_commands(path)
+
+
+def _identification_commands(path: Path):
+    m = ["--model", str(path)]
+    names = _strategies(path)
+    yield ["stability", *m]
+    for name in names:
+        yield ["stability", *m, "--numeric", "--strategy", name]
+    yield ["seqrand", *m]
+    for name in names:
+        yield ["seqirrel", *m, "--strategy", name]
+        yield ["positivity", *m, "--strategy", name]
+    yield ["graphsep", *m]
+    for name in names:
+        yield ["graphsep", *m, "--strategy", name]
+    yield ["admissible", *m]
+    yield ["admissible", *m, "--improve"]
+    actions = parse_model(path.read_text(encoding="utf-8")).diagram.actions
+    for perm in itertools.permutations(actions):
+        yield ["admissible", *m, "--order", ",".join(perm)]
+        yield ["admissible", *m, "--order", ",".join(perm), "--improve"]
 
 
 def transcript(tmp: Path) -> str:
