@@ -240,7 +240,9 @@ class _Parser:
         """State indices of a row's parent configuration in ``block``."""
         if len(tokens) < 3 or tokens[2] != ":":
             self.fail(lineno, "expected: row <s1,s2,...|-> : <values>")
-        key = _split_list(tokens[1])
+        # ``-`` is the empty configuration only where there are no parents;
+        # elsewhere it may be a state label.
+        key = () if tokens[1] == "-" and not block.parents else tuple(tokens[1].split(","))
         if len(key) != len(block.parents):
             self.fail(lineno, f"row names {len(key)} parent states, want {len(block.parents)}")
         for p, s, states in zip(block.parents, key, block.states):
@@ -301,6 +303,13 @@ class _Parser:
     def _close_assign(self):
         block, self._assign = self._assign, None
         if block is not None:
+            if not block.filled.all():
+                missing = block.labels(~block.filled)[:3]
+                self.fail(
+                    block.lineno,
+                    f"assign for {block.name} in strategy {self._strategy}: "
+                    f"missing rows {missing}, unknown rows []",
+                )
             self.strategies[self._strategy][block.name] = Policy(block.parents, block.table())
 
     def _build(self) -> ModelDocument:

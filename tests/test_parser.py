@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from helpers import random_extended_id, random_strategy
 from regimes.errors import ParseError
 from regimes.fixtures import f1, f2, f3, f4, f5
-from regimes.model import Policy, Strategy
+from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, Variable
 from regimes.parser import ModelDocument, format_model, parse_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -104,6 +104,22 @@ class TestDiagnostics:
         )
         self.check(text, "missing rows", line=7)
 
+    def test_missing_assign_row_reported_at_header(self):
+        text = (
+            "var L kind=obs states=a,b,c\n"
+            "var A kind=act states=0,1\n"
+            "var Y kind=resp states=0,1\n"
+            "order L A Y\n"
+            "edge L A\nedge A Y\nedge sigma A\n"
+            "cpt L | -\nrow - : 0.2 0.3 0.5\n"
+            "cpt A | L\nrow a : 0.5 0.5\nrow b : 0.5 0.5\nrow c : 0.5 0.5\n"
+            "cpt Y | A\nrow 0 : 0.5 0.5\nrow 1 : 0.5 0.5\n"
+            "strategy s\n"
+            "assign A | L\n"
+            "row b : 1\n"
+        )
+        self.check(text, "assign for A in strategy s: missing rows [('a',), ('c',)]", line=18)
+
     def test_duplicate_row(self):
         bad = MINIMAL + "cpt Y | -\n"
         self.check(bad, "duplicate cpt", line=6)
@@ -143,6 +159,26 @@ class TestRoundTrip:
         assert back.diagram == doc.diagram
         assert back.strategies == doc.strategies
         assert format_model(back) == text
+
+    def test_dash_state_of_a_single_parent(self):
+        # ``row -`` is the empty configuration only in a parentless table;
+        # here it names L's state ``-``.
+        variables = [
+            Variable("L", "obs", ("-", "x")),
+            Variable("A", "act", ("0", "1")),
+            Variable("Y", "resp", ("0", "1")),
+        ]
+        edges = [("L", "A"), ("A", "Y"), ("sigma", "A")]
+        cpts = {
+            "L": Cpt("L", (), {(): (0.25, 0.75)}),
+            "A": Cpt("A", ("L",), {("-",): (0.5, 0.5), ("x",): (0.125, 0.875)}),
+            "Y": Cpt("Y", ("A",), {("0",): (0.5, 0.5), ("1",): (1.0, 0.0)}),
+        }
+        policy = Policy(("L",), {("-",): (0.0, 1.0), ("x",): (0.5, 0.5)})
+        doc = ModelDocument(InfluenceDiagram(variables, edges, cpts), {"s": Strategy("s", {"A": policy})})
+        text = format_model(doc)
+        assert "row - : 0.5 0.5" in text and "row - : 1" in text
+        assert parse_model(text) == doc
 
     def test_shipped_files_match_builders(self):
         from regimes import fixtures as F
