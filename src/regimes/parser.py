@@ -17,13 +17,18 @@ parent annotations, one table per variable, and named strategies:
     row 0 : 1
     prow 1 : 0.25 0.75
 
-``row`` inside a strategy names the chosen action state; ``prow`` gives a
-full distribution.  Parsing validates everything the model itself would,
-reporting the offending line.
+A row key is the block's parent states joined by commas, in the header's
+parent order; ``-`` is a key only in a table without parents.  ``row``
+inside a strategy names the chosen action state; ``prow`` gives a full
+distribution.  ``cpt`` and ``assign`` blocks are read by one code path,
+and a block missing rows is reported at its header line.  Parsing
+validates everything the model itself would, reporting the offending
+line where there is one (a missing order line has none).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,28 +69,23 @@ def _join_list(items) -> str:
 
 
 class _Block:
-    """An open ``cpt`` or ``assign`` block: rows are written straight into
-    the array, ``filled`` marks the configurations seen so far."""
+    """An open ``cpt`` block, or an ``assign`` block of ``strategy``: rows
+    are written straight into the array, ``seen`` marks the parent
+    configurations (in row-major order) given so far."""
 
-    def __init__(self, name: str, parents: tuple[str, ...], variables, lineno: int):
-        self.name, self.parents, self.lineno = name, parents, lineno
+    def __init__(self, name: str, parents: tuple[str, ...], variables, lineno: int, strategy):
+        self.name, self.parents, self.lineno, self.strategy = name, parents, lineno, strategy
+        self.what = f"assign for {name} in strategy {strategy}" if strategy else f"cpt for {name}"
         self.states = tuple(variables[p].states for p in parents)
+        self.index = [{s: j for j, s in enumerate(states)} for states in self.states]
         self.width = len(variables[name].states)
         shape = tuple(map(len, self.states))
         # A table never has more cells than the joint, whose cap applies here.
         if math.prod(shape) * self.width > MAX_JOINT_CELLS:
             raise ParseError(f"table for {name} exceeds {MAX_JOINT_CELLS} cells", line=lineno)
         self.array = np.zeros(shape + (self.width,))
-        self.filled = np.zeros(shape, dtype=bool)
-
-    def labels(self, mask) -> list[tuple[str, ...]]:
-        return [tuple(s[j] for s, j in zip(self.states, idx)) for idx in np.argwhere(mask)]
-
-    def table(self):
-        """The dense table, or the label rows given so far when some are missing."""
-        if self.filled.all():
-            return Table(self.states, self.array)
-        return dict(zip(self.labels(self.filled), map(tuple, self.array[self.filled].tolist())))
+        self.rows = self.array.reshape(-1, self.width)
+        self.seen = bytearray(len(self.rows))
 
 
 class _Parser:
@@ -99,10 +99,8 @@ class _Parser:
         self.int_parents: dict[str, tuple[str, ...]] = {}
         self.cpts: dict[str, Cpt] = {}
         self.strategies: dict[str, dict[str, Policy]] = {}
-        # open blocks
-        self._cpt: _Block | None = None
         self._strategy: str | None = None
-        self._assign: _Block | None = None
+        self._block: _Block | None = None
 
     def fail(self, line: int, message: str):
         raise ParseError(message, line=line)
@@ -117,9 +115,13 @@ class _Parser:
             if handler is None:
                 self.fail(lineno, f"unknown directive {tokens[0]!r}")
             handler(tokens, lineno)
-        self._close_cpt()
-        self._close_assign()
+        self._close()
         return self._build()
+
+    def _known(self, names, lineno):
+        for name in names:
+            if name not in self.var_lines:
+                self.fail(lineno, f"unknown variable {name!r}")
 
     # ------------------------------------------------------------------
     # directives
@@ -160,9 +162,7 @@ class _Parser:
         if len(tokens) != 3:
             self.fail(lineno, "expected: edge <parent> <child>")
         u, v = tokens[1], tokens[2]
-        for w in (u, v):
-            if w != SIGMA and w not in self.var_lines:
-                self.fail(lineno, f"unknown variable {w!r}")
+        self._known([w for w in (u, v) if w != SIGMA], lineno)
         if v == SIGMA:
             self.fail(lineno, f"{SIGMA} cannot be a child")
         if u == SIGMA and self.variables[v].kind != "act":
@@ -180,9 +180,7 @@ class _Parser:
         if action in target:
             self.fail(lineno, f"duplicate parent annotation for {action}")
         ps = _split_list(tokens[2])
-        for p in ps:
-            if p not in self.var_lines:
-                self.fail(lineno, f"unknown variable {p!r}")
+        self._known(ps, lineno)
         target[action] = ps
 
     def _on_obs_parents(self, tokens, lineno):
@@ -192,24 +190,17 @@ class _Parser:
         self._parents_line(tokens, lineno, self.int_parents)
 
     def _on_cpt(self, tokens, lineno):
-        self._close_cpt()
-        self._close_assign()
+        self._close()
         if len(tokens) != 4 or tokens[2] != "|":
             self.fail(lineno, "expected: cpt <var> | <p1,p2,...|->")
         child = tokens[1]
-        if child not in self.var_lines:
-            self.fail(lineno, f"unknown variable {child!r}")
+        self._known((child,), lineno)
         if child in self.cpts:
             self.fail(lineno, f"duplicate cpt for {child}")
-        parents = _split_list(tokens[3])
-        for p in parents:
-            if p not in self.var_lines:
-                self.fail(lineno, f"unknown variable {p!r}")
-        self._cpt = _Block(child, parents, self.variables, lineno)
+        self._open(tokens, lineno, None)
 
     def _on_strategy(self, tokens, lineno):
-        self._close_cpt()
-        self._close_assign()
+        self._close()
         if len(tokens) != 2:
             self.fail(lineno, "expected: strategy <name>")
         name = tokens[1]
@@ -219,8 +210,7 @@ class _Parser:
         self._strategy = name
 
     def _on_assign(self, tokens, lineno):
-        self._close_cpt()
-        self._close_assign()
+        self._close()
         if self._strategy is None:
             self.fail(lineno, "assign outside a strategy block")
         if len(tokens) != 4 or tokens[2] != "|":
@@ -230,14 +220,17 @@ class _Parser:
             self.fail(lineno, f"{action!r} is not a declared action")
         if action in self.strategies[self._strategy]:
             self.fail(lineno, f"duplicate assign for {action} in strategy {self._strategy}")
-        parents = _split_list(tokens[3])
-        for p in parents:
-            if p not in self.var_lines:
-                self.fail(lineno, f"unknown variable {p!r}")
-        self._assign = _Block(action, parents, self.variables, lineno)
+        self._open(tokens, lineno, self._strategy)
 
-    def _row_index(self, tokens, lineno, block: _Block, duplicate: str):
-        """State indices of a row's parent configuration in ``block``."""
+    def _open(self, tokens, lineno, strategy):
+        parents = _split_list(tokens[3])
+        self._known(parents, lineno)
+        self._block = _Block(tokens[1], parents, self.variables, lineno, strategy)
+
+    def _row(self, tokens, lineno) -> int:
+        """Mark the row's parent configuration seen in the open block and
+        return its row-major index."""
+        block = self._block
         if len(tokens) < 3 or tokens[2] != ":":
             self.fail(lineno, "expected: row <s1,s2,...|-> : <values>")
         # ``-`` is the empty configuration only where there are no parents;
@@ -245,14 +238,17 @@ class _Parser:
         key = () if tokens[1] == "-" and not block.parents else tuple(tokens[1].split(","))
         if len(key) != len(block.parents):
             self.fail(lineno, f"row names {len(key)} parent states, want {len(block.parents)}")
-        for p, s, states in zip(block.parents, key, block.states):
-            if s not in states:
+        i = 0
+        for p, s, index in zip(block.parents, key, block.index):
+            j = index.get(s)
+            if j is None:
                 self.fail(lineno, f"{s!r} is not a state of {p}")
-        idx = tuple(states.index(s) for s, states in zip(key, block.states))
-        if block.filled[idx]:
-            self.fail(lineno, f"duplicate row {key} {duplicate}")
-        block.filled[idx] = True
-        return idx
+            i = i * len(index) + j
+        if block.seen[i]:
+            where = f"in {block.what}" if block.strategy is None else f"for {block.name}"
+            self.fail(lineno, f"duplicate row {key} {where}")
+        block.seen[i] = 1
+        return i
 
     def _probs(self, tokens, lineno, width):
         try:
@@ -265,52 +261,44 @@ class _Parser:
         return probs
 
     def _on_row(self, tokens, lineno):
-        if self._cpt is not None:
-            block = self._cpt
-            idx = self._row_index(tokens, lineno, block, f"in cpt for {block.name}")
-            block.array[idx] = self._probs(tokens[3:], lineno, block.width)
-        elif self._assign is not None:
-            block = self._assign
-            idx = self._row_index(tokens, lineno, block, f"for {block.name}")
-            if len(tokens) != 4:
-                self.fail(lineno, "deterministic row takes a single action state")
-            states = self.variables[block.name].states
-            if tokens[3] not in states:
-                self.fail(lineno, f"{tokens[3]!r} is not a state of {block.name}")
-            block.array[idx + (states.index(tokens[3]),)] = 1.0
-        else:
+        block = self._block
+        if block is None:
             self.fail(lineno, "row outside a cpt or assign block")
+        i = self._row(tokens, lineno)
+        if block.strategy is None:
+            block.rows[i] = self._probs(tokens[3:], lineno, block.width)
+            return
+        if len(tokens) != 4:
+            self.fail(lineno, "deterministic row takes a single action state")
+        states = self.variables[block.name].states
+        if tokens[3] not in states:
+            self.fail(lineno, f"{tokens[3]!r} is not a state of {block.name}")
+        block.rows[i, states.index(tokens[3])] = 1.0
 
     def _on_prow(self, tokens, lineno):
-        if self._assign is None:
+        block = self._block
+        if block is None or block.strategy is None:
             self.fail(lineno, "prow outside an assign block")
-        block = self._assign
-        idx = self._row_index(tokens, lineno, block, f"for {block.name}")
-        block.array[idx] = self._probs(tokens[3:], lineno, block.width)
+        block.rows[self._row(tokens, lineno)] = self._probs(tokens[3:], lineno, block.width)
 
     # ------------------------------------------------------------------
     # assembly
 
-    def _close_cpt(self):
-        block, self._cpt = self._cpt, None
+    def _close(self):
+        """Store the open block, or report its first missing rows at its header."""
+        block, self._block = self._block, None
         if block is None:
             return
-        if not block.filled.all():
-            missing = block.labels(~block.filled)[:3]
-            self.fail(block.lineno, f"cpt for {block.name}: missing rows {missing}, unknown rows []")
-        self.cpts[block.name] = Cpt(block.name, block.parents, block.table())
-
-    def _close_assign(self):
-        block, self._assign = self._assign, None
-        if block is not None:
-            if not block.filled.all():
-                missing = block.labels(~block.filled)[:3]
-                self.fail(
-                    block.lineno,
-                    f"assign for {block.name} in strategy {self._strategy}: "
-                    f"missing rows {missing}, unknown rows []",
-                )
-            self.strategies[self._strategy][block.name] = Policy(block.parents, block.table())
+        if 0 in block.seen:
+            configs = itertools.product(*block.states)
+            gaps = (c for c, seen in zip(configs, block.seen) if not seen)
+            missing = list(itertools.islice(gaps, 3))
+            self.fail(block.lineno, f"{block.what}: missing rows {missing}, unknown rows []")
+        table = Table(block.states, block.array)
+        if block.strategy is None:
+            self.cpts[block.name] = Cpt(block.name, block.parents, table)
+        else:
+            self.strategies[block.strategy][block.name] = Policy(block.parents, table)
 
     def _build(self) -> ModelDocument:
         if not self.variables:
