@@ -32,8 +32,6 @@ class PositivityError(RegimesError):
 class ParseError(ModelError):
     """Syntax or validation failure in a model document, with position."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        where = "" if line is None else f"line {line}" + ("" if column is None else f", col {column}")
-        super().__init__(f"{where}: {message}" if where else message)
+        super().__init__(message if line is None else f"line {line}: {message}")

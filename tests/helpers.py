@@ -38,11 +38,12 @@ def dirichlet_row(gen: np.random.Generator, width: int) -> tuple[float, ...]:
 
 
 def cpt_for(gen, child, parents, states) -> Cpt:
+    """A label-keyed table with one Dirichlet row per parent configuration,
+    drawn in one call: the values and the generator's position equal one
+    ``dirichlet_row`` per configuration in row-major order."""
     configs = list(itertools.product(*(states[p] for p in parents)))
-    return Cpt(
-        child, tuple(parents),
-        {c: dirichlet_row(gen, len(states[child])) for c in configs},
-    )
+    rows = gen.dirichlet(np.ones(len(states[child])), size=len(configs))
+    return Cpt(child, tuple(parents), dict(zip(configs, map(tuple, rows.tolist()))))
 
 
 def random_extended_id(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_extended_id, random_strategy
+from helpers import cpt_for, dirichlet_row, random_extended_id, random_strategy, rng
 from regimes import model
 from regimes.errors import ModelError, PolicyError
 from regimes.fixtures import complete_stable, f1, f2, f3, f4, f5
@@ -128,6 +128,20 @@ def test_fixtures_match_per_row_draws(build, seed):
     diagram, strategies = build()
     for table, want in per_row_reference(seed, diagram, strategies):
         assert np.ascontiguousarray(table.array).tobytes() == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 101, 65535])
+def test_helper_tables_match_per_row_draws(seed):
+    # ``helpers.cpt_for`` draws a table in one call; the rows, their order
+    # and the generator's position must equal one draw per configuration.
+    states = {"L": ("a", "b", "c"), "A": B, "Y": ("0", "1", "2")}
+    batched, per_row = rng(seed), rng(seed)
+    for child, parents in (("L", ()), ("A", ("L",)), ("Y", ("L", "A"))):
+        cpt = cpt_for(batched, child, parents, states)
+        configs = itertools.product(*(states[p] for p in parents))
+        want = [(c, dirichlet_row(per_row, len(states[child]))) for c in configs]
+        assert list(cpt.table.items()) == want
+    assert batched.random() == per_row.random()
 
 
 def test_each_table_converted_once(monkeypatch):
