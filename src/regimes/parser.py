@@ -23,7 +23,8 @@ inside a strategy names the chosen action state; ``prow`` gives a full
 distribution.  ``cpt`` and ``assign`` blocks are read by one code path,
 and a block missing rows is reported at its header line.  Parsing
 validates everything the model itself would, reporting the offending
-line where there is one (a missing order line has none).
+line; errors found only after the last line (no variables, no order
+line, a strategy the diagram rejects) have none.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def _join_list(items) -> str:
 
 
 class _Block:
-    """An open ``cpt`` block, or an ``assign`` block of ``strategy``: rows
-    are written straight into the array, ``seen`` marks the parent
+    """An open ``cpt`` block (``strategy`` is None) or ``assign`` block:
+    rows are written straight into the array, ``seen`` marks the parent
     configurations (in row-major order) given so far."""
 
     def __init__(self, name: str, parents: tuple[str, ...], variables, lineno: int, strategy):
