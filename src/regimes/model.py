@@ -66,6 +66,8 @@ class Variable:
 
     def __post_init__(self):
         _check_token(self.name, "variable name")
+        if self.name == "-":
+            raise ModelError("variable name '-' is reserved for an empty list")
         if self.name == SIGMA:
             raise ModelError(f"{SIGMA!r} is reserved for the regime node")
         if self.kind not in KINDS:
@@ -627,9 +629,8 @@ def joint_with_action_selector(diagram: InfluenceDiagram, selector) -> JointTabl
 
 def joint_distribution(diagram: InfluenceDiagram, regime: Regime) -> JointTable:
     """Exact joint over all domain variables under one regime."""
-    if regime == "obs":
-        return joint_with_action_selector(diagram, lambda a: "obs")
-    diagram.validate_strategy(regime)
+    if regime != "obs":
+        diagram.validate_strategy(regime)
     return joint_with_action_selector(diagram, lambda a: regime)
 
 
@@ -676,6 +677,18 @@ def response_weights(base: InfoBase, k: Mapping[str, float]) -> np.ndarray:
     return np.array([float(k[s]) for s in y_states])
 
 
+def _consequences(diagram: InfluenceDiagram, factors, weights: np.ndarray) -> list[float]:
+    """Expected response ``weights`` under each strategy of a batch, from action factors
+    on ``diagram.order`` behind a strategy axis.  Each joint is summed as if alone and
+    weighted by its own 1-D dot (a batched matmul rounds differently), so batch size
+    never changes a value."""
+    _check_capacity(diagram.cards())
+    probs = np.repeat(_nonaction_product(diagram)[None], len(factors[0]) if factors else 1, 0)
+    for factor in factors:
+        probs *= factor
+    return [float(row @ weights) for row in probs.sum(axis=tuple(range(1, probs.ndim - 1)))]
+
+
 def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:
     """Exact expectation of k over the response (or full history) under a regime."""
     if callable(k):
@@ -685,8 +698,13 @@ def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:
             total += p * float(k(h))
         return total
     weights = response_weights(diagram.base, k)
-    marg = joint_distribution(diagram, regime).marginal((diagram.response,))
-    return float(marg.probs @ weights)
+    if regime != "obs":
+        diagram.validate_strategy(regime)
+    factors = [
+        factor_array(diagram.order, a, *mechanism(diagram, regime, a))[None]
+        for a in diagram.actions
+    ]
+    return _consequences(diagram, factors, weights)[0]
 
 
 class PrefixSource:

@@ -1,30 +1,25 @@
 """Backward-induction strategy selection, with an exhaustive oracle.
 
-The optimizer runs the recursion's backward engine with the
-action-averaging step replaced by a max (or min) over action states,
-stage array by stage array.  Ties go to the lexicographically smallest
-state label, and histories that cannot occur observationally get that
-same default, which makes the returned policy deterministic in every row.
+The optimizer runs the recursion's backward engine with the action step a
+max (or min) over action states, stage array by stage array.  Ties go to
+the smallest state label, as do histories impossible observationally, so
+every policy row is deterministic.  The oracle scores every pure strategy
+in batches on a strategy axis, bitwise equal to scoring them one by one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import CapacityError
 from .grecursion import _backward
-from .model import (
-    InfluenceDiagram,
-    Policy,
-    Strategy,
-    Table,
-    consequence_direct,
-)
+from .model import InfluenceDiagram, Policy, Strategy, Table, response_weights
+from .model import _check_capacity, _consequences
 
 MAX_ENUMERATED = 10**6
+BATCH_CELLS = 1 << 16  # joint cells of all the strategies one enumeration pass evaluates
 
 
 def optimal_strategy(source, k, sense: str = "max") -> tuple[Strategy, float]:
@@ -88,34 +83,44 @@ def enumerate_strategies(
     """Evaluate every non-randomized full-history strategy directly.
 
     Infeasible beyond small problems by design; this is the oracle the
-    backward pass is checked against.  Ties keep the first strategy in
-    the enumeration order (state labels ascending, later rows varying
-    fastest).
+    backward pass is checked against.  Ties keep the first strategy in the
+    enumeration order (earlier actions and rows slowest, labels ascending).
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
     total = strategy_count(diagram)
     if total > MAX_ENUMERATED:
         raise CapacityError(f"{total} strategies exceed the enumeration cap")
-    base = diagram.base
-    better = max if sense == "max" else min
-    best: tuple[Strategy, float] | None = None
-    choice_lists = [
-        list(itertools.product(_label_order(base.states[action]), repeat=_rows(base, i)))
-        for i, action in enumerate(base.actions, start=1)
-    ]
-    for picks in itertools.product(*choice_lists):
-        strategy = _pure_strategy(base, "enumerated", picks)
-        value = consequence_direct(diagram, strategy, k)
-        if best is None or better(value, best[1]) != best[1]:
-            best = (strategy, value)
-    return best
+    _check_capacity(diagram.cards())
+    chunk = max(1, BATCH_CELLS // math.prod(diagram.cards()))
+    weights, sign = response_weights(diagram.base, k), 1.0 if sense == "max" else -1.0
+    best, best_score = None, -math.inf
+    for lo in range(0, total, chunk):
+        picks, factors = _batch(diagram, np.arange(lo, min(lo + chunk, total)))
+        scores = sign * np.array(_consequences(diagram, factors, weights))
+        j = int(scores.argmax())
+        if best is None or scores[j] > best_score:
+            best, best_score = [choices[j] for choices in picks], scores[j]
+    return _pure_strategy(diagram.base, "enumerated", best), float(sign * best_score)
+
+
+def _batch(diagram: InfluenceDiagram, index: np.ndarray):
+    """The ``_pure_strategy`` choices of the strategies at these indices of the
+    enumeration, and their policies on ``diagram.order`` behind a strategy axis."""
+    base, picks, factors = diagram.base, [], []
+    for i in range(base.n, 0, -1):
+        states = base.states[base.action(i)]
+        width, rows = len(states), _rows(base, i)
+        digits = index[:, None] // width ** np.arange(rows - 1, -1, -1) % width
+        index = index // width**rows
+        picks.insert(0, np.array(_label_order(states))[digits])
+        own = base.vars[: base.after_a(i)]
+        shape = [len(diagram.states[v]) if v in own else 1 for v in diagram.order]
+        factors.insert(0, np.eye(width)[picks[0]].reshape([len(digits)] + shape))
+    return picks, factors
 
 
 def strategy_count(diagram: InfluenceDiagram) -> int:
     """Number of non-randomized full-history strategies."""
     base = diagram.base
-    total = 1
-    for i, action in enumerate(base.actions, start=1):
-        total *= len(base.states[action]) ** _rows(base, i)
-    return total
+    return math.prod(len(base.states[a]) ** _rows(base, i) for i, a in enumerate(base.actions, 1))

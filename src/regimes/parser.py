@@ -23,8 +23,8 @@ inside a strategy names the chosen action state; ``prow`` gives a full
 distribution.  ``cpt`` and ``assign`` blocks are read by one code path,
 and a block missing rows is reported at its header line.  Parsing
 validates everything the model itself would, reporting the offending
-line; errors found only after the last line (no variables, no order
-line, a strategy the diagram rejects) have none.
+line: a strategy the diagram rejects is reported at its ``strategy``
+line, and only a document without variables or an order line has none.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ class _Parser:
         self.int_parents: dict[str, tuple[str, ...]] = {}
         self.cpts: dict[str, Cpt] = {}
         self.strategies: dict[str, dict[str, Policy]] = {}
+        self.strategy_lines: dict[str, int] = {}
         self._strategy: str | None = None
         self._block: _Block | None = None
 
@@ -208,6 +209,7 @@ class _Parser:
         if name in self.strategies:
             self.fail(lineno, f"duplicate strategy {name!r}")
         self.strategies[name] = {}
+        self.strategy_lines[name] = lineno
         self._strategy = name
 
     def _on_assign(self, tokens, lineno):
@@ -320,7 +322,7 @@ class _Parser:
             try:
                 diagram.validate_strategy(strategy)
             except PolicyError as exc:
-                raise ParseError(f"strategy {name!r}: {exc}") from None
+                raise ParseError(str(exc), line=self.strategy_lines[name]) from None
             strategies[name] = strategy
         return ModelDocument(diagram, strategies)
 

@@ -8,12 +8,13 @@ parameters are generic (no accidental independencies).
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from regimes.fixtures import f4
 from regimes.graph import Dag
-from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, Variable
+from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, Table, Variable
 
 B = ("0", "1")
 
@@ -111,25 +112,34 @@ def random_strategy(
     diagram: InfluenceDiagram, seed: int, deterministic: bool | None = None
 ) -> Strategy:
     """Control strategy with random policy parents and random rows."""
-    gen = rng(seed)
-    base = diagram.base
+    return Strategy(f"rand{seed}", random_policies(rng(seed), diagram.base, deterministic))
+
+
+def random_policies(gen, base, deterministic: bool | None) -> dict[str, Policy]:
+    """Each action's policy reads a random subset of the observed past.  Its
+    rows are one-hot (``deterministic``), Dirichlet (not), or either at
+    random per row (None).  Dirichlet-only tables are drawn in one call,
+    which gives the rows and generator position of one draw per row."""
     policies = {}
     for i, action in enumerate(base.actions, start=1):
         preceding = base.vars[: base.after_l(i)]
-        parents = tuple(p for p in preceding if gen.random() < 0.5)
-        table = {}
-        for config in itertools.product(*(base.states[p] for p in parents)):
-            hard = deterministic if deterministic is not None else gen.random() < 0.5
-            if hard:
-                chosen = gen.integers(len(base.states[action]))
-                table[config] = tuple(
-                    1.0 if j == chosen else 0.0
-                    for j in range(len(base.states[action]))
-                )
-            else:
-                table[config] = dirichlet_row(gen, len(base.states[action]))
-        policies[action] = Policy(parents, table)
-    return Strategy(f"rand{seed}", policies)
+        parents = tuple(p for p, u in zip(preceding, gen.random(len(preceding))) if u < 0.5)
+        states = tuple(base.states[p] for p in parents)
+        width = len(base.states[action])
+        if deterministic is False:
+            rows = gen.dirichlet(np.ones(width), size=math.prod(map(len, states)))
+        else:
+            rows = []
+            for _ in itertools.product(*states):
+                hard = deterministic if deterministic is not None else gen.random() < 0.5
+                if hard:
+                    chosen = gen.integers(width)
+                    rows.append([1.0 if j == chosen else 0.0 for j in range(width)])
+                else:
+                    rows.append(dirichlet_row(gen, width))
+        array = np.array(rows, dtype=float).reshape(tuple(map(len, states)) + (width,))
+        policies[action] = Policy(parents, Table(states, array))
+    return policies
 
 
 def f4_without_action_one():

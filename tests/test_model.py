@@ -35,6 +35,13 @@ class TestValidation:
         d = single_response()
         assert d.n == 0 and d.response == "Y"
 
+    def test_dash_variable_name_rejected(self):
+        # ``-`` is the empty parent list in ``cpt Y | -``, so it cannot be
+        # a variable's name; it stays a legal state label.
+        with pytest.raises(ModelError, match="reserved"):
+            Variable("-", "obs", ("0", "1"))
+        assert Variable("L", "obs", ("-", "x")).states == ("-", "x")
+
     def test_two_responses_rejected(self):
         vs = [Variable("Y1", "resp", ("0", "1")), Variable("Y2", "resp", ("0", "1"))]
         cpts = {v.name: Cpt(v.name, (), {(): (0.5, 0.5)}) for v in vs}

@@ -1,18 +1,44 @@
 import itertools
+import math
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helpers import dirichlet_row, random_strategy, rng
+from helpers import (
+    cpt_for,
+    dirichlet_row,
+    random_extended_id,
+    random_strategy,
+    rng,
+    zero_action_rows,
+)
+from regimes import optimize
 from regimes.errors import CapacityError
-from regimes.fixtures import complete_stable, f1
+from regimes.fixtures import complete_stable, f1, f2, f3, f4, f5
 from regimes.model import (
     Cpt,
     ExactSource,
     InfluenceDiagram,
     Variable,
+    _consequences,
     consequence_direct,
+    joint_distribution,
+    response_weights,
 )
-from regimes.optimize import enumerate_strategies, optimal_strategy, strategy_count
+from regimes.optimize import (
+    BATCH_CELLS,
+    MAX_ENUMERATED,
+    _batch,
+    _label_order,
+    _pure_strategy,
+    _rows,
+    enumerate_strategies,
+    optimal_strategy,
+    strategy_count,
+)
+from regimes.parser import parse_model
 
 K01 = {"0": 0.0, "1": 1.0}
 B = ("0", "1")
@@ -129,3 +155,133 @@ class TestInvariances:
         d, _ = complete_stable(3, seed=1)  # A3 already has 2^64 policies
         with pytest.raises(CapacityError):
             enumerate_strategies(d, K01)
+
+
+# ---------------------------------------------------------------------------
+# The batched enumeration against the per-strategy loop it replaced
+
+K_SOFT = {"0": 0.3, "1": 1.7}
+
+
+def reference_values(diagram, k):
+    """Every pure strategy in ``itertools.product`` order, as the per-strategy
+    loop took them (``_pure_strategy``, then one joint each), with its value
+    computed as ``consequence_direct`` once did: the response marginal of a
+    ``JointTable``, weighted by a 1-D dot."""
+    base = diagram.base
+    weights = response_weights(base, k)
+    choice_lists = [
+        list(itertools.product(_label_order(base.states[a]), repeat=_rows(base, i)))
+        for i, a in enumerate(base.actions, start=1)
+    ]
+    out = []
+    for picks in itertools.product(*choice_lists):
+        strategy = _pure_strategy(base, "enumerated", picks)
+        marg = joint_distribution(diagram, strategy).marginal((diagram.response,))
+        out.append((strategy, float(marg.probs @ weights)))
+    return out
+
+
+def reference_best(entries, sense):
+    """The old loop's rule: a strategy replaces the best only if strictly better."""
+    better = max if sense == "max" else min
+    best = None
+    for strategy, value in entries:
+        if best is None or better(value, best[1]) != best[1]:
+            best = (strategy, value)
+    return best
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def reference_cases():
+    cases = {build.__name__: build()[0] for build in (f1, f2, f3, f4, f5)}
+    for seed in range(4):
+        for hidden in (False, True):
+            d = random_extended_id(seed, n_actions=1 + seed % 2, hidden_to_action=hidden)
+            cases[f"random{seed}{'h' if hidden else ''}"] = d
+    for seed in (0, 4):  # seeds whose observational action rows do change
+        cases[f"zero_rows{seed}"] = zero_action_rows(random_extended_id(seed), seed)
+    return cases
+
+
+REFERENCE_CASES = reference_cases()
+
+
+class TestEnumerationReference:
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    @pytest.mark.parametrize("k", [K01, K_SOFT], ids=["k01", "ksoft"])
+    def test_every_value_and_winner_bitwise(self, name, k, monkeypatch):
+        diagram = REFERENCE_CASES[name]
+        entries = reference_values(diagram, k)
+        assert len(entries) == strategy_count(diagram) <= MAX_ENUMERATED
+        values = [value for _, value in entries]
+        _, factors = _batch(diagram, np.arange(len(entries)))
+        weights = response_weights(diagram.base, k)
+        assert bits(_consequences(diagram, factors, weights)) == bits(values)
+        assert bits([consequence_direct(diagram, s, k) for s, _ in entries]) == bits(values)
+        if diagram.n == 2:
+            # Rows off a pure strategy's own path leave its value alone, so
+            # many strategies share each optimum and the first must win.
+            assert values.count(max(values)) > 1 and values.count(min(values)) > 1
+        # the default budget takes every strategy in one pass; a small one
+        # crosses chunk boundaries, where ties must still keep the first
+        for budget in (BATCH_CELLS, 7 * math.prod(diagram.cards())):
+            monkeypatch.setattr(optimize, "BATCH_CELLS", budget)
+            for sense in ("max", "min"):
+                want, want_value = reference_best(entries, sense)
+                got, got_value = enumerate_strategies(diagram, k, sense)
+                assert bits([got_value]) == bits([want_value])
+                assert got.name == "enumerated" and got.policies == want.policies
+
+    def test_ternary_model_sampled_batch(self):
+        # Three-state variables expose summation order; the model has far
+        # more strategies than the cap, so a random batch of them is checked.
+        doc = parse_model((Path(__file__).resolve().parent / "golden" / "ternary.id").read_text())
+        diagram, base = doc.diagram, doc.diagram.base
+        index = rng(5).integers(1 << 62, size=40)
+        picks, factors = _batch(diagram, index)
+        for k in ({"a": 0.0, "b": 1.0, "c": 0.0}, {"a": 0.3, "b": 1.7, "c": -0.4}):
+            weights = response_weights(base, k)
+            batch = _consequences(diagram, factors, weights)
+            want = []
+            for j in range(len(index)):
+                strategy = _pure_strategy(base, "sample", [choices[j] for choices in picks])
+                marg = joint_distribution(diagram, strategy).marginal((diagram.response,))
+                want.append(float(marg.probs @ weights))
+                assert consequence_direct(diagram, strategy, k) == want[-1]
+            assert bits(batch) == bits(want)
+            assert bits(_consequences(diagram, [f[:1] for f in factors], weights)) == bits(want[:1])
+
+
+def one_action_model(widths, seed=3):
+    """Covariates L1, L2, ... with these numbers of states, one binary action
+    reading all of them, and Y: 2^rows pure strategies, rows being the
+    product of the widths, on a joint of only 4 * rows cells."""
+    gen = rng(seed)
+    names = [f"L{j}" for j in range(1, len(widths) + 1)]
+    states = {v: tuple(map(str, range(w))) for v, w in zip(names, widths)} | {"A": B, "Y": B}
+    kinds = dict.fromkeys(names, "obs") | {"A": "act", "Y": "resp"}
+    parents = dict.fromkeys(names, []) | {"A": names, "Y": names + ["A"]}
+    edges = [(p, v) for v in parents for p in parents[v]] + [("sigma", "A")]
+    cpts = {v: cpt_for(gen, v, parents[v], states) for v in states}
+    return InfluenceDiagram([Variable(v, kinds[v], states[v]) for v in states], edges, cpts)
+
+
+def test_enumeration_memory_is_bounded_by_the_cell_budget():
+    # 2^16 strategies on 64 cells: one joint per strategy held at once would
+    # take 32 MB, and their one-hot policies 16 MB.  The enumeration holds
+    # one batch of BATCH_CELLS, as it does for 2^12 strategies on 48 cells.
+    peaks = {}
+    for widths in ((3, 2, 2), (2, 2, 2, 2)):
+        diagram = one_action_model(widths)
+        assert strategy_count(diagram) == 2 ** math.prod(widths)
+        enumerate_strategies(diagram, K01)  # fills the non-action cache
+        tracemalloc.start()
+        enumerate_strategies(diagram, K01)
+        peaks[strategy_count(diagram)] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert max(peaks.values()) <= 4 * 8 * BATCH_CELLS, peaks
+    assert peaks[1 << 16] <= 1.25 * peaks[1 << 12], peaks

@@ -73,6 +73,7 @@ CASES = {
     "var_unknown_kind": edit("var A kind=act states=0,1", "var A kind=foo states=0,1"),
     "var_redeclared": edit("var A ", "var L kind=obs states=0,1\nvar A "),
     "var_model_error": edit("var A kind=act states=0,1", "var A kind=act states=0,0"),
+    "var_dash_name": edit("var A kind=act states=0,1", "var - kind=act states=0,1"),
     # order
     "order_duplicate": edit("order L A Y\n", "order L A Y\norder L A Y\n"),
     "order_incomplete": edit("order L A Y", "order L A"),
@@ -121,6 +122,7 @@ CASES = {
     "missing_order": edit("order L A Y\n", ""),
     "diagram_model_error": edit("edge A Y", "edge Y A"),
     "strategy_policy_error": BASE + "strategy t\n",
+    "strategy_policy_reads_later": BASE + "strategy t\nassign A | Y\nrow 0 : 0\nrow 1 : 1\n",
 }
 
 
