@@ -40,12 +40,16 @@ class Dataset:
         return int(self.codes.shape[0])
 
     def rows(self):
-        for r in range(self.n):
-            yield tuple(self.states[j][self.codes[r, j]] for j in range(len(self.columns)))
+        """The rows as tuples of state labels, in order."""
+        labels = [
+            np.array(states, dtype=object)[self.codes[:, j]].tolist()
+            for j, states in enumerate(self.states)
+        ]
+        return zip(*labels)
 
     def to_text(self) -> str:
         lines = [" ".join(self.columns)]
-        lines.extend(" ".join(row) for row in self.rows())
+        lines.extend(map(" ".join, self.rows()))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -76,11 +80,6 @@ class Dataset:
         return cls(columns, states, codes, regime, seed)
 
 
-def _uniforms(seed: int, n: int, k: int) -> np.ndarray:
-    raw = np.random.Philox(key=np.uint64(seed)).random_raw(n * k)
-    return ((raw >> np.uint64(11)) * (2.0**-53)).reshape(n, k)
-
-
 def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Dataset:
     """n independent draws from the joint under a regime, hidden columns
     dropped.  Identical (seed, n) give bit-identical datasets."""
@@ -90,27 +89,39 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
         raise InputError(f"seed {seed} outside 0..2**64-1")
     if regime != "obs":
         diagram.validate_strategy(regime)
-    u = _uniforms(seed, n, len(diagram.order))
-    codes = np.empty((n, len(diagram.order)), dtype=np.int64)
+    k = len(diagram.order)
+    raw = np.random.Philox(key=np.uint64(seed)).random_raw(n * k).reshape(n, k)
+    # One contiguous row of codes per variable, in the narrowest dtype.
+    widest = max(len(diagram.states[v]) for v in diagram.order)
+    codes = np.empty((k, n), dtype=np.min_scalar_type(widest - 1))
+    radix = np.empty(n, dtype=np.int64)
     col = {v: j for j, v in enumerate(diagram.order)}
 
     for j, v in enumerate(diagram.order):
         parents, array = mechanism(diagram, regime, v)
         axes = diagram.sort(parents) + (v,)
-        table = factor_array(axes, v, parents, array)
-        cum = np.cumsum(table.reshape(-1, len(diagram.states[v])), axis=1)
-        cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-        radix = np.zeros(n, dtype=np.int64)
+        width = len(diagram.states[v])
+        cum = np.cumsum(factor_array(axes, v, parents, array).reshape(-1, width), axis=1)
+        radix.fill(0)
         for p in axes[:-1]:
-            radix = radix * len(diagram.states[p]) + codes[:, col[p]]
-        codes[:, j] = (u[:, j : j + 1] >= cum[radix]).sum(axis=1)
+            radix *= len(diagram.states[p])
+            radix += codes[col[p]]
+        u = (raw[:, j] >> np.uint64(11)) * 2.0**-53
+        out = codes[j]
+        out.fill(0)
+        # The state is the number of cumulative columns at or below u.  The
+        # last one is never counted, so a row summing to just under 1 still
+        # places every u < 1.
+        for c in range(width - 1):
+            out += u >= cum[radix, c]
 
+    del raw
     keep = [j for j, v in enumerate(diagram.order) if diagram.kinds[v] != "hid"]
     name = regime if isinstance(regime, str) else regime.name
     return Dataset(
         diagram.base.vars,
         tuple(diagram.states[v] for v in diagram.base.vars),
-        codes[:, keep],
+        codes[keep].T.astype(np.int64, order="C"),
         name,
         seed,
     )

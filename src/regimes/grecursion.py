@@ -18,7 +18,7 @@ artificial distribution through a source of the same type.
 
 from __future__ import annotations
 
-import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +43,36 @@ from .model import (
 TOL = 1e-9
 
 
+class HistoryValues(Mapping):
+    """Read-only label view of per-boundary value arrays on a support:
+    ``view[h]`` is the value of history ``h`` (KeyError off the support),
+    and iteration runs over the boundaries in ascending order, each in
+    row-major order."""
+
+    def __init__(self, live: SupportSet, arrays: dict):
+        self.live = live
+        self.arrays = arrays
+
+    def __getitem__(self, h) -> float:
+        if not isinstance(h, tuple):
+            raise KeyError(h)
+        idx = self.live.index(h)
+        return float(self.arrays[len(h)][idx])
+
+    def __iter__(self):
+        for mask in self.live.masks.values():
+            yield from self.live.base.histories(mask)
+
+    def __len__(self) -> int:
+        return len(self.live)
+
+
 @dataclass(eq=False)
 class RecursionTable:
     """Values f(h) computed over the live frontier.
 
-    ``arrays`` holds one value array per stage boundary and ``values`` the
-    same numbers keyed by history, built on first use; compare tables by
+    ``arrays`` holds one value array per stage boundary and ``values`` is a
+    read-only view of the same numbers keyed by history; compare tables by
     ``values``.  Histories absent from ``values`` were pruned because they
     are observationally impossible or off-strategy; their value is 0 by
     convention.  A strategy-positive action state that is observationally
@@ -62,12 +86,9 @@ class RecursionTable:
     live: SupportSet
     arrays: dict
 
-    @functools.cached_property
-    def values(self) -> dict:
-        values = {}
-        for m, mask in self.live.masks.items():
-            values.update(zip(self.base.histories(mask), self.arrays[m][mask].tolist()))
-        return values
+    @property
+    def values(self) -> HistoryValues:
+        return HistoryValues(self.live, self.arrays)
 
     @property
     def root(self) -> float:

@@ -359,8 +359,23 @@ class SupportSet:
     def histories(self) -> frozenset:
         return frozenset(h for mask in self.masks.values() for h in self.base.histories(mask))
 
+    def index(self, h: PartialHistory) -> tuple[int, ...]:
+        """State indices of a history in the support; KeyError for one
+        outside it, with a bad label or off the stage boundaries."""
+        try:
+            idx = self.base.codes(h)
+        except InputError:
+            raise KeyError(h) from None
+        if not self.masks[len(h)][idx]:
+            raise KeyError(h)
+        return idx
+
     def __contains__(self, h) -> bool:
-        return tuple(h) in self.histories
+        try:
+            self.index(tuple(h))
+        except KeyError:
+            return False
+        return True
 
     def __iter__(self):
         return iter(sorted(self.histories, key=lambda h: (len(h), h)))

@@ -152,19 +152,34 @@ def f4_without_action_one():
 
 def zero_action_rows(diagram: InfluenceDiagram, seed: int) -> InfluenceDiagram:
     """The diagram with some observational action rows made deterministic,
-    so that strategy-positive actions can fall outside the support."""
+    so that strategy-positive actions can fall outside the support.  A
+    strategy's joint never reads these rows, so no consequence changes."""
+    return _point_mass_rows(diagram, seed, diagram.actions)
+
+
+def zero_covariate_rows(diagram: InfluenceDiagram, seed: int) -> InfluenceDiagram:
+    """The diagram with some rows of its observed and hidden covariates made
+    deterministic: every strategy's joint reads these rows, so consequences
+    change and histories can drop out of every regime's support."""
+    covariates = [v for v in diagram.order if diagram.kinds[v] in ("obs", "hid")]
+    return _point_mass_rows(diagram, seed, covariates)
+
+
+def _point_mass_rows(diagram: InfluenceDiagram, seed: int, variables) -> InfluenceDiagram:
+    """Each row of the variables' tables, in order, becomes a point mass on
+    a random state with probability 0.3."""
     gen = rng(seed)
     cpts = dict(diagram.cpts)
-    for a in diagram.actions:
-        cpt = diagram.cpts[a]
+    for v in variables:
+        cpt = diagram.cpts[v]
         table = dict(cpt.table)
         for config in table:
             if gen.random() < 0.3:
-                chosen = gen.integers(len(diagram.states[a]))
+                chosen = gen.integers(len(diagram.states[v]))
                 table[config] = tuple(
-                    1.0 if j == chosen else 0.0 for j in range(len(diagram.states[a]))
+                    1.0 if j == chosen else 0.0 for j in range(len(diagram.states[v]))
                 )
-        cpts[a] = Cpt(a, cpt.parents, table)
+        cpts[v] = Cpt(v, cpt.parents, table)
     return InfluenceDiagram(
         diagram.variables, diagram.dag.edges, cpts, diagram.obs_parents, diagram.int_parents
     )

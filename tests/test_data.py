@@ -1,9 +1,17 @@
+import hashlib
+import io
+import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from helpers import cpt_for, random_extended_id, random_strategy, rng
+from regimes.cli import main
 from regimes.data import Dataset, EstimatedSource, estimate_conditionals, sample
 from regimes.errors import InputError, PositivityError
-from regimes.fixtures import f1
+from regimes.fixtures import complete_stable, f1, f2, f4
 from regimes.grecursion import g_recursion
 from regimes.model import (
     UNDEFINED,
@@ -11,10 +19,84 @@ from regimes.model import (
     InfluenceDiagram,
     Variable,
     consequence_direct,
+    factor_array,
     joint_distribution,
+    mechanism,
 )
+from regimes.parser import parse_model
 
 K01 = {"0": 0.0, "1": 1.0}
+ROOT = Path(__file__).resolve().parent.parent
+TERNARY = ROOT / "tests" / "golden" / "ternary.id"
+
+
+def reference_sample(diagram, regime, n, seed):
+    """The row-major sampler that ``sample`` replaced: an (n, K) block of
+    uniforms, one radix per row over the strided parent columns, and a count
+    over every cumulative column, the last clamped to at least 1."""
+    raw = np.random.Philox(key=np.uint64(seed)).random_raw(n * len(diagram.order))
+    u = ((raw >> np.uint64(11)) * (2.0**-53)).reshape(n, len(diagram.order))
+    codes = np.empty((n, len(diagram.order)), dtype=np.int64)
+    col = {v: j for j, v in enumerate(diagram.order)}
+    for j, v in enumerate(diagram.order):
+        parents, array = mechanism(diagram, regime, v)
+        axes = diagram.sort(parents) + (v,)
+        table = factor_array(axes, v, parents, array)
+        cum = np.cumsum(table.reshape(-1, len(diagram.states[v])), axis=1)
+        cum[:, -1] = np.maximum(cum[:, -1], 1.0)
+        radix = np.zeros(n, dtype=np.int64)
+        for p in axes[:-1]:
+            radix = radix * len(diagram.states[p]) + codes[:, col[p]]
+        codes[:, j] = (u[:, j : j + 1] >= cum[radix]).sum(axis=1)
+    keep = [j for j, v in enumerate(diagram.order) if diagram.kinds[v] != "hid"]
+    return codes[:, keep]
+
+
+def reference_rows(dataset):
+    """The per-cell label loop that ``Dataset.rows`` replaced."""
+    for r in range(dataset.n):
+        yield tuple(dataset.states[j][dataset.codes[r, j]] for j in range(len(dataset.columns)))
+
+
+def widths_model(seed=6):
+    """Variables of one to four states, a hidden one among them, every
+    later variable reading every earlier one."""
+    spec = [("L1", "obs", 1), ("L2", "obs", 3), ("U", "hid", 2), ("A1", "act", 4),
+            ("L3", "obs", 2), ("A2", "act", 3), ("Y", "resp", 4)]
+    states = {v: tuple("abcd"[:w]) for v, _, w in spec}
+    names = [v for v, _, _ in spec]
+    parents = {v: [u for u in names[:j] if not (u == "U" and v.startswith("A"))]
+               for j, v in enumerate(names)}
+    edges = [(u, v) for v in names for u in parents[v]]
+    edges += [("sigma", v) for v, kind, _ in spec if kind == "act"]
+    gen = rng(seed)
+    cpts = {v: cpt_for(gen, v, parents[v], states) for v in names}
+    return InfluenceDiagram([Variable(v, k, states[v]) for v, k, _ in spec], edges, cpts)
+
+
+def sampler_cases():
+    """(name, diagram, regime) triples: state widths 1-4, three-state
+    variables with a hidden one, hidden parents of actions, and strategies
+    whose policies have zero entries."""
+    ternary = parse_model(TERNARY.read_text())
+    d1, s1 = f1()
+    d2, s2 = f2()
+    d4, s4 = f4()
+    widths = widths_model()
+    cases = [("widths", widths, "obs"), ("widths_rand", widths, random_strategy(widths, 1))]
+    cases += [("ternary", ternary.diagram, "obs")]
+    cases += [(f"ternary_{n}", ternary.diagram, ternary.strategy(n)) for n in ternary.strategies]
+    cases += [("f1", d1, "obs"), ("f1_stat", d1, s1["stat"]), ("f1_mix", d1, s1["mix"])]
+    cases += [("f2", d2, "obs")] + [(f"f2_{n}", d2, s) for n, s in s2.items()]
+    cases += [("f4", d4, "obs")] + [(f"f4_{n}", d4, s) for n, s in s4.items()]
+    for seed in range(4):
+        d = random_extended_id(seed, hidden_to_action=bool(seed % 2))
+        cases += [(f"random{seed}", d, "obs"),
+                  (f"random{seed}_hard", d, random_strategy(d, seed, deterministic=True))]
+    return cases
+
+
+SAMPLER_CASES = sampler_cases()
 
 
 class TestSample:
@@ -77,7 +159,85 @@ class TestSample:
             sample(d, "obs", 0, seed=1)
 
 
+class TestSamplerReference:
+    @pytest.mark.parametrize("case", SAMPLER_CASES, ids=[c[0] for c in SAMPLER_CASES])
+    def test_codes_bitwise_the_row_major_loop(self, case):
+        _, diagram, regime = case
+        for n, seed in ((1, 0), (997, 7), (3000, 2**64 - 1)):
+            got = sample(diagram, regime, n, seed).codes
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, reference_sample(diagram, regime, n, seed))
+
+    def test_cumulative_column_equal_to_a_drawn_uniform(self):
+        # Find the uniform first, then write the table around it: row 3's
+        # draw for X lands exactly on X's first cumulative column.  Y's row
+        # under x1 sums to just under 1, so its last column is clamped.
+        seed, n = 19, 50
+        raw = np.random.Philox(key=np.uint64(seed)).random_raw(n * 2).reshape(n, 2)
+        u = float((raw[3, 0] >> np.uint64(11)) * 2.0**-53)
+        short = (0.7, 0.2, 0.1)
+        assert np.cumsum(short)[-1] < 1.0
+        vs = [Variable("X", "obs", ("x0", "x1")), Variable("Y", "resp", ("0", "1", "2"))]
+        cpts = {
+            "X": Cpt("X", (), {(): (u, 1.0 - u)}),
+            "Y": Cpt("Y", ("X",), {("x0",): (u, 0.0, 1.0 - u), ("x1",): short}),
+        }
+        d = InfluenceDiagram(vs, [("X", "Y")], cpts)
+        got = sample(d, "obs", n, seed).codes
+        assert got[3, 0] == 1  # u >= cum[0]: the boundary belongs to the next state
+        assert np.array_equal(got, reference_sample(d, "obs", n, seed))
+
+    def test_peak_memory_within_twice_the_raw_draws(self):
+        diagram, _ = complete_stable(5, seed=2)
+        n, k = 20_000, len(diagram.order)
+        assert k >= 10
+        sample(diagram, "obs", 10, seed=1)
+        tracemalloc.start()
+        sample(diagram, "obs", n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2 * 8 * n * k, peak / (8 * n * k)
+
+
+# sha256 of the file ``regimes simulate --n 500 --seed 2026`` writes; they pin
+# the Philox contract without reference to any code.
+SIMULATE_SHA256 = {
+    ("f1.id", "obs"): "976465bdc65b7f0ff20c217bbd60405abf4819f36e30672bae1179d8b8dbfd89",
+    ("f1.id", "mix"): "fbaab4d681a3873ff698fb8ce3df1b2ff3cc29854aa4e3cc077e00477bca0978",
+    ("f4.id", "obs"): "3b42cca01434f418ce13daae37d9133d5c07e3b03c11b2a83362c9e25c5cc847",
+    ("f4.id", "e"): "49077699ff53297c309900a2b650e77c2a96ce5046e18c6964f95cea3fc09e5c",
+    ("ternary.id", "obs"): "755ee64c88471d4e6e1820cbb8f22418719a6102f50b79f18e8bccec7db4ab17",
+    ("ternary.id", "adaptive"): "a3557c1ad44703dea974f1b0f5a7e4e1eca42a6c0b106780e868d195fdde78e2",
+}
+
+
+@pytest.mark.parametrize("model, regime", sorted(SIMULATE_SHA256))
+def test_simulate_output_golden(model, regime, tmp_path):
+    path = ROOT / "models" / model if model != "ternary.id" else TERNARY
+    out_file = tmp_path / "rows.txt"
+    with redirect_stdout(io.StringIO()):
+        code = main(["simulate", "--model", str(path), "--regime", regime,
+                     "--n", "500", "--seed", "2026", "--out", str(out_file)])
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SIMULATE_SHA256[model, regime]
+
+
 class TestDatasetText:
+    @pytest.mark.parametrize("case", SAMPLER_CASES[:6], ids=[c[0] for c in SAMPLER_CASES[:6]])
+    def test_rows_and_text_match_the_per_cell_loop(self, case):
+        _, diagram, regime = case
+        ds = sample(diagram, regime, 400, seed=3)
+        want = list(reference_rows(ds))
+        assert list(ds.rows()) == want
+        text = " ".join(ds.columns) + "\n" + "".join(" ".join(row) + "\n" for row in want)
+        assert ds.to_text() == text
+
+    def test_empty_dataset_text(self):
+        d, _ = f1()
+        header = " ".join(d.base.vars) + "\n"
+        ds = Dataset.from_text(header, d.base)
+        assert list(ds.rows()) == [] and ds.to_text() == header
+
     def test_round_trip_with_comments(self):
         d, _ = f1()
         ds = sample(d, "obs", 25, seed=8)

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import f4_without_action_one, random_strategy
+from helpers import f4_without_action_one, random_extended_id, random_strategy
 from regimes.errors import InputError, PolicyError, PositivityError
-from regimes.fixtures import complete_stable, f1, f2
+from regimes.fixtures import complete_stable, f1, f2, f3, f4, f5
 from regimes.grecursion import (
     build_dag_i,
     build_dag_i_prime,
@@ -33,8 +33,77 @@ from regimes.model import (
     joint_distribution,
     support,
 )
+from regimes.parser import parse_model
 
 K01 = {"0": 0.0, "1": 1.0}
+
+
+def reference_values(table):
+    """The label dict that ``RecursionTable.values`` once built on first use."""
+    values = {}
+    for m, mask in table.live.masks.items():
+        values.update(zip(table.base.histories(mask), table.arrays[m][mask].tolist()))
+    return values
+
+
+def ordinal_k(base):
+    return {s: float(j) for j, s in enumerate(base.states[base.response])}
+
+
+def values_view_cases():
+    """(name, source, strategy) over f1-f5, complete_stable(2|4), the
+    ternary model (a two-variable block) and random diagrams."""
+    cases = []
+    for build in (f1, f2, f3, f4, f5):
+        d, strats = build()
+        cases += [(f"{build.__name__}_{n}", ExactSource(d), s) for n, s in strats.items()]
+    for n in (2, 4):
+        d, strats = complete_stable(n, seed=n)
+        cases += [(f"complete{n}_{name}", ExactSource(d), s) for name, s in strats.items()]
+        cases += [(f"complete{n}_hard", ExactSource(d), random_strategy(d, n, deterministic=True))]
+    doc = parse_model((Path(__file__).parent / "golden" / "ternary.id").read_text())
+    cases += [(f"ternary_{n}", ExactSource(doc.diagram), s) for n, s in doc.strategies.items()]
+    for seed in range(10):
+        d = random_extended_id(seed, hidden_to_action=bool(seed % 2))
+        cases += [(f"random{seed}", ExactSource(d), random_strategy(d, seed))]
+    return cases
+
+
+class TestValuesView:
+    @pytest.mark.parametrize("case", values_view_cases(), ids=lambda c: c[0])
+    def test_view_matches_the_label_dict(self, case):
+        _, source, strategy = case
+        table = recursion_table(source, strategy, ordinal_k(source.base))
+        view, want = table.values, reference_values(table)
+        assert list(view) == list(want)
+        assert len(view) == len(want)
+        got = np.array([view[h] for h in view])
+        assert got.tobytes() == np.array(list(want.values())).tobytes()
+        assert view == want and dict(view.items()) == want
+        base = table.base
+        pruned = [
+            h for m in base.boundaries for h in base.histories(~table.live.masks[m])
+        ]
+        full = len(base.vars)
+        bad = [
+            ("?",) * full,  # bad labels
+            tuple(base.states[v][0] for v in base.vars) + ("0",),  # past the end
+            *pruned[:3],
+        ]
+        leaf = next(h for h in want if len(h) == full)
+        bad += [leaf[:m] for m in range(full) if m not in base.boundaries]  # mid-block
+        for h in bad:
+            assert h not in view
+            with pytest.raises(KeyError):
+                view[h]
+
+    def test_cases_include_pruning_and_a_mid_block_length(self):
+        cases = {name: (src, s) for name, src, s in values_view_cases()}
+        src, s = cases["complete2_hard"]
+        live = recursion_table(src, s, K01).live
+        assert not all(mask.all() for mask in live.masks.values())
+        base = cases["ternary_fixed"][0].base
+        assert len(base.boundaries) < len(base.vars) + 1
 
 
 class TestGRecursion:

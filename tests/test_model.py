@@ -1,12 +1,13 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import random_strategy, rng
+from helpers import random_extended_id, random_strategy, rng, zero_covariate_rows
 from regimes.data import EstimatedSource, sample
 from regimes.errors import CapacityError, InputError, ModelError, PolicyError
-from regimes.fixtures import f1, f2, f4
+from regimes.fixtures import f1, f2, f3, f4, f5
 from regimes.grecursion import construct_p_i
 from regimes.model import (
     UNDEFINED,
@@ -22,6 +23,7 @@ from regimes.model import (
     observable_joint,
     support,
 )
+from regimes.parser import parse_model
 from regimes.stability import support_propagation
 
 
@@ -251,6 +253,28 @@ class TestSupport:
                               d.obs_parents, d.int_parents)
         sup = support(d2, "obs")
         assert ("1",) not in sup and ("0",) in sup
+
+    def test_membership_agrees_with_the_label_set(self):
+        supports = []
+        for build in (f1, f2, f3, f4, f5):
+            d, strats = build()
+            supports += [support(d, "obs")] + [support(d, s) for s in strats.values()]
+        ternary = parse_model((Path(__file__).parent / "golden" / "ternary.id").read_text())
+        supports += [support(ternary.diagram, "obs")]
+        for seed in range(10):
+            d = random_extended_id(seed, hidden_to_action=bool(seed % 2))
+            supports += [support(zero_covariate_rows(d, seed), "obs"),
+                         support(d, random_strategy(d, seed, deterministic=True))]
+        for sup in supports:
+            base, labels = sup.base, set(sup.histories)
+            for m in range(len(base.vars) + 1):
+                for h in itertools.product(*(base.states[v] for v in base.vars[:m])):
+                    assert (h in sup) == (h in labels), h
+                    assert (list(h) in sup) == (h in labels), h
+            longest = max(labels, key=len)
+            assert () in sup and longest in sup
+            assert longest + (longest[-1],) not in sup  # no boundary that long
+            assert ("?",) not in sup and longest[:-1] + ("?",) not in sup
 
 
 class TestConsequenceDirect:

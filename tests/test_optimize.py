@@ -12,7 +12,7 @@ from helpers import (
     random_extended_id,
     random_strategy,
     rng,
-    zero_action_rows,
+    zero_covariate_rows,
 )
 from regimes import optimize
 from regimes.errors import CapacityError
@@ -196,18 +196,30 @@ def bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+ZERO_ROW_SEEDS = (0, 4)
+
+
 def reference_cases():
     cases = {build.__name__: build()[0] for build in (f1, f2, f3, f4, f5)}
     for seed in range(4):
         for hidden in (False, True):
             d = random_extended_id(seed, n_actions=1 + seed % 2, hidden_to_action=hidden)
             cases[f"random{seed}{'h' if hidden else ''}"] = d
-    for seed in (0, 4):  # seeds whose observational action rows do change
-        cases[f"zero_rows{seed}"] = zero_action_rows(random_extended_id(seed), seed)
+    for seed in ZERO_ROW_SEEDS:
+        cases[f"zero_rows{seed}"] = zero_covariate_rows(random_extended_id(seed), seed)
     return cases
 
 
 REFERENCE_CASES = reference_cases()
+
+
+@pytest.mark.parametrize("seed", ZERO_ROW_SEEDS)
+def test_zero_row_cases_move_strategy_values(seed):
+    # The point-mass rows must enter the strategies' joints, or the case
+    # repeats the plain model.
+    plain = [value for _, value in reference_values(random_extended_id(seed), K01)]
+    edited = [value for _, value in reference_values(REFERENCE_CASES[f"zero_rows{seed}"], K01)]
+    assert plain != edited
 
 
 class TestEnumerationReference:
