@@ -6,7 +6,18 @@ raw 64-bit outputs x_0, x_1, ... are mapped to doubles by
 u = (x >> 11) * 2**-53 and consumed in row-major order: draw r*K + j
 belongs to row r and domain variable j (in diagram order, hidden
 variables included, K variables in total).  Row contents therefore
-depend only on (seed, r), so a longer run extends a shorter one.
+depend only on (seed, r), so a longer run extends a shorter one.  A
+variable's state is the number of cumulative probabilities at or below
+u among the first w-1 of its row (w states); the last is never counted,
+so a row summing to just under 1 still places every u < 1.
+
+Rows are drawn and coded in blocks of ``SAMPLE_ROWS``, each block
+continuing the one Philox stream in the same row-major order, so the
+block size never changes the output.  The comparison is made on
+integers: u = m * 2**-53 with m = x >> 11 < 2**53 is exact, and so is
+c * 2**53 for a cumulative probability c >= 0, so u >= c exactly when
+m >= ceil(c * 2**53).  A cumulative column above 1 gives a threshold
+above 2**53, which no m reaches.
 
 Estimation is plain relative frequency with optional additive smoothing;
 with smoothing the estimated model is strictly positive, while at
@@ -17,12 +28,15 @@ positivity failures surface.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .model import InfluenceDiagram, InfoBase, PrefixSource, Regime, factor_array, mechanism
+
+SAMPLE_ROWS = 2**13  # rows drawn and coded per block; never changes the output
 
 
 @dataclass(frozen=True)
@@ -82,7 +96,12 @@ class Dataset:
 
 def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Dataset:
     """n independent draws from the joint under a regime, hidden columns
-    dropped.  Identical (seed, n) give bit-identical datasets."""
+    dropped.  Identical (seed, n) give bit-identical datasets; see the
+    module docstring for the contract."""
+    try:
+        n, seed = operator.index(n), operator.index(seed)
+    except TypeError:
+        raise InputError(f"n and seed must be integers, got {n!r} and {seed!r}") from None
     if n < 1:
         raise InputError("need n >= 1")
     if not 0 <= seed < 2**64:
@@ -90,38 +109,47 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
     if regime != "obs":
         diagram.validate_strategy(regime)
     k = len(diagram.order)
-    raw = np.random.Philox(key=np.uint64(seed)).random_raw(n * k).reshape(n, k)
-    # One contiguous row of codes per variable, in the narrowest dtype.
-    widest = max(len(diagram.states[v]) for v in diagram.order)
-    codes = np.empty((k, n), dtype=np.min_scalar_type(widest - 1))
-    radix = np.empty(n, dtype=np.int64)
     col = {v: j for j, v in enumerate(diagram.order)}
-
-    for j, v in enumerate(diagram.order):
+    plans = []
+    for v in diagram.order:
         parents, array = mechanism(diagram, regime, v)
         axes = diagram.sort(parents) + (v,)
         width = len(diagram.states[v])
         cum = np.cumsum(factor_array(axes, v, parents, array).reshape(-1, width), axis=1)
-        radix.fill(0)
-        for p in axes[:-1]:
-            radix *= len(diagram.states[p])
-            radix += codes[col[p]]
-        u = (raw[:, j] >> np.uint64(11)) * 2.0**-53
-        out = codes[j]
-        out.fill(0)
-        # The state is the number of cumulative columns at or below u.  The
-        # last one is never counted, so a row summing to just under 1 still
-        # places every u < 1.
-        for c in range(width - 1):
-            out += u >= cum[radix, c]
+        # One contiguous integer threshold row per counted cumulative column.
+        thresholds = np.ceil(cum[:, :-1].T * 2.0**53).astype(np.uint64, order="C")
+        # Every Horner intermediate is below the row count and every parent
+        # width at most it (a lone parent has as many states as the table
+        # rows), so neither overflows this dtype.
+        radix_type = np.min_scalar_type(len(cum))
+        parent_cols = [(col[p], len(diagram.states[p])) for p in axes[:-1]]
+        plans.append((parent_cols, thresholds, radix_type))
 
-    del raw
     keep = [j for j, v in enumerate(diagram.order) if diagram.kinds[v] != "hid"]
+    codes = np.empty((n, len(keep)), dtype=np.int64)
+    widest = max(len(diagram.states[v]) for v in diagram.order)
+    block = np.empty((k, min(n, SAMPLE_ROWS)), dtype=np.min_scalar_type(widest - 1))
+    gen = np.random.Philox(key=np.uint64(seed))
+    for start in range(0, n, SAMPLE_ROWS):
+        m = min(SAMPLE_ROWS, n - start)
+        x = gen.random_raw(m * k).reshape(m, k)
+        x >>= np.uint64(11)
+        for j, (parents, thresholds, radix_type) in enumerate(plans):
+            radix = np.zeros(m, dtype=radix_type)
+            for p, w in parents:
+                radix *= w
+                radix += block[p, :m]
+            out = block[j, :m]
+            out.fill(0)
+            for row in thresholds:
+                out += x[:, j] >= row.take(radix)
+        codes[start : start + m] = block[keep, :m].T
+
     name = regime if isinstance(regime, str) else regime.name
     return Dataset(
         diagram.base.vars,
         tuple(diagram.states[v] for v in diagram.base.vars),
-        codes[keep].T.astype(np.int64, order="C"),
+        codes,
         name,
         seed,
     )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import cpt_for, random_extended_id, random_strategy, rng
+import regimes.data
 from regimes.cli import main
 from regimes.data import Dataset, EstimatedSource, estimate_conditionals, sample
 from regimes.errors import InputError, PositivityError
@@ -74,8 +75,18 @@ def widths_model(seed=6):
     return InfluenceDiagram([Variable(v, k, states[v]) for v, k, _ in spec], edges, cpts)
 
 
+def wide_parent_model(seed=8):
+    """A 256-state variable as the only parent of a binary response: the
+    response's table has as many rows as its parent has states."""
+    states = {"X": tuple(f"s{i}" for i in range(256)), "Y": ("0", "1")}
+    gen = rng(seed)
+    cpts = {"X": cpt_for(gen, "X", [], states), "Y": cpt_for(gen, "Y", ["X"], states)}
+    variables = [Variable("X", "obs", states["X"]), Variable("Y", "resp", states["Y"])]
+    return InfluenceDiagram(variables, [("X", "Y")], cpts)
+
+
 def sampler_cases():
-    """(name, diagram, regime) triples: state widths 1-4, three-state
+    """(name, diagram, regime) triples: state widths 1-4 and 256, three-state
     variables with a hidden one, hidden parents of actions, and strategies
     whose policies have zero entries."""
     ternary = parse_model(TERNARY.read_text())
@@ -84,6 +95,7 @@ def sampler_cases():
     d4, s4 = f4()
     widths = widths_model()
     cases = [("widths", widths, "obs"), ("widths_rand", widths, random_strategy(widths, 1))]
+    cases += [("wide_parent", wide_parent_model(), "obs")]
     cases += [("ternary", ternary.diagram, "obs")]
     cases += [(f"ternary_{n}", ternary.diagram, ternary.strategy(n)) for n in ternary.strategies]
     cases += [("f1", d1, "obs"), ("f1_stat", d1, s1["stat"]), ("f1_mix", d1, s1["mix"])]
@@ -124,9 +136,10 @@ class TestSample:
         assert not np.array_equal(a.codes, b.codes)
 
     def test_row_prefix_stability(self):
+        # The longer run spans three blocks.
         d, _ = f1()
         small = sample(d, "obs", 100, seed=5)
-        big = sample(d, "obs", 1000, seed=5)
+        big = sample(d, "obs", 3 * regimes.data.SAMPLE_ROWS, seed=5)
         assert np.array_equal(small.codes, big.codes[:100])
 
     def test_hidden_columns_dropped(self):
@@ -158,6 +171,21 @@ class TestSample:
         with pytest.raises(InputError):
             sample(d, "obs", 0, seed=1)
 
+    @pytest.mark.parametrize("n, seed", [(10, 1.5), (10.0, 1), ("3", 1), (10, "3")])
+    def test_non_integer_n_or_seed_rejected(self, n, seed):
+        # A float seed was truncated (1.5 gave seed 1's rows and recorded
+        # seed=1.5); a float n raised a bare TypeError.
+        d, _ = f1()
+        with pytest.raises(InputError):
+            sample(d, "obs", n, seed)
+
+    def test_numpy_integers_accepted(self):
+        d, _ = f1()
+        got = sample(d, "obs", np.int64(10), np.uint64(3))
+        want = sample(d, "obs", 10, 3)
+        assert np.array_equal(got.codes, want.codes)
+        assert type(got.seed) is int and got.seed == 3
+
 
 class TestSamplerReference:
     @pytest.mark.parametrize("case", SAMPLER_CASES, ids=[c[0] for c in SAMPLER_CASES])
@@ -186,6 +214,73 @@ class TestSamplerReference:
         got = sample(d, "obs", n, seed).codes
         assert got[3, 0] == 1  # u >= cum[0]: the boundary belongs to the next state
         assert np.array_equal(got, reference_sample(d, "obs", n, seed))
+
+    def test_cumulative_column_one_ulp_above_a_drawn_uniform(self):
+        # u = m * 2**-53 < 0.5, so the next double up lies strictly between
+        # m and m + 1 in units of 2**-53: its threshold is ceil'd to m + 1
+        # and that row's u is not counted.
+        seed, n = 23, 50
+        raw = np.random.Philox(key=np.uint64(seed)).random_raw(n * 2).reshape(n, 2)
+        m = raw[:, 0] >> np.uint64(11)
+        r = int(np.flatnonzero((m >= 2**51) & (m < 2**52))[0])
+        u = float(m[r] * 2.0**-53)
+        c = float(np.nextafter(u, 1.0))
+        assert c * 2**53 != int(c * 2**53) and c < 0.5
+        vs = [Variable("X", "obs", ("x0", "x1")), Variable("Y", "resp", ("0", "1"))]
+        cpts = {
+            "X": Cpt("X", (), {(): (c, 1.0 - c)}),
+            "Y": Cpt("Y", ("X",), {("x0",): (0.5, 0.5), ("x1",): (0.25, 0.75)}),
+        }
+        d = InfluenceDiagram(vs, [("X", "Y")], cpts)
+        got = sample(d, "obs", n, seed).codes
+        assert got[r, 0] == 0
+        assert np.array_equal(got, reference_sample(d, "obs", n, seed))
+
+    def test_counted_cumulative_column_above_one(self):
+        # The second cumulative column is counted and exceeds 1 within the
+        # row-sum tolerance: its threshold is above 2**53, so no row reaches
+        # state 2.
+        seed, n = 4, 5000
+        row = (0.6, 0.4 + 1e-12, 0.0)
+        assert np.cumsum(row)[1] > 1.0
+        vs = [Variable("X", "obs", ("x0", "x1")), Variable("Y", "resp", ("0", "1", "2"))]
+        cpts = {
+            "X": Cpt("X", (), {(): (0.5, 0.5)}),
+            "Y": Cpt("Y", ("X",), {("x0",): row, ("x1",): row}),
+        }
+        d = InfluenceDiagram(vs, [("X", "Y")], cpts)
+        got = sample(d, "obs", n, seed).codes
+        assert set(np.unique(got[:, 1])) == {0, 1}
+        assert np.array_equal(got, reference_sample(d, "obs", n, seed))
+
+    @pytest.mark.parametrize("rows", [1, 3, 5, None])
+    def test_codes_bitwise_across_block_boundaries(self, rows, monkeypatch):
+        # K = 7 and K = 4 draws per row: blocks of 1, 3 and 5 rows end
+        # inside one of Philox's four-word outputs, so the stream must
+        # carry over between random_raw calls.
+        if rows is not None:
+            monkeypatch.setattr(regimes.data, "SAMPLE_ROWS", rows)
+        size = regimes.data.SAMPLE_ROWS
+        ternary = parse_model(TERNARY.read_text())
+        widths = widths_model()
+        cases = [(widths, "obs"), (ternary.diagram, "obs"), (widths, random_strategy(widths, 1))]
+        for diagram, regime in cases:
+            for n in (size - 1, size, size + 1, 2 * size + 3):
+                if n < 1:
+                    continue
+                got = sample(diagram, regime, n, seed=11).codes
+                assert np.array_equal(got, reference_sample(diagram, regime, n, 11)), (n, regime)
+
+    def test_peak_memory_tracks_the_output(self):
+        diagram, _ = complete_stable(5, seed=2)
+        n = 200_000
+        out_bytes = 8 * n * len(diagram.base.vars)
+        sample(diagram, "obs", 10, seed=1)
+        tracemalloc.start()
+        sample(diagram, "obs", n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 1.25 * out_bytes, peak / out_bytes
 
     def test_peak_memory_within_twice_the_raw_draws(self):
         diagram, _ = complete_stable(5, seed=2)
