@@ -76,17 +76,21 @@ def widths_model(seed=6):
 
 
 def wide_parent_model(seed=8):
-    """A 256-state variable as the only parent of a binary response: the
-    response's table has as many rows as its parent has states."""
-    states = {"X": tuple(f"s{i}" for i in range(256)), "Y": ("0", "1")}
+    """A 256-state variable as the only parent of L, so L's table has as
+    many rows as its parent has states, and a 300-state root, so the codes
+    are wider than the radix of Y, which reads the binary L."""
+    states = {"X": tuple(f"s{i}" for i in range(256)), "W": tuple(f"w{i}" for i in range(300)),
+              "L": ("0", "1"), "Y": ("0", "1")}
+    parents = {"X": [], "W": [], "L": ["X"], "Y": ["L"]}
     gen = rng(seed)
-    cpts = {"X": cpt_for(gen, "X", [], states), "Y": cpt_for(gen, "Y", ["X"], states)}
-    variables = [Variable("X", "obs", states["X"]), Variable("Y", "resp", states["Y"])]
-    return InfluenceDiagram(variables, [("X", "Y")], cpts)
+    cpts = {v: cpt_for(gen, v, parents[v], states) for v in states}
+    kinds = {"X": "obs", "W": "obs", "L": "obs", "Y": "resp"}
+    variables = [Variable(v, kinds[v], states[v]) for v in states]
+    return InfluenceDiagram(variables, [("X", "L"), ("L", "Y")], cpts)
 
 
 def sampler_cases():
-    """(name, diagram, regime) triples: state widths 1-4 and 256, three-state
+    """(name, diagram, regime) triples: state widths 1-4, 256 and 300, three-state
     variables with a hidden one, hidden parents of actions, and strategies
     whose policies have zero entries."""
     ternary = parse_model(TERNARY.read_text())
@@ -95,12 +99,12 @@ def sampler_cases():
     d4, s4 = f4()
     widths = widths_model()
     cases = [("widths", widths, "obs"), ("widths_rand", widths, random_strategy(widths, 1))]
-    cases += [("wide_parent", wide_parent_model(), "obs")]
     cases += [("ternary", ternary.diagram, "obs")]
     cases += [(f"ternary_{n}", ternary.diagram, ternary.strategy(n)) for n in ternary.strategies]
     cases += [("f1", d1, "obs"), ("f1_stat", d1, s1["stat"]), ("f1_mix", d1, s1["mix"])]
     cases += [("f2", d2, "obs")] + [(f"f2_{n}", d2, s) for n, s in s2.items()]
     cases += [("f4", d4, "obs")] + [(f"f4_{n}", d4, s) for n, s in s4.items()]
+    cases += [("wide_parent", wide_parent_model(), "obs")]
     for seed in range(4):
         d = random_extended_id(seed, hidden_to_action=bool(seed % 2))
         cases += [(f"random{seed}", d, "obs"),
