@@ -40,7 +40,6 @@ from .model import (
 from .grecursion import (
     RecursionTable,
     build_dag_i,
-    build_dag_i_prime,
     check_graphsep,
     construct_p_i,
     g_recursion,

@@ -27,6 +27,7 @@ positivity failures surface.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import InputError
 from .model import InfluenceDiagram, InfoBase, PrefixSource, Regime, factor_array, mechanism
 
-SAMPLE_ROWS = 2**13  # rows drawn and coded per block; never changes the output
+SAMPLE_ROWS = 2**13  # rows drawn, coded or read per block; never changes the output
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,13 @@ class Dataset:
 
     @classmethod
     def from_text(cls, text: str, base: InfoBase, regime: str = "?", seed: int = -1) -> "Dataset":
-        lines = [
-            ln.strip()
-            for ln in text.splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+        """Read ``to_text`` output: a header of column names, then one row
+        of state labels per line; blank lines and lines starting with
+        ``#`` are skipped.  Each block of ``SAMPLE_ROWS`` rows is split
+        once and each column's labels mapped through its state dict.  An
+        error names the first bad row and, in it, a wrong cell count
+        before the first unknown cell."""
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
         if not lines:
             raise InputError("empty dataset")
         columns = tuple(lines[0].split())
@@ -82,16 +85,31 @@ class Dataset:
             )
         states = tuple(base.states[v] for v in columns)
         index = [{s: j for j, s in enumerate(st)} for st in states]
-        codes = np.empty((len(lines) - 1, len(columns)), dtype=np.int64)
-        for r, line in enumerate(lines[1:]):
-            cells = line.split()
-            if len(cells) != len(columns):
-                raise InputError(f"row {r + 1} has {len(cells)} cells, want {len(columns)}")
-            for j, cell in enumerate(cells):
-                if cell not in index[j]:
-                    raise InputError(f"row {r + 1}: {cell!r} is not a state of {columns[j]}")
-                codes[r, j] = index[j][cell]
+        k = len(columns)
+        codes = np.empty((len(lines) - 1, k), dtype=np.int64)
+        for start in range(0, len(codes), SAMPLE_ROWS):
+            rows = [ln.split() for ln in lines[start + 1 : start + 1 + SAMPLE_ROWS]]
+            if set(map(len, rows)) != {k}:
+                _first_bad_row(rows, start, columns, index)
+            cells = list(itertools.chain.from_iterable(rows))
+            block = codes[start : start + len(rows)]
+            try:
+                for j, labels in enumerate(index):
+                    block[:, j] = list(map(labels.__getitem__, cells[j::k]))
+            except KeyError:
+                _first_bad_row(rows, start, columns, index)
         return cls(columns, states, codes, regime, seed)
+
+
+def _first_bad_row(rows, start: int, columns, index) -> None:
+    """Raise for the first of ``rows`` (data rows ``start + 1`` on) with a
+    wrong cell count or, failing that, a cell outside its column's states."""
+    for r, cells in enumerate(rows, start=start + 1):
+        if len(cells) != len(columns):
+            raise InputError(f"row {r} has {len(cells)} cells, want {len(columns)}")
+        for cell, labels, name in zip(cells, index, columns):
+            if cell not in labels:
+                raise InputError(f"row {r}: {cell!r} is not a state of {name}")
 
 
 def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Dataset:

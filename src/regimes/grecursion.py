@@ -261,19 +261,6 @@ def build_dag_i(
     return diagram.dag.with_parents(assignments)
 
 
-def build_dag_i_prime(
-    diagram: InfluenceDiagram, i: int, action_order: tuple[str, ...] | None = None
-) -> Dag:
-    """Variant of the stage-i diagram without the regime node and without
-    arrows out of the stage-i action."""
-    actions = tuple(action_order) if action_order else diagram.actions
-    if not 1 <= i <= len(actions):
-        raise InputError(f"stage index {i} outside 1..{len(actions)}")
-    d = build_dag_i(diagram, i, actions).drop([SIGMA])
-    a_i = actions[i - 1]
-    return Dag(d.nodes, [(u, v) for u, v in d.edges if u != a_i])
-
-
 def _check_int_strategy(diagram: InfluenceDiagram, strategy: Strategy | None) -> None:
     """Raise unless the strategy is absent or valid with every policy on
     its action's declared int-parents."""
@@ -303,21 +290,18 @@ class GraphsepReport:
 
 def check_graphsep(diagram: InfluenceDiagram, strategy: Strategy | None = None) -> GraphsepReport:
     """Per-stage separation of the response from the regime node in the
-    mixed diagrams; licenses the recursion without plain stability."""
+    mixed diagrams, given the observed past up to and including the stage
+    action; licenses the recursion without plain stability.  (Separating
+    the response from the stage action in the mixed diagram without the
+    regime node and the action's out-arrows is equivalent; the tests hold
+    that lemma.)"""
     _check_int_strategy(diagram, strategy)
     base = diagram.base
-    y = diagram.response
     stages = []
     for i in range(1, diagram.n + 1):
         cond = [v for j in range(1, i + 1) for v in base.block(j)]
         cond += [base.action(j) for j in range(1, i + 1)]
-        d_i = build_dag_i(diagram, i)
-        ok = separated(d_i, {y}, {SIGMA}, cond)
-        d_ip = build_dag_i_prime(diagram, i)
-        ok_prime = separated(d_ip, {y}, {base.action(i)}, cond[:-1])
-        if ok != ok_prime:
-            raise AssertionError(f"stage {i}: the two separation tests disagree")
-        stages.append((i, ok))
+        stages.append((i, separated(build_dag_i(diagram, i), {diagram.response}, {SIGMA}, cond)))
     return GraphsepReport(tuple(stages))
 
 

@@ -83,14 +83,17 @@ class Variable:
 def row_problem(row, width: int) -> str | None:
     """Why ``row`` is not a distribution over ``width`` states, or None.
 
-    The comparisons are written so that NaN fails them.
+    The comparisons are written so that NaN fails them.  The sum runs left
+    to right on every Python version (3.12's ``sum`` compensates), so the
+    parser's column-wise sum of many rows gives the same verdicts.
     """
     if len(row) != width:
         return f"has {len(row)} entries, want {width}"
+    total = 0
     for p in row:
         if not 0.0 <= p <= 1.0:
             return "has entries outside [0, 1]"
-    total = sum(row)
+        total += p
     if not abs(total - 1.0) <= ROW_SUM_TOL:
         return f"sums to {total!r}"
     return None

@@ -1,9 +1,10 @@
 """Line-oriented model document format.
 
-Tokens are space separated; ``#`` starts a comment; ``-`` stands for an
-empty list.  A document declares variables, the total order, edges (with
-``sigma`` as the regime node, parent of actions only), optional per-action
-parent annotations, one table per variable, and named strategies:
+Tokens are separated by runs of whitespace; ``#`` starts a comment;
+``-`` stands for an empty list.  A document declares variables, the total
+order, edges (with ``sigma`` as the regime node, parent of actions only),
+optional per-action parent annotations, one table per variable, and named
+strategies:
 
     var L2 kind=obs states=0,1
     order U1 A1 U2 L2 A2 Y
@@ -25,6 +26,13 @@ and a block missing rows is reported at its header line.  Parsing
 validates everything the model itself would, reporting the offending
 line: a strategy the diagram rejects is reported at its ``strategy``
 line, and only a document without variables or an order line has none.
+When a document has several errors, the first in document order is the
+one reported.
+
+A run of row lines is read by one loop: each row's key is looked up in
+its block's dict of row-key text, its values become floats as read, and
+the distribution check of ``row_problem`` runs on the run's values at
+once, before any later error is reported.
 """
 
 from __future__ import annotations
@@ -37,9 +45,13 @@ import numpy as np
 
 from .errors import ModelError, ParseError, PolicyError
 from .model import (
-    KINDS, MAX_JOINT_CELLS, SIGMA, Cpt, InfluenceDiagram, Policy, Strategy, Table, Variable,
-    row_problem,
+    KINDS, MAX_JOINT_CELLS, ROW_SUM_TOL, SIGMA, Cpt, InfluenceDiagram, Policy, Strategy, Table,
+    Variable, row_problem,
 )
+
+_ROW_WORDS = ("row", "prow")
+LINE_BLOCK = 2**16  # characters split into lines at a time
+RUN_ROWS = 4096  # rows of a run checked and written at a time; bounds the floats held
 
 
 @dataclass
@@ -58,6 +70,18 @@ class ModelDocument:
             ) from None
 
 
+def _lines(text: str):
+    """The lines of ``text`` as ``text.splitlines()`` gives them, split a
+    block of about ``LINE_BLOCK`` characters at a time: each block ends
+    just after a newline, so no line (nor a ``\\r\\n`` pair) is cut, and the
+    text is never held a second time as one list of lines."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + LINE_BLOCK) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 def _split_list(token: str) -> tuple[str, ...]:
     if token == "-":
         return ()
@@ -69,17 +93,30 @@ def _join_list(items) -> str:
     return ",".join(items) if items else "-"
 
 
+def _row_keys(states: tuple[tuple[str, ...], ...]) -> dict[str, int]:
+    """Row-key text of every parent configuration -> its row-major index."""
+    if not states:
+        return {"-": 0}
+    keys = list(states[0])
+    for axis in states[1:]:
+        tails = ["," + s for s in axis]
+        keys = [key + tail for key in keys for tail in tails]
+    return dict(zip(keys, range(len(keys))))
+
+
 class _Block:
     """An open ``cpt`` block (``strategy`` is None) or ``assign`` block:
-    rows are written straight into the array, ``seen`` marks the parent
-    configurations (in row-major order) given so far."""
+    ``keys`` maps row-key text to the row-major index of its parent
+    configuration, ``seen`` marks the configurations given so far, and
+    ``onehot`` (assign blocks only) maps an action state to its
+    deterministic row."""
 
     def __init__(self, name: str, parents: tuple[str, ...], variables, lineno: int, strategy):
         self.name, self.parents, self.lineno, self.strategy = name, parents, lineno, strategy
         self.what = f"assign for {name} in strategy {strategy}" if strategy else f"cpt for {name}"
         self.states = tuple(variables[p].states for p in parents)
-        self.index = [{s: j for j, s in enumerate(states)} for states in self.states]
-        self.width = len(variables[name].states)
+        child = variables[name].states
+        self.width = len(child)
         shape = tuple(map(len, self.states))
         # A table never has more cells than the joint, whose cap applies here.
         if math.prod(shape) * self.width > MAX_JOINT_CELLS:
@@ -87,11 +124,15 @@ class _Block:
         self.array = np.zeros(shape + (self.width,))
         self.rows = self.array.reshape(-1, self.width)
         self.seen = bytearray(len(self.rows))
+        self.keys = _row_keys(self.states)
+        self.onehot = None if strategy is None else {
+            s: tuple(float(j == k) for k in range(self.width)) for j, s in enumerate(child)
+        }
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.raw = text.splitlines()
+        self.text = text
         self.variables: dict[str, Variable] = {}
         self.var_lines: dict[str, int] = {}
         self.order: tuple[str, ...] | None = None
@@ -108,11 +149,13 @@ class _Parser:
         raise ParseError(message, line=line)
 
     def parse(self) -> ModelDocument:
-        for lineno, raw in enumerate(self.raw, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
+        lines = enumerate(_lines(self.text), start=1)
+        for lineno, raw in lines:
+            tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if tokens and tokens[0] in _ROW_WORDS:
+                lineno, tokens = self._read_rows(lineno, tokens, lines)
+            if not tokens:
                 continue
-            tokens = text.split()
             handler = getattr(self, "_on_" + tokens[0].replace("-", "_"), None)
             if handler is None:
                 self.fail(lineno, f"unknown directive {tokens[0]!r}")
@@ -230,9 +273,94 @@ class _Parser:
         self._known(parents, lineno)
         self._block = _Block(tokens[1], parents, self.variables, lineno, strategy)
 
-    def _row(self, tokens, lineno) -> int:
-        """Mark the row's parent configuration seen in the open block and
-        return its row-major index."""
+    def _read_rows(self, lineno, tokens, lines):
+        """Read the run of ``row``/``prow`` lines that starts with ``tokens``
+        into the open block, taking further lines from ``lines``; return
+        the first line after the run as ``(lineno, tokens)``, with no
+        tokens at the end of the text.
+
+        A row whose key the block's dict misses or has seen, or whose
+        values are not floats of the block's width, stops the run; its
+        error is worded by ``_row_error`` only after the rows before it
+        pass their distribution check in ``_store``."""
+        block = self._block
+        if block is None:
+            self._row_error(tokens, lineno)
+        keys, seen, width, onehot = block.keys, block.seen, block.width, block.onehot
+        # ``row`` gives probabilities in a cpt block, ``prow`` in an assign block.
+        word = "row" if onehot is None else "prow"
+        at, rows, values = [], [], []
+        while tokens and tokens[0] in _ROW_WORDS:
+            if len(tokens) < 3 or tokens[2] != ":":
+                break
+            i = keys.get(tokens[1])
+            if i is None or seen[i]:
+                break
+            if tokens[0] == word:
+                if len(tokens) != width + 3:
+                    break
+                try:
+                    values.extend(map(float, tokens[3:]))
+                except ValueError:
+                    break
+            elif onehot is not None and len(tokens) == 4 and tokens[3] in onehot:
+                values.extend(onehot[tokens[3]])
+            else:
+                break
+            seen[i] = 1
+            rows.append(i)
+            at.append(lineno)
+            if len(rows) == RUN_ROWS:
+                self._store(block, at, rows, values)
+                at, rows, values = [], [], []
+            tokens = []
+            for lineno, raw in lines:
+                tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+                if tokens:
+                    break
+        del values[len(rows) * width :]  # a float error may have left part of a row
+        self._store(block, at, rows, values)
+        if tokens and tokens[0] in _ROW_WORDS:
+            self._row_error(tokens, lineno)
+        return lineno, tokens
+
+    def _store(self, block, at, rows, values):
+        """Check the run's rows as ``row_problem`` does, all at once, and
+        write them into the block; report the first that fails."""
+        if not rows:
+            return
+        probs = np.array(values).reshape(len(rows), block.width)
+        total = probs[:, 0].copy()
+        for c in range(1, block.width):
+            total += probs[:, c]  # left to right, as row_problem sums
+        ok = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1) & (abs(total - 1.0) <= ROW_SUM_TOL)
+        if not ok.all():
+            k = int(ok.argmin())
+            self.fail(at[k], f"row {row_problem(probs[k].tolist(), block.width)}")
+        block.rows[rows] = probs
+
+    def _row_error(self, tokens, lineno):
+        """Report why a row line cannot be read: no open block, or a key, a
+        value or a width the run reader refused."""
+        block = self._block
+        if tokens[0] == "prow" and (block is None or block.strategy is None):
+            self.fail(lineno, "prow outside an assign block")
+        if block is None:
+            self.fail(lineno, "row outside a cpt or assign block")
+        self._row(tokens, lineno)
+        if tokens[0] == "row" and block.strategy is not None:
+            if len(tokens) != 4:
+                self.fail(lineno, "deterministic row takes a single action state")
+            self.fail(lineno, f"{tokens[3]!r} is not a state of {block.name}")
+        try:
+            probs = [float(t) for t in tokens[3:]]
+        except ValueError:
+            self.fail(lineno, f"expected probabilities, got {tokens[3:]}")
+        self.fail(lineno, f"row {row_problem(probs, block.width)}")
+
+    def _row(self, tokens, lineno):
+        """Report a row line whose key is malformed or already given; return
+        if it names a new parent configuration of the open block."""
         block = self._block
         if len(tokens) < 3 or tokens[2] != ":":
             self.fail(lineno, "expected: row <s1,s2,...|-> : <values>")
@@ -241,48 +369,12 @@ class _Parser:
         key = () if tokens[1] == "-" and not block.parents else tuple(tokens[1].split(","))
         if len(key) != len(block.parents):
             self.fail(lineno, f"row names {len(key)} parent states, want {len(block.parents)}")
-        i = 0
-        for p, s, index in zip(block.parents, key, block.index):
-            j = index.get(s)
-            if j is None:
+        for p, s, states in zip(block.parents, key, block.states):
+            if s not in states:
                 self.fail(lineno, f"{s!r} is not a state of {p}")
-            i = i * len(index) + j
-        if block.seen[i]:
+        if block.seen[block.keys[tokens[1]]]:
             where = f"in {block.what}" if block.strategy is None else f"for {block.name}"
             self.fail(lineno, f"duplicate row {key} {where}")
-        block.seen[i] = 1
-        return i
-
-    def _probs(self, tokens, lineno, width):
-        try:
-            probs = tuple(float(t) for t in tokens)
-        except ValueError:
-            self.fail(lineno, f"expected probabilities, got {tokens}")
-        problem = row_problem(probs, width)
-        if problem:
-            self.fail(lineno, f"row {problem}")
-        return probs
-
-    def _on_row(self, tokens, lineno):
-        block = self._block
-        if block is None:
-            self.fail(lineno, "row outside a cpt or assign block")
-        i = self._row(tokens, lineno)
-        if block.strategy is None:
-            block.rows[i] = self._probs(tokens[3:], lineno, block.width)
-            return
-        if len(tokens) != 4:
-            self.fail(lineno, "deterministic row takes a single action state")
-        states = self.variables[block.name].states
-        if tokens[3] not in states:
-            self.fail(lineno, f"{tokens[3]!r} is not a state of {block.name}")
-        block.rows[i, states.index(tokens[3])] = 1.0
-
-    def _on_prow(self, tokens, lineno):
-        block = self._block
-        if block is None or block.strategy is None:
-            self.fail(lineno, "prow outside an assign block")
-        block.rows[self._row(tokens, lineno)] = self._probs(tokens[3:], lineno, block.width)
 
     # ------------------------------------------------------------------
     # assembly

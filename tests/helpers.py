@@ -12,9 +12,11 @@ import math
 
 import numpy as np
 
+from regimes.errors import InputError
 from regimes.fixtures import f4
-from regimes.graph import Dag
-from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, Table, Variable
+from regimes.graph import Dag, separated
+from regimes.grecursion import build_dag_i
+from regimes.model import SIGMA, Cpt, InfluenceDiagram, Policy, Strategy, Table, Variable
 
 B = ("0", "1")
 
@@ -183,3 +185,30 @@ def _point_mass_rows(diagram: InfluenceDiagram, seed: int, variables) -> Influen
     return InfluenceDiagram(
         diagram.variables, diagram.dag.edges, cpts, diagram.obs_parents, diagram.int_parents
     )
+
+
+def build_dag_i_prime(
+    diagram: InfluenceDiagram, i: int, action_order: tuple[str, ...] | None = None
+) -> Dag:
+    """Variant of the stage-i diagram without the regime node and without
+    arrows out of the stage-i action."""
+    actions = tuple(action_order) if action_order else diagram.actions
+    if not 1 <= i <= len(actions):
+        raise InputError(f"stage index {i} outside 1..{len(actions)}")
+    d = build_dag_i(diagram, i, actions).drop([SIGMA])
+    a_i = actions[i - 1]
+    return Dag(d.nodes, [(u, v) for u, v in d.edges if u != a_i])
+
+
+def graphsep_by_action(diagram: InfluenceDiagram) -> tuple[tuple[int, bool], ...]:
+    """The stages of ``check_graphsep`` by the other separation test: the
+    response from the stage action in ``build_dag_i_prime``, given the
+    observed past before the stage action."""
+    base = diagram.base
+    stages = []
+    for i in range(1, diagram.n + 1):
+        cond = [v for j in range(1, i + 1) for v in base.block(j)]
+        cond += [base.action(j) for j in range(1, i)]
+        d = build_dag_i_prime(diagram, i)
+        stages.append((i, separated(d, {diagram.response}, {base.action(i)}, cond)))
+    return tuple(stages)

@@ -357,6 +357,124 @@ class TestDatasetText:
             Dataset.from_text(header + "\n0 0 0 0 2\n", d.base)
 
 
+def per_cell_codes(text, base):
+    """The dataset reader as it was, one dict lookup per cell: the
+    reference for ``Dataset.from_text``'s codes and its first error."""
+    lines = [
+        ln.strip()
+        for ln in text.splitlines()
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+    if not lines:
+        raise InputError("empty dataset")
+    columns = tuple(lines[0].split())
+    if columns != base.vars:
+        raise InputError(
+            f"dataset columns {columns} do not match the information base {base.vars}"
+        )
+    index = [{s: j for j, s in enumerate(base.states[v])} for v in columns]
+    codes = np.empty((len(lines) - 1, len(columns)), dtype=np.int64)
+    for r, line in enumerate(lines[1:]):
+        cells = line.split()
+        if len(cells) != len(columns):
+            raise InputError(f"row {r + 1} has {len(cells)} cells, want {len(columns)}")
+        for j, cell in enumerate(cells):
+            if cell not in index[j]:
+                raise InputError(f"row {r + 1}: {cell!r} is not a state of {columns[j]}")
+            codes[r, j] = index[j][cell]
+    return codes
+
+
+def read_outcome(reader, text, base):
+    try:
+        return ("ok", reader(text, base))
+    except InputError as exc:
+        return ("error", str(exc))
+
+
+def column_reader(text, base):
+    ds = Dataset.from_text(text, base)
+    assert ds.codes.dtype == np.int64 and ds.codes.flags.c_contiguous
+    assert ds.states == tuple(base.states[v] for v in ds.columns)
+    return ds.codes
+
+
+def same_outcome(text, base):
+    got, want = read_outcome(column_reader, text, base), read_outcome(per_cell_codes, text, base)
+    assert got[0] == want[0], (got, want)
+    if want[0] == "ok":
+        assert np.array_equal(got[1], want[1]) and got[1].shape == want[1].shape
+    else:
+        assert got[1] == want[1]
+    return want
+
+
+class TestColumnReader:
+    """``Dataset.from_text`` reads by columns, a block of rows at a time;
+    it must give the per-cell reader's codes and its first error."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(regimes.data, "SAMPLE_ROWS", 7)
+
+    @pytest.mark.parametrize("case", SAMPLER_CASES[:6], ids=[c[0] for c in SAMPLER_CASES[:6]])
+    def test_valid_text_matches(self, case):
+        _, diagram, regime = case
+        base = diagram.base
+        text = sample(diagram, regime, 60, seed=5).to_text()
+        gen = rng(11)
+        lines = []
+        for line in text.splitlines():
+            if gen.random() < 0.2:
+                lines.append("  # a comment" if gen.random() < 0.5 else " \t ")
+            lines.append(line.replace(" ", " \t  ") if gen.random() < 0.3 else "  " + line + " ")
+        for variant in (text, "\n".join(lines), "\r\n".join(lines) + "\r\n"):
+            assert same_outcome(variant, base)[0] == "ok"
+
+    def errors(self):
+        d, _ = f1()
+        header = " ".join(d.base.vars)
+        good = ["0 0 0 0 0", "1 0 1 1 0", "0 1 1 0 1"] * 5  # 15 rows: three blocks
+        cases = {
+            "empty": "",
+            "only_comments": "# nothing\n\n  # still nothing\n",
+            "columns": "L1 A1\n0 1\n",
+            "columns_order": " ".join(reversed(d.base.vars)) + "\n",
+            "short_row": good[:9] + ["0 0 0 0"] + good[9:],
+            "long_row": good[:3] + ["0 0 0 0 0 0"],
+            "unknown_cell": good[:10] + ["0 0 2 0 0"],
+            "unknown_first_cell": ["x 0 0 0 0"] + good,
+            "unknown_before_short": good[:8] + ["0 0 0 9 0"] + good[:2] + ["0"],
+            "short_before_unknown": good[:8] + ["0 0"] + good[:2] + ["0 0 0 9 0"],
+            "short_and_unknown_same_row": good[:4] + ["0 0 9 0"],
+            "two_unknown_same_row": good[:5] + ["0 0 7 8 0"],
+            "unknown_later_column_earlier_row": good[:2] + ["0 0 0 0 5"] + good[:6] + ["5 0 0 0 0"],
+            "unknown_in_last_block": good + ["0 0 0 0 q"],
+            "comment_mark_inside_row": good[:3] + ["0 0 #0 0 0"],
+        }
+        return d.base, {
+            name: rows if isinstance(rows, str) else "\n".join([header] + rows) + "\n"
+            for name, rows in cases.items()
+        }
+
+    def test_every_error_kind_matches(self):
+        base, cases = self.errors()
+        for name, text in cases.items():
+            assert same_outcome(text, base)[0] == "error", name
+
+    def test_error_messages_name_the_first_bad_row(self):
+        base, cases = self.errors()
+        assert read_outcome(column_reader, cases["unknown_before_short"], base) == (
+            "error", "row 9: '9' is not a state of A2",
+        )
+        assert read_outcome(column_reader, cases["short_before_unknown"], base) == (
+            "error", "row 9 has 2 cells, want 5",
+        )
+        assert read_outcome(column_reader, cases["unknown_later_column_earlier_row"], base) == (
+            "error", "row 3: '5' is not a state of Y",
+        )
+
+
 class TestEstimation:
     def test_exact_proportions_recover_conditionals(self):
         # a dataset replicating the joint's exact proportions reproduces

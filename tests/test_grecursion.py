@@ -6,13 +6,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import f4_without_action_one, random_extended_id, random_strategy
+from helpers import (
+    build_dag_i_prime,
+    cpt_for,
+    f4_without_action_one,
+    graphsep_by_action,
+    random_extended_id,
+    random_strategy,
+    rng,
+)
 from regimes.errors import InputError, PolicyError, PositivityError
 from regimes.fixtures import complete_stable, f1, f2, f3, f4, f5
 from regimes.grecursion import (
     build_dag_i,
-    build_dag_i_prime,
     check_cond6,
     check_graphsep,
     construct_p_i,
@@ -370,6 +379,68 @@ class TestCheckGraphsep:
         d, strats = f2()
         with pytest.raises(InputError):
             check_graphsep(d, strats["e2wide"])
+
+
+def with_int_parents(diagram, mask: int) -> InfluenceDiagram:
+    """The diagram with each action's int-parents cut to the non-hidden
+    domain parents that the bits of ``mask`` keep, in turn."""
+    kept, bit = {}, 0
+    for a in diagram.actions:
+        candidates = [p for p in diagram.domain_parents[a] if diagram.kinds[p] != "hid"]
+        kept[a] = [p for j, p in enumerate(candidates, start=bit) if mask >> j & 1]
+        bit += len(candidates)
+    return InfluenceDiagram(diagram.variables, diagram.dag.edges, diagram.cpts, int_parents=kept)
+
+
+class TestGraphsepLemma:
+    """``check_graphsep`` separates the response from the regime node; the
+    second test, from the stage action in the diagram without the regime
+    node and the action's out-arrows, must agree at every stage."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_actions=st.integers(1, 3),
+        hidden=st.sampled_from(["none", "to_action", "only_into_actions"]),
+        p_edge=st.floats(0.1, 0.9),
+        mask=st.integers(0, 2**20),
+    )
+    def test_agrees_on_random_diagrams(self, seed, n_actions, hidden, p_edge, mask):
+        d = random_extended_id(
+            seed,
+            n_actions=n_actions,
+            hidden_to_action=hidden == "to_action",
+            hidden_only_into_actions=hidden == "only_into_actions",
+            p_edge=p_edge,
+        )
+        d = with_int_parents(d, mask)
+        assert check_graphsep(d).stages == graphsep_by_action(d)
+
+    def test_agrees_on_every_small_diagram(self):
+        # Every edge set over U1 A1 L2 A2 Y (U1 hidden), with the default
+        # int-parents and with none: 2 x 1,024 diagrams.
+        names = ("U1", "A1", "L2", "A2", "Y")
+        variables = [
+            Variable(v, kind, ("0", "1"))
+            for v, kind in zip(names, ("hid", "act", "obs", "act", "resp"))
+        ]
+        states = {v: ("0", "1") for v in names}
+        pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
+        gen = rng(7)
+        verdicts = set()
+        for edge_mask in range(1 << len(pairs)):
+            edges = [p for j, p in enumerate(pairs) if edge_mask >> j & 1]
+            parents = {v: [u for u, w in edges if w == v] for v in names}
+            cpts = {v: cpt_for(gen, v, parents[v], states) for v in names}
+            d = InfluenceDiagram(variables, edges + [("sigma", "A1"), ("sigma", "A2")], cpts)
+            for diagram in (d, with_int_parents(d, 0)):
+                stages = check_graphsep(diagram).stages
+                assert stages == graphsep_by_action(diagram), edges
+                verdicts.add(stages)
+        # Both verdicts occur at both stages.
+        assert {stage for stages in verdicts for stage in stages} == {
+            (1, True), (1, False), (2, True), (2, False)
+        }
 
 
 class TestVerifyGeneral:

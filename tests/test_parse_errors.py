@@ -117,6 +117,17 @@ CASES = {
     "prow_outside_assign": edit("row a : 0.5 0.5", "prow a : 0.5 0.5"),
     "row_dash_key_one_parent": edit("row a : 0.5 0.5", "row - : 0.5 0.5"),
     "row_dash_key_two_parents": edit("row a,0 : 0.5 0.5", "row - : 0.5 0.5"),
+    # a run of rows: its distribution check comes before any later error
+    "run_bad_sum_then_unknown_key": edit("row a,0 : 0.5 0.5", "row a,0 : 0.5 0.4").replace(
+        "row b,0 : 0.5 0.5", "row b,2 : 0.5 0.5"
+    ),
+    "run_bad_row_then_bad_directive": edit("row c,1 : 0.5 0.5\n", "row c,1 : 0.5 0.7\nflub x\n"),
+    "run_bad_row_at_end": edit("row c : 1\n", "prow c : 0.5 0.6\n"),
+    "row_nan_entry": edit("row a : 0.5 0.5", "row a : nan 0.5"),
+    "row_underscore_digits": edit("row a : 0.5 0.5", "row a : 1_0 0"),
+    "row_dash_state_key_one_parent": edit("states=a,b,c", "states=a,-,c")
+    .replace("row b : 0.5 0.5", "row - : 0.5 0.5")
+    .replace("row c : 0.5 0.5", "row - : 0.5 0.5"),
     # whole document
     "no_variables": "# nothing here\n",
     "missing_order": edit("order L A Y\n", ""),
