@@ -31,7 +31,6 @@ from .model import (
     Strategy,
     SupportSet,
     Variable,
-    conditional,
     consequence_direct,
     joint_distribution,
     observable_joint,

@@ -26,7 +26,7 @@ from . import optimize as opt
 from . import stability as stab
 from .errors import RegimesError
 from .model import UNDEFINED, ExactSource, consequence_direct
-from .parser import ModelDocument, parse_model
+from .parser import ModelDocument, _join_list, parse_model
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -199,8 +199,7 @@ def cmd_optimize(doc: ModelDocument, args) -> int:
         for config in sorted(pol.table):
             row = pol.table[config]
             chosen = diagram.states[action][row.index(1.0)]
-            key_cfg = ",".join(config) if config else "-"
-            _emit(f"policy[{action}|{key_cfg}]", chosen)
+            _emit(f"policy[{action}|{_join_list(config)}]", chosen)
     return 0
 
 
@@ -226,7 +225,7 @@ def cmd_estimate(doc: ModelDocument, args) -> int:
         past = base.vars[: base.before_l(i)]
         for config in itertools.product(*(base.states[v] for v in past)):
             cond = source.l_conditional(i, config)
-            key_cfg = ",".join(config) if config else "-"
+            key_cfg = _join_list(config)
             if cond is UNDEFINED:
                 _emit(f"cond[{i}|{key_cfg}]", "undefined")
             else:

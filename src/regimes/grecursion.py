@@ -34,9 +34,10 @@ from .model import (
     PrefixSource,
     Strategy,
     SupportSet,
+    _action_factors,
+    _joint,
     consequence_direct,
     factor_array,
-    joint_with_action_selector,
     response_weights,
 )
 
@@ -233,10 +234,9 @@ def construct_p_i(diagram: InfluenceDiagram, strategy: Strategy, i: int) -> Join
     if not 0 <= i <= diagram.n:
         raise InputError(f"stage index {i} outside 0..{diagram.n}")
     diagram.validate_strategy(strategy)
-    order = {a: j + 1 for j, a in enumerate(diagram.actions)}
-    return joint_with_action_selector(
-        diagram, lambda a: "obs" if order[a] <= i else strategy
-    )
+    regimes = ["obs"] * i + [strategy] * (diagram.n - i)
+    probs = _joint(diagram, _action_factors(diagram, regimes))[0]
+    return JointTable(diagram.order, tuple(diagram.states[v] for v in diagram.order), probs)
 
 
 def build_dag_i(
@@ -299,8 +299,7 @@ def check_graphsep(diagram: InfluenceDiagram, strategy: Strategy | None = None) 
     base = diagram.base
     stages = []
     for i in range(1, diagram.n + 1):
-        cond = [v for j in range(1, i + 1) for v in base.block(j)]
-        cond += [base.action(j) for j in range(1, i + 1)]
+        cond = base.vars[: base.after_a(i)]
         stages.append((i, separated(build_dag_i(diagram, i), {diagram.response}, {SIGMA}, cond)))
     return GraphsepReport(tuple(stages))
 

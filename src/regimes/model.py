@@ -5,9 +5,10 @@ variables, actions, one response) with one conditional probability table
 per non-action variable and an observational table per action.  A
 ``Strategy`` supplies the interventional action mechanism; selecting the
 string ``"obs"`` or a strategy as the regime fixes one exact joint
-distribution, from which marginals, conditionals, supports and response
-expectations are computed by direct enumeration.  These exact quantities
-are the oracles that the recursive evaluator is tested against.
+distribution, from which marginals, supports and response expectations
+are computed by direct enumeration.  Every exact joint comes from
+``_joint``, mixed regimes and strategy batches included.  These exact
+quantities are the oracles that the recursive evaluator is tested against.
 
 Every table is one array over (its parents..., child) behind a ``Table``
 label view: ``Cpt`` and ``Policy`` accept label dicts, convert and check
@@ -32,7 +33,7 @@ KINDS = ("obs", "hid", "act", "resp")
 ROW_SUM_TOL = 1e-9
 MAX_JOINT_CELLS = 1 << 22
 
-_FORBIDDEN_CHARS = set(" \t,:|#=;")
+_RESERVED_CHARS = set(",:|#=;")
 
 
 class _Undefined:
@@ -53,7 +54,8 @@ UNDEFINED = _Undefined()
 
 
 def _check_token(text: str, what: str) -> str:
-    if not text or any(ch in _FORBIDDEN_CHARS for ch in text):
+    """Documents split on every whitespace character, so none may occur."""
+    if not text or any(ch.isspace() or ch in _RESERVED_CHARS for ch in text):
         raise ModelError(f"{what} {text!r} is empty or contains a reserved character")
     return text
 
@@ -545,29 +547,6 @@ class JointTable:
     states: tuple[tuple[str, ...], ...]
     probs: np.ndarray
 
-    def __post_init__(self):
-        self._axis = {v: i for i, v in enumerate(self.names)}
-        self._sindex = [
-            {s: j for j, s in enumerate(states)} for states in self.states
-        ]
-
-    def total(self) -> float:
-        return float(self.probs.sum())
-
-    def _locate(self, assignment: Mapping[str, str]):
-        idx = [slice(None)] * len(self.names)
-        for var, label in assignment.items():
-            if var not in self._axis:
-                raise InputError(f"unknown variable {var!r}")
-            ax = self._axis[var]
-            if label not in self._sindex[ax]:
-                raise InputError(f"{label!r} is not a state of {var}")
-            idx[ax] = self._sindex[ax][label]
-        return tuple(idx)
-
-    def prob(self, assignment: Mapping[str, str]) -> float:
-        return float(self.probs[self._locate(assignment)].sum())
-
     def marginal(self, names: Iterable[str]) -> "JointTable":
         """Marginal over ``names``; axes stay in this table's variable order."""
         keep = [v for v in self.names if v in set(names)]
@@ -577,20 +556,8 @@ class JointTable:
         drop = tuple(i for i, v in enumerate(self.names) if v not in set(keep))
         return JointTable(
             tuple(keep),
-            tuple(self.states[self._axis[v]] for v in keep),
+            tuple(self.states[self.names.index(v)] for v in keep),
             self.probs.sum(axis=drop) if drop else self.probs.copy(),
-        )
-
-    def reordered(self, names: Iterable[str]) -> "JointTable":
-        """Same table with axes permuted into the given order."""
-        names = tuple(names)
-        if sorted(names) != sorted(self.names):
-            raise InputError("reordering must list every variable exactly once")
-        perm = tuple(self._axis[v] for v in names)
-        return JointTable(
-            names,
-            tuple(self.states[i] for i in perm),
-            np.transpose(self.probs, perm),
         )
 
 
@@ -636,50 +603,38 @@ def _nonaction_product(diagram: InfluenceDiagram) -> np.ndarray:
     return cached
 
 
-def joint_with_action_selector(diagram: InfluenceDiagram, selector) -> JointTable:
-    """Joint where ``selector(action)`` picks 'obs' or a Strategy per action."""
+def _joint(diagram: InfluenceDiagram, factors) -> np.ndarray:
+    """The exact joints of a batch of strategies on ``diagram.order``, behind a
+    leading strategy axis: a copy of the cached non-action product times each
+    action's factor (one per action, in ``diagram.actions`` order, each with
+    that axis).  Every exact joint of the package comes from here."""
     _check_capacity(diagram.cards())
-    probs = _nonaction_product(diagram).copy()
-    for v in diagram.actions:
-        probs *= factor_array(diagram.order, v, *mechanism(diagram, selector(v), v))
-    return JointTable(diagram.order, tuple(diagram.states[v] for v in diagram.order), probs)
+    probs = np.repeat(_nonaction_product(diagram)[None], len(factors[0]) if factors else 1, 0)
+    for factor in factors:
+        probs *= factor
+    return probs
+
+
+def _action_factors(diagram: InfluenceDiagram, regimes) -> list[np.ndarray]:
+    """Each action's factor under its own regime (one per action, in
+    ``diagram.actions`` order) behind a strategy axis of length 1."""
+    return [
+        factor_array(diagram.order, a, *mechanism(diagram, regime, a))[None]
+        for a, regime in zip(diagram.actions, regimes)
+    ]
 
 
 def joint_distribution(diagram: InfluenceDiagram, regime: Regime) -> JointTable:
     """Exact joint over all domain variables under one regime."""
     if regime != "obs":
         diagram.validate_strategy(regime)
-    return joint_with_action_selector(diagram, lambda a: regime)
+    probs = _joint(diagram, _action_factors(diagram, [regime] * diagram.n))[0]
+    return JointTable(diagram.order, tuple(diagram.states[v] for v in diagram.order), probs)
 
 
 def observable_joint(diagram: InfluenceDiagram, regime: Regime) -> JointTable:
     """Joint over the observable information base (hidden variables summed out)."""
     return joint_distribution(diagram, regime).marginal(diagram.base.vars)
-
-
-def conditional(joint: JointTable, target: Iterable[str], given: Mapping[str, str]):
-    """Normalized slice over ``target`` configurations, or UNDEFINED.
-
-    Returns a mapping from target configuration (in the joint's variable
-    order) to probability when the conditioning event has positive mass;
-    the UNDEFINED marker otherwise.
-    """
-    target = [v for v in joint.names if v in set(target)]
-    if set(target) & set(given):
-        raise InputError("target and conditioning variables overlap")
-    sub = joint.probs[joint._locate(given)]
-    remaining = [v for v in joint.names if v not in given]
-    drop = tuple(i for i, v in enumerate(remaining) if v not in set(target))
-    table = sub.sum(axis=drop) if drop else sub
-    denom = float(table.sum())
-    if denom <= 0.0:
-        return UNDEFINED
-    table = table / denom
-    out = {}
-    for config in itertools.product(*(joint.states[joint._axis[v]] for v in target)):
-        idx = tuple(joint._sindex[joint._axis[v]][s] for v, s in zip(target, config))
-        out[config] = float(table[idx])
-    return out
 
 
 def support(diagram: InfluenceDiagram, regime: Regime) -> SupportSet:
@@ -700,10 +655,7 @@ def _consequences(diagram: InfluenceDiagram, factors, weights: np.ndarray) -> li
     on ``diagram.order`` behind a strategy axis.  Each joint is summed as if alone and
     weighted by its own 1-D dot (a batched matmul rounds differently), so batch size
     never changes a value."""
-    _check_capacity(diagram.cards())
-    probs = np.repeat(_nonaction_product(diagram)[None], len(factors[0]) if factors else 1, 0)
-    for factor in factors:
-        probs *= factor
+    probs = _joint(diagram, factors)
     return [float(row @ weights) for row in probs.sum(axis=tuple(range(1, probs.ndim - 1)))]
 
 
@@ -718,11 +670,7 @@ def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:
     weights = response_weights(diagram.base, k)
     if regime != "obs":
         diagram.validate_strategy(regime)
-    factors = [
-        factor_array(diagram.order, a, *mechanism(diagram, regime, a))[None]
-        for a in diagram.actions
-    ]
-    return _consequences(diagram, factors, weights)[0]
+    return _consequences(diagram, _action_factors(diagram, [regime] * diagram.n), weights)[0]
 
 
 class PrefixSource:

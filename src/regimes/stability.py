@@ -86,8 +86,7 @@ def check_simple_stability_graphical(diagram: InfluenceDiagram) -> StabilityRepo
         if not block:
             stages.append(StageVerdict(i, True))
             continue
-        past = [v for j in range(1, i) for v in base.block(j)]
-        past += [base.action(j) for j in range(1, i)]
+        past = base.vars[: base.before_l(i)]
         path = connecting_path(diagram.dag, set(block), {SIGMA}, set(past))
         witness = PathWitness(path) if path is not None else None
         stages.append(StageVerdict(i, path is None, witness))
@@ -180,7 +179,8 @@ def check_sequential_irrelevance_numeric(
         wanted = tuple(past) + u_past + tuple(block)
         past_configs = list(itertools.product(*(base.states[v] for v in past)))
         u_configs = list(itertools.product(*(diagram.states[v] for v in u_past)))
-        arr = joint.marginal(wanted).reordered(wanted).probs.reshape(
+        marginal = joint.marginal(wanted)
+        arr = np.transpose(marginal.probs, [marginal.names.index(v) for v in wanted]).reshape(
             len(past_configs), len(u_configs), -1
         )
         # The block given (past, hidden past), compared in each past row

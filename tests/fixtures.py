@@ -1,4 +1,9 @@
-"""Small reference diagrams used by the test suite and the shipped models.
+"""Small reference diagrams for the test suite.
+
+The shipped ``models/*.id`` documents hold these builds at their default
+seeds, as ``format_model`` prints them; ``test_parser`` checks that they
+still agree.  The module lives with the tests because the package never
+reads it.
 
 Each builder returns ``(diagram, strategies)``.  Table entries are drawn
 from a symmetric Dirichlet with unit concentration under a seeded
@@ -14,7 +19,7 @@ import math
 
 import numpy as np
 
-from .model import Cpt, InfluenceDiagram, Policy, Strategy, Table, Variable
+from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, Table, Variable
 
 B = ("0", "1")
 

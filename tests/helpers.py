@@ -1,22 +1,36 @@
-"""Random instance generators shared across the test modules.
+"""Random instance generators shared across the test modules, and the
+label-level reference oracle.
 
 Tables are drawn from a symmetric Dirichlet with unit concentration under
 seeded counter-based generators, so every suite is deterministic and the
-parameters are generic (no accidental independencies).
+parameters are generic (no accidental independencies).  ``prob`` and
+``conditional`` read an exact ``JointTable`` by labels, one assignment at
+a time, independently of the stage arrays the engines use.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from fixtures import f4
 from regimes.errors import InputError
-from regimes.fixtures import f4
 from regimes.graph import Dag, separated
 from regimes.grecursion import build_dag_i
-from regimes.model import SIGMA, Cpt, InfluenceDiagram, Policy, Strategy, Table, Variable
+from regimes.model import (
+    SIGMA,
+    UNDEFINED,
+    Cpt,
+    InfluenceDiagram,
+    JointTable,
+    Policy,
+    Strategy,
+    Table,
+    Variable,
+)
 
 B = ("0", "1")
 
@@ -212,3 +226,47 @@ def graphsep_by_action(diagram: InfluenceDiagram) -> tuple[tuple[int, bool], ...
         d = build_dag_i_prime(diagram, i)
         stages.append((i, separated(d, {diagram.response}, {base.action(i)}, cond)))
     return tuple(stages)
+
+
+def _locate(joint: JointTable, assignment: Mapping[str, str]) -> tuple:
+    """Index of a label assignment into ``joint.probs``: the state's index
+    on each assigned axis, a full slice on the others."""
+    idx = [slice(None)] * len(joint.names)
+    for var, label in assignment.items():
+        if var not in joint.names:
+            raise InputError(f"unknown variable {var!r}")
+        ax = joint.names.index(var)
+        if label not in joint.states[ax]:
+            raise InputError(f"{label!r} is not a state of {var}")
+        idx[ax] = joint.states[ax].index(label)
+    return tuple(idx)
+
+
+def prob(joint: JointTable, assignment: Mapping[str, str]) -> float:
+    """Probability of a label assignment under a joint."""
+    return float(joint.probs[_locate(joint, assignment)].sum())
+
+
+def conditional(joint: JointTable, target: Iterable[str], given: Mapping[str, str]):
+    """Normalized slice over ``target`` configurations, or UNDEFINED.
+
+    Returns a mapping from target configuration (in the joint's variable
+    order) to probability when the conditioning event has positive mass;
+    the UNDEFINED marker otherwise.
+    """
+    target = [v for v in joint.names if v in set(target)]
+    if set(target) & set(given):
+        raise InputError("target and conditioning variables overlap")
+    sub = joint.probs[_locate(joint, given)]
+    remaining = [v for v in joint.names if v not in given]
+    drop = tuple(i for i, v in enumerate(remaining) if v not in set(target))
+    table = sub.sum(axis=drop) if drop else sub
+    denom = float(table.sum())
+    if denom <= 0.0:
+        return UNDEFINED
+    table = table / denom
+    out = {}
+    for config in itertools.product(*(joint.states[joint.names.index(v)] for v in target)):
+        idx = tuple(joint.states[joint.names.index(v)].index(s) for v, s in zip(target, config))
+        out[config] = float(table[idx])
+    return out

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fixtures import complete_stable, f1, f2, f3
 from helpers import random_extended_id, random_strategy, rng
 from regimes.admissible import (
     check_admissible,
@@ -19,7 +20,6 @@ from regimes.admissible import (
 from regimes.cli import main as cli_main
 from regimes.data import estimate_conditionals, sample
 from regimes.errors import ModelError
-from regimes.fixtures import complete_stable, f1, f2, f3
 from regimes.graph import Dag, ancestral_closure, moral_ancestral, separated
 from regimes.grecursion import check_graphsep, g_recursion
 from regimes.model import ExactSource, consequence_direct

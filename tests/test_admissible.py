@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from fixtures import f1, f3, f4, f5
 from helpers import random_extended_id
 import regimes.admissible as adm
 from regimes.admissible import (
@@ -14,7 +15,6 @@ from regimes.admissible import (
     search_admissible_ordering,
 )
 from regimes.errors import CapacityError, InputError, ModelError
-from regimes.fixtures import f1, f3, f4, f5
 from regimes.graph import descendants
 from regimes.model import Cpt, InfluenceDiagram, Variable
 

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fixtures import complete_stable, f1, f2, f4
 from helpers import cpt_for, random_extended_id, random_strategy, rng
 import regimes.data
 from regimes.cli import main
 from regimes.data import Dataset, EstimatedSource, estimate_conditionals, sample
 from regimes.errors import InputError, PositivityError
-from regimes.fixtures import complete_stable, f1, f2, f4
 from regimes.grecursion import g_recursion
 from regimes.model import (
     UNDEFINED,
@@ -147,7 +147,7 @@ class TestSample:
         assert np.array_equal(small.codes, big.codes[:100])
 
     def test_hidden_columns_dropped(self):
-        from regimes.fixtures import f2
+        from fixtures import f2
 
         d, _ = f2()
         ds = sample(d, "obs", 10, seed=0)

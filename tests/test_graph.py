@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import f2, f3
 from helpers import random_dag, rng
 from regimes.errors import InputError, ModelError
-from regimes.fixtures import f2, f3
 from regimes.graph import (
     Dag,
     ancestral_closure,

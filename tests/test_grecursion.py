@@ -9,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import complete_stable, f1, f2, f3, f4, f5
 from helpers import (
     build_dag_i_prime,
+    conditional,
     cpt_for,
     f4_without_action_one,
     graphsep_by_action,
+    prob,
     random_extended_id,
     random_strategy,
     rng,
 )
 from regimes.errors import InputError, PolicyError, PositivityError
-from regimes.fixtures import complete_stable, f1, f2, f3, f4, f5
 from regimes.grecursion import (
     build_dag_i,
     check_cond6,
@@ -37,7 +39,6 @@ from regimes.model import (
     Policy,
     Strategy,
     Variable,
-    conditional,
     consequence_direct,
     joint_distribution,
     support,
@@ -492,4 +493,4 @@ class TestVerifyGeneral:
         je = joint_distribution(d, s)
         for y in ("0", "1"):
             k = {st: float(st == y) for st in ("0", "1")}
-            assert abs(g_recursion(ExactSource(d), s, k) - je.prob({"Y": y})) < 1e-9
+            assert abs(g_recursion(ExactSource(d), s, k) - prob(je, {"Y": y})) < 1e-9

@@ -10,8 +10,8 @@ import itertools
 import numpy as np
 import pytest
 
+from fixtures import complete_stable, f1, f4
 from helpers import dirichlet_row, random_policies, random_strategy, rng
-from regimes.fixtures import complete_stable, f1, f4
 from regimes.model import Policy
 
 

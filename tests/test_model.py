@@ -4,22 +4,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_extended_id, random_strategy, rng, zero_covariate_rows
+from fixtures import f1, f2, f3, f4, f5
+from helpers import (
+    conditional,
+    prob,
+    random_extended_id,
+    random_strategy,
+    rng,
+    zero_covariate_rows,
+)
 from regimes.data import EstimatedSource, sample
 from regimes.errors import CapacityError, InputError, ModelError, PolicyError
-from regimes.fixtures import f1, f2, f3, f4, f5
 from regimes.grecursion import construct_p_i
 from regimes.model import (
     UNDEFINED,
     Cpt,
     ExactSource,
     InfluenceDiagram,
+    JointTable,
     Policy,
+    PrefixSource,
     Strategy,
     Variable,
-    conditional,
     consequence_direct,
+    factor_array,
     joint_distribution,
+    mechanism,
     observable_joint,
     support,
 )
@@ -43,6 +53,14 @@ class TestValidation:
         with pytest.raises(ModelError, match="reserved"):
             Variable("-", "obs", ("0", "1"))
         assert Variable("L", "obs", ("-", "x")).states == ("-", "x")
+
+    @pytest.mark.parametrize("ch", ["\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_whitespace_in_names_and_states_rejected(self, ch):
+        # Documents and datasets split on every ``str.isspace`` character.
+        with pytest.raises(ModelError, match="reserved"):
+            Variable("Y", "resp", (f"a{ch}b", "c"))
+        with pytest.raises(ModelError, match="reserved"):
+            Variable(f"Y{ch}", "resp", ("a", "c"))
 
     def test_two_responses_rejected(self):
         vs = [Variable("Y1", "resp", ("0", "1")), Variable("Y2", "resp", ("0", "1"))]
@@ -142,12 +160,12 @@ class TestJointDistribution:
     def test_f1_obs_mass_and_action_marginal(self):
         d, _ = f1()
         j = joint_distribution(d, "obs")
-        assert abs(j.total() - 1.0) < 1e-9
+        assert abs(j.probs.sum() - 1.0) < 1e-9
         # marginal of A1 equals its table combined with p(L1)
         pl = d.cpts["L1"].table[()]
         pa = d.cpts["A1"].table
         want = sum(pl[i] * pa[(s,)][1] for i, s in enumerate(("0", "1")))
-        assert abs(j.prob({"A1": "1"}) - want) < 1e-12
+        assert abs(prob(j, {"A1": "1"}) - want) < 1e-12
 
     def test_degenerate_policy_rows_zero_off_policy_mass(self):
         d, strats = f2()
@@ -159,14 +177,14 @@ class TestJointDistribution:
             },
         )
         j = joint_distribution(d, det)
-        assert j.prob({"A1": "1"}) == 0.0
-        assert j.prob({"A1": "0", "A2": "0"}) == 0.0
-        assert abs(j.total() - 1.0) < 1e-9
+        assert prob(j, {"A1": "1"}) == 0.0
+        assert prob(j, {"A1": "0", "A2": "0"}) == 0.0
+        assert abs(j.probs.sum() - 1.0) < 1e-9
 
     def test_mass_one_under_every_regime(self):
         d, strats = f1()
         for regime in ["obs", *strats.values()]:
-            assert abs(joint_distribution(d, regime).total() - 1.0) < 1e-9
+            assert abs(joint_distribution(d, regime).probs.sum() - 1.0) < 1e-9
 
     def test_strategy_on_hidden_rejected(self):
         d, _ = f2()
@@ -360,6 +378,57 @@ class TestExactSource:
         assert set(ExactSource(d).support().histories) == set(
             support(d, "obs").histories
         )
+
+
+def selector_joint(diagram, selector) -> np.ndarray:
+    """Reference joint without a strategy axis: the product of the
+    non-action factors, then a copy of it times each action's factor under
+    ``selector(action)``, one action at a time in ``diagram.actions`` order."""
+    product = np.ones(diagram.cards())
+    for v in diagram.order:
+        if diagram.kinds[v] != "act":
+            product *= factor_array(diagram.order, v, *mechanism(diagram, "obs", v))
+    probs = product.copy()
+    for a in diagram.actions:
+        probs *= factor_array(diagram.order, a, *mechanism(diagram, selector(a), a))
+    return probs
+
+
+def builder_cases():
+    for build in (f1, f2, f3, f4, f5):
+        d, strategies = build()
+        yield pytest.param(d, list(strategies.values()), id=build.__name__)
+    doc = parse_model((Path(__file__).parent / "golden" / "ternary.id").read_text())
+    yield pytest.param(doc.diagram, list(doc.strategies.values()), id="ternary")
+    for seed in range(10):
+        d = random_extended_id(seed, n_actions=1 + seed % 3, hidden_to_action=seed % 2 == 1)
+        yield pytest.param(d, [random_strategy(d, seed)], id=f"random{seed}")
+
+
+@pytest.mark.parametrize("d, strategies", builder_cases())
+def test_one_builder_is_bitwise_the_selector_joint(d, strategies):
+    def same(got: np.ndarray, want: np.ndarray):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def observed(probs: np.ndarray) -> np.ndarray:
+        joint = JointTable(d.order, tuple(map(d.states.get, d.order)), probs)
+        return joint.marginal(d.base.vars).probs
+
+    obs = selector_joint(d, lambda a: "obs")
+    same(joint_distribution(d, "obs").probs, obs)
+    same(observable_joint(d, "obs").probs, observed(obs))
+    reference = PrefixSource(d.base, observed(obs), "reference")
+    for m in d.base.boundaries:
+        same(ExactSource(d).marginal(m), reference.marginal(m))
+    stage = {a: j for j, a in enumerate(d.actions, start=1)}
+    for s in strategies:
+        d.validate_strategy(s)
+        want = selector_joint(d, lambda a: s)
+        same(joint_distribution(d, s).probs, want)
+        same(observable_joint(d, s).probs, observed(want))
+        for i in range(d.n + 1):
+            want = selector_joint(d, lambda a: "obs" if stage[a] <= i else s)
+            same(construct_p_i(d, s, i).probs, want)
 
 
 @pytest.mark.parametrize(

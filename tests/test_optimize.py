@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fixtures import complete_stable, f1, f2, f3, f4, f5
 from helpers import (
     cpt_for,
     dirichlet_row,
@@ -16,7 +17,6 @@ from helpers import (
 )
 from regimes import optimize
 from regimes.errors import CapacityError
-from regimes.fixtures import complete_stable, f1, f2, f3, f4, f5
 from regimes.model import (
     Cpt,
     ExactSource,

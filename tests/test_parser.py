@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fixtures import f1, f2, f3, f4, f5
 from helpers import random_extended_id, random_strategy
-from regimes.errors import ParseError
-from regimes.fixtures import f1, f2, f3, f4, f5
+from regimes.errors import ModelError, ParseError
 from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, Variable
 from regimes.parser import ModelDocument, format_model, parse_model
 
@@ -151,6 +151,24 @@ class TestDiagnostics:
 
 
 class TestRoundTrip:
+    def test_every_legal_label_character_round_trips(self):
+        # Every whitespace character lies below U+3001.  A label character
+        # is rejected exactly when it is whitespace or a separator, and one
+        # state per accepted character survives format and parse.
+        legal = []
+        for ch in map(chr, range(0x3001)):
+            try:
+                Variable("Y", "resp", (f"s{ch}", "t"))
+            except ModelError:
+                assert ch.isspace() or ch in ",:|#=;", repr(ch)
+            else:
+                assert not ch.isspace(), repr(ch)
+                legal.append(f"s{ch}")
+        row = (1.0,) + (0.0,) * (len(legal) - 1)
+        y = Variable("Y", "resp", tuple(legal))
+        doc = ModelDocument(InfluenceDiagram([y], [], {"Y": Cpt("Y", (), {(): row})}), {})
+        assert parse_model(format_model(doc)) == doc
+
     @pytest.mark.parametrize("build", [f1, f2, f3, f4, f5])
     def test_fixture_round_trip(self, build):
         doc = ModelDocument(*build())
@@ -181,7 +199,7 @@ class TestRoundTrip:
         assert parse_model(text) == doc
 
     def test_shipped_files_match_builders(self):
-        from regimes import fixtures as F
+        import fixtures as F
 
         pairs = [
             ("f1.id", F.f1), ("f2.id", F.f2), ("f3.id", F.f3),

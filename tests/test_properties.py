@@ -15,9 +15,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fixtures import complete_stable
 from helpers import dirichlet_row, random_extended_id, random_strategy, rng, zero_action_rows
 from regimes.errors import PositivityError
-from regimes.fixtures import complete_stable
 from regimes.grecursion import (
     check_cond6,
     check_graphsep,

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import complete_stable, f1, f2, f3, f4, f5
 from helpers import random_extended_id, random_strategy, rng
 from regimes.errors import ParseError
-from regimes.fixtures import complete_stable, f1, f2, f3, f4, f5
 from regimes.model import ROW_SUM_TOL, Strategy
 from regimes.parser import ModelDocument, _lines, _Parser, format_model, parse_model
 from test_parse_errors import CASES

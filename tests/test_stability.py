@@ -1,7 +1,7 @@
 import numpy as np
 
-from helpers import random_extended_id, random_strategy
-from regimes.fixtures import f1, f2, f3, f4
+from fixtures import f1, f2, f3, f4
+from helpers import conditional, random_extended_id, random_strategy
 from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, joint_distribution, support
 from regimes.stability import (
     DivergenceWitness,
@@ -122,7 +122,7 @@ class TestSequentialIrrelevance:
 
     def test_irrelevance_holds_under_strategy_regimes_too(self):
         # same conditional-independence statement, tested on the strategy joint
-        from regimes.model import conditional, UNDEFINED
+        from regimes.model import UNDEFINED
         import itertools
 
         for seed in range(5):

@@ -1,7 +1,7 @@
 """The dense table behind ``Cpt.table`` and ``Policy.table``.
 
 Label dicts are converted and checked once per table object; the parser
-and the fixtures build the arrays directly.  Either way the label view,
+and the test fixtures build the arrays directly.  Either way the label view,
 the array and the canonical text must agree.
 """
 
@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import complete_stable, f1, f2, f3, f4, f5
 from helpers import cpt_for, dirichlet_row, random_extended_id, random_strategy, rng
 from regimes import model
 from regimes.errors import ModelError, PolicyError
-from regimes.fixtures import complete_stable, f1, f2, f3, f4, f5
 from regimes.grecursion import recursion_table
 from regimes.model import (
     Cpt,
