@@ -19,6 +19,14 @@ c * 2**53 for a cumulative probability c >= 0, so u >= c exactly when
 m >= ceil(c * 2**53).  A cumulative column above 1 gives a threshold
 above 2**53, which no m reaches.
 
+A variable's table row is the radix of its parents' codes in diagram
+order.  Within a block the last radix built over two or more parents is
+kept: a variable whose parent columns start with that radix's columns
+extends it by one digit per further parent, and any other variable
+builds its radix from its first parent's code row.  On a complete model
+that is one pass per variable.  The radix is the same integer however
+it is built, so reusing it changes no sampled code.
+
 Estimation is plain relative frequency with optional additive smoothing;
 with smoothing the estimated model is strictly positive, while at
 alpha=0 unobserved conditioning events stay undefined and genuine
@@ -128,38 +136,51 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
         diagram.validate_strategy(regime)
     k = len(diagram.order)
     col = {v: j for j, v in enumerate(diagram.order)}
-    plans = []
-    for v in diagram.order:
+    widths = [len(diagram.states[v]) for v in diagram.order]
+    plans, chain = [], ()
+    for v, width in zip(diagram.order, widths):
         parents, array = mechanism(diagram, regime, v)
         axes = diagram.sort(parents) + (v,)
-        width = len(diagram.states[v])
         cum = np.cumsum(factor_array(axes, v, parents, array).reshape(-1, width), axis=1)
         # One contiguous integer threshold row per counted cumulative column.
         thresholds = np.ceil(cum[:, :-1].T * 2.0**53).astype(np.uint64, order="C")
-        # Every Horner intermediate is below the row count and every parent
-        # width at most it (a lone parent has as many states as the table
-        # rows), so neither overflows this dtype.
-        radix_type = np.min_scalar_type(len(cum))
-        parent_cols = [(col[p], len(diagram.states[p])) for p in axes[:-1]]
-        plans.append((parent_cols, thresholds, radix_type))
+        key = tuple(col[p] for p in axes[:-1])
+        # Extend the last radix over two or more parents where this key
+        # starts with their columns, else start from the first parent's row.
+        reuse = bool(chain) and key[: len(chain)] == chain
+        first = len(chain) if reuse else min(len(key), 1)
+        steps, size = [], math.prod(widths[p] for p in key[:first])
+        for p in key[first:]:
+            size *= widths[p]
+            # Every intermediate is below size; the multiplier must fit too.
+            steps.append((p, widths[p], np.min_scalar_type(max(size - 1, widths[p]))))
+        plans.append((thresholds, key, reuse, steps))
+        if len(key) > 1:
+            chain = key
 
     keep = [j for j, v in enumerate(diagram.order) if diagram.kinds[v] != "hid"]
     codes = np.empty((n, len(keep)), dtype=np.int64)
-    widest = max(len(diagram.states[v]) for v in diagram.order)
-    block = np.empty((k, min(n, SAMPLE_ROWS)), dtype=np.min_scalar_type(widest - 1))
+    block = np.empty((k, min(n, SAMPLE_ROWS)), dtype=np.min_scalar_type(max(widths) - 1))
     gen = np.random.Philox(key=np.uint64(seed))
     for start in range(0, n, SAMPLE_ROWS):
         m = min(SAMPLE_ROWS, n - start)
         x = gen.random_raw(m * k).reshape(m, k)
         x >>= np.uint64(11)
-        for j, (parents, thresholds, radix_type) in enumerate(plans):
-            radix = np.zeros(m, dtype=radix_type)
-            for p, w in parents:
-                radix *= w
+        kept = None
+        for j, (thresholds, key, reuse, steps) in enumerate(plans):
+            # A root's radix is 0: it reads its one threshold without a gather.
+            radix = kept if reuse else block[key[0], :m] if key else 0
+            for p, w, radix_type in steps:
+                radix = np.multiply(radix, w, dtype=radix_type)
                 radix += block[p, :m]
+            if len(key) > 1:
+                kept = radix
             out = block[j, :m]
-            out.fill(0)
-            for row in thresholds:
+            if len(thresholds):
+                np.greater_equal(x[:, j], thresholds[0].take(radix), out=out)
+            else:
+                out.fill(0)
+            for row in thresholds[1:]:
                 out += x[:, j] >= row.take(radix)
         codes[start : start + m] = block[keep, :m].T
 
@@ -185,8 +206,13 @@ class EstimatedSource(PrefixSource):
     def __init__(self, dataset: Dataset, base: InfoBase, alpha: float = 0.5):
         if dataset.columns != base.vars:
             raise InputError("dataset schema does not match the information base")
+        if dataset.states != tuple(base.states[v] for v in base.vars):
+            raise InputError("dataset states do not match the information base")
         cards = tuple(len(s) for s in dataset.states)
-        cells = np.ravel_multi_index(tuple(dataset.codes.T), cards)
+        try:
+            cells = np.ravel_multi_index(tuple(dataset.codes.T), cards)
+        except ValueError:
+            raise InputError("dataset codes outside their columns' states") from None
         counts = np.bincount(cells, minlength=math.prod(cards)).reshape(cards)
         super().__init__(base, counts.astype(float), "estimated", alpha)
 

@@ -89,6 +89,22 @@ def wide_parent_model(seed=8):
     return InfluenceDiagram(variables, [("X", "L"), ("L", "Y")], cpts)
 
 
+def shared_prefix_model(seed=9):
+    """Roots of widths 3, 2, 4 and 2, then B over (X1, X2, X3), C over
+    (X1, X2, X4), which shares only the prefix (X1, X2) with B, D over
+    all four roots, which starts with B's parents but not with C's, and
+    Y over (X1, X2)."""
+    spec = [("X1", 3), ("X2", 2), ("X3", 4), ("X4", 2), ("B", 2), ("C", 3), ("D", 2), ("Y", 2)]
+    parents = {"B": ["X1", "X2", "X3"], "C": ["X1", "X2", "X4"],
+               "D": ["X1", "X2", "X3", "X4"], "Y": ["X1", "X2"]}
+    states = {v: tuple("abcd"[:w]) for v, w in spec}
+    gen = rng(seed)
+    cpts = {v: cpt_for(gen, v, parents.get(v, []), states) for v, _ in spec}
+    variables = [Variable(v, "resp" if v == "Y" else "obs", states[v]) for v, _ in spec]
+    edges = [(u, v) for v, ps in parents.items() for u in ps]
+    return InfluenceDiagram(variables, edges, cpts)
+
+
 def sampler_cases():
     """(name, diagram, regime) triples: state widths 1-4, 256 and 300, three-state
     variables with a hidden one, hidden parents of actions, and strategies
@@ -267,7 +283,14 @@ class TestSamplerReference:
         size = regimes.data.SAMPLE_ROWS
         ternary = parse_model(TERNARY.read_text())
         widths = widths_model()
-        cases = [(widths, "obs"), (ternary.diagram, "obs"), (widths, random_strategy(widths, 1))]
+        # complete5's radix over its first eight variables fits uint8 and
+        # A5's extension of it needs uint16; its "dyn" actions read one
+        # parent each, which breaks the chain of radices; wide_parent codes
+        # its block in uint16.
+        complete5, strategies = complete_stable(5, seed=3)
+        cases = [(widths, "obs"), (ternary.diagram, "obs"), (widths, random_strategy(widths, 1)),
+                 (complete5, "obs"), (complete5, strategies["dyn"]), (shared_prefix_model(), "obs"),
+                 (wide_parent_model(), "obs")]
         for diagram, regime in cases:
             for n in (size - 1, size, size + 1, 2 * size + 3):
                 if n < 1:
@@ -534,6 +557,30 @@ class TestEstimation:
             got = g_recursion(src, s, K01)
             want = consequence_direct(d, s, K01)
             assert abs(got - want) < 0.02
+
+    def test_states_other_than_the_base_rejected(self):
+        # The same rows under each column's states reversed, and under an
+        # extra state, were read as codes of the base's states.
+        d, _ = f1()
+        ds = sample(d, "obs", 5000, 3)
+        flipped = Dataset(ds.columns, tuple(st[::-1] for st in ds.states), 1 - ds.codes,
+                          ds.regime, ds.seed)
+        assert list(flipped.rows()) == list(ds.rows())
+        wider = Dataset(ds.columns, ds.states[:-1] + (ds.states[-1] + ("2",),), ds.codes,
+                        ds.regime, ds.seed)
+        for bad in (flipped, wider):
+            with pytest.raises(InputError, match="states"):
+                estimate_conditionals(bad, d.base)
+
+    @pytest.mark.parametrize("code", [2, -1])
+    def test_codes_outside_the_states_rejected(self, code):
+        d, _ = f1()
+        ds = sample(d, "obs", 50, 3)
+        codes = ds.codes.copy()
+        codes[7, 2] = code
+        bad = Dataset(ds.columns, ds.states, codes, ds.regime, ds.seed)
+        with pytest.raises(InputError, match="codes"):
+            estimate_conditionals(bad, d.base)
 
     def test_negative_alpha_rejected(self):
         d, _ = f1()
