@@ -12,12 +12,9 @@ from .errors import (
 )
 from .graph import (
     Dag,
-    UndirectedGraph,
     ancestral_closure,
     descendants,
-    moralize,
     separated,
-    topological_order,
 )
 from .model import (
     SIGMA,

@@ -55,9 +55,9 @@ def _the_order(diagram: InfluenceDiagram, action_order) -> tuple[str, ...]:
 
 
 def _interventional_dag(diagram: InfluenceDiagram):
-    """Diagram with every action on its interventional parents, regime
-    node removed."""
-    return build_dag_i(diagram, 0).drop([SIGMA])
+    """Diagram with every action on its interventional parents; the
+    regime node is left without edges."""
+    return build_dag_i(diagram, 0)
 
 
 def _reaching(diagram: InfluenceDiagram):

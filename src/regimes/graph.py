@@ -1,11 +1,13 @@
-"""Directed-graph algebra: ancestral sets, moralization, separation.
+"""Directed-graph algebra: ancestral sets, descendants, separation.
 
-All operations are pure functions over immutable graphs.  Node sets are
-returned as tuples sorted by declaration order, so repeated runs print
-identically.  Separation uses the moral-graph criterion: ``a`` and ``b``
-are separated by ``c`` when, in the moralization of the smallest
-ancestral subgraph containing ``a | b | c``, every path from ``a`` to
-``b`` intersects ``c``.
+All operations are pure functions over immutable graphs.  Every edge
+points forward in the declaration order, so that order is a topological
+one and no graph needs a cycle check.  Node sets are returned as tuples
+sorted by declaration order, so repeated runs print identically.
+Separation uses the moral-graph criterion (Lauritzen, Dawid, Larsen &
+Leimer 1990): ``a`` and ``b`` are separated by ``c`` when, in the
+moralization of the smallest ancestral subgraph containing ``a | b | c``,
+every path from ``a`` to ``b`` intersects ``c``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ class Dag:
     """Directed acyclic graph over named nodes.
 
     ``nodes`` fixes the declaration order used to sort every set-valued
-    result.  Edges are (parent, child) pairs; duplicates, self-loops,
-    references to undeclared nodes and cycles are rejected.
+    result.  Edges are (parent, child) pairs and must point forward in
+    that order, which rules out cycles.  Duplicates, self-loops,
+    references to undeclared nodes and backward edges are rejected; the
+    first offending edge in input order is the one reported.
     """
 
     nodes: tuple[Node, ...]
@@ -42,21 +46,24 @@ class Dag:
         edge_set = frozenset(edge_list)
         if len(edge_set) != len(edge_list):
             raise ModelError("duplicate edge")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edge_set)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(nodes)})
-        parents = {v: [] for v in nodes}
-        children = {v: [] for v in nodes}
-        for u, v in sorted(edge_set, key=lambda e: (self._index.get(e[0], -1), self._index.get(e[1], -1))):
-            if u not in self._index or v not in self._index:
+        index = {v: i for i, v in enumerate(nodes)}
+        for u, v in edge_list:
+            if u not in index or v not in index:
                 raise InputError(f"edge ({u}, {v}) references an undeclared node")
             if u == v:
                 raise ModelError(f"self-loop at {u}")
+            if index[u] > index[v]:
+                raise ModelError(f"edge {u} -> {v} goes backward in the declared order")
+        parents = {v: [] for v in nodes}
+        children = {v: [] for v in nodes}
+        for u, v in sorted(edge_list, key=lambda e: (index[e[0]], index[e[1]])):
             parents[v].append(u)
             children[u].append(v)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edge_set)
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_parents", parents)
         object.__setattr__(self, "_children", children)
-        _kahn_order(self)  # raises ModelError on a cycle
 
     def parents(self, v: Node) -> tuple[Node, ...]:
         self._check(v)
@@ -70,14 +77,6 @@ class Dag:
         """Sort a node set by declaration order."""
         return tuple(sorted(set(nodes), key=self._index.__getitem__))
 
-    def drop(self, gone: Iterable[Node]) -> "Dag":
-        """Induced subgraph with ``gone`` removed."""
-        gone = set(gone)
-        return Dag(
-            tuple(v for v in self.nodes if v not in gone),
-            [(u, v) for u, v in self.edges if u not in gone and v not in gone],
-        )
-
     def with_parents(self, assignments: dict[Node, Iterable[Node]]) -> "Dag":
         """Copy of the graph with the in-edges of some nodes replaced."""
         edges = [(u, v) for u, v in self.edges if v not in assignments]
@@ -88,62 +87,6 @@ class Dag:
     def _check(self, v: Node) -> None:
         if v not in self._index:
             raise InputError(f"unknown node {v!r}")
-
-
-@dataclass(frozen=True)
-class UndirectedGraph:
-    """Undirected graph with the same declaration-order conventions."""
-
-    nodes: tuple[Node, ...]
-    edges: frozenset[frozenset]
-    _adj: dict = field(init=False, repr=False, compare=False)
-
-    def __init__(self, nodes: Iterable[Node], edges: Iterable):
-        nodes = tuple(nodes)
-        index = {v: i for i, v in enumerate(nodes)}
-        adj = {v: set() for v in nodes}
-        norm = set()
-        for e in edges:
-            u, v = tuple(e)
-            if u not in index or v not in index:
-                raise InputError(f"edge ({u}, {v}) references an undeclared node")
-            if u == v:
-                raise ModelError(f"self-loop at {u}")
-            norm.add(frozenset((u, v)))
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "_adj", {v: tuple(sorted(s, key=index.__getitem__)) for v, s in adj.items()})
-
-    def neighbors(self, v: Node) -> tuple[Node, ...]:
-        if v not in self._adj:
-            raise InputError(f"unknown node {v!r}")
-        return self._adj[v]
-
-
-def _kahn_order(dag: Dag) -> tuple[Node, ...]:
-    indeg = {v: len(dag._parents[v]) for v in dag.nodes}
-    ready = [v for v in dag.nodes if indeg[v] == 0]
-    order = []
-    while ready:
-        # Smallest declaration index first keeps the order deterministic.
-        v = min(ready, key=dag._index.__getitem__)
-        ready.remove(v)
-        order.append(v)
-        for c in dag._children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    if len(order) != len(dag.nodes):
-        stuck = [v for v in dag.nodes if indeg[v] > 0]
-        raise ModelError(f"cycle detected among {stuck}")
-    return tuple(order)
-
-
-def topological_order(dag: Dag) -> tuple[Node, ...]:
-    """Order with every edge pointing forward; ties follow declaration order."""
-    return _kahn_order(dag)
 
 
 def _closure(dag: Dag, seed: Iterable[Node], step) -> tuple[Node, ...]:
@@ -172,24 +115,6 @@ def descendants(dag: Dag, seed: Iterable[Node]) -> tuple[Node, ...]:
     return _closure(dag, seed, lambda v: dag._children[v])
 
 
-def moralize(dag: Dag) -> UndirectedGraph:
-    """Marry unlinked co-parents, then drop edge directions."""
-    edges = {frozenset(e) for e in dag.edges}
-    for v in dag.nodes:
-        ps = dag._parents[v]
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                edges.add(frozenset((ps[i], ps[j])))
-    return UndirectedGraph(dag.nodes, edges)
-
-
-def moral_ancestral(dag: Dag, seed: Iterable[Node]) -> UndirectedGraph:
-    """Moralization of the smallest ancestral subgraph containing ``seed``."""
-    keep = set(ancestral_closure(dag, seed))
-    sub = dag.drop(v for v in dag.nodes if v not in keep)
-    return moralize(sub)
-
-
 def _disjoint(*sets) -> None:
     seen = set()
     for s in sets:
@@ -205,14 +130,17 @@ def connecting_path(
     """One path from ``a`` to ``b`` avoiding ``c`` in the moral ancestral
     graph of ``a | b | c``, or None when no such path exists.
 
-    Breadth-first, with neighbours visited in declaration order, so the
+    One breadth-first walk, with no graph built: the ancestral set is
+    taken once, and the moral neighbours of ``v`` are read on the fly as
+    its parents, its children inside the set and those children's other
+    parents.  Neighbours are visited in declaration order, so the
     returned witness is deterministic.
     """
     a, b, c = set(a), set(b), set(c)
     _disjoint(a, b, c)
-    graph = moral_ancestral(dag, a | b | c)
+    keep = set(ancestral_closure(dag, a | b | c))
     prev: dict[Node, Node | None] = {v: v for v in a}
-    queue = deque(sorted(a, key=dag._index.__getitem__))
+    queue = deque(dag.sort(a))
     while queue:
         v = queue.popleft()
         if v in b:
@@ -220,9 +148,12 @@ def connecting_path(
             while prev[path[-1]] != path[-1]:
                 path.append(prev[path[-1]])
             return tuple(reversed(path))
-        for w in graph.neighbors(v):
-            if w in c or w in prev:
-                continue
+        near = set(dag._parents[v])
+        for child in dag._children[v]:
+            if child in keep:
+                near.add(child)
+                near.update(dag._parents[child])
+        for w in dag.sort(near - c - prev.keys()):
             prev[w] = v
             queue.append(w)
     return None

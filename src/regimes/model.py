@@ -401,13 +401,14 @@ class InfluenceDiagram:
     """Validated diagram: typed variables, DAG with the regime node, tables.
 
     ``variables`` fixes the total order (the extended information base);
-    the DAG must respect it, arrows out of the regime node may only enter
-    actions, and the single response variable comes last.  Per-action
-    parent subsets ``obs_parents`` and ``int_parents`` describe which
-    parents the observational and interventional mechanisms may use; when
-    omitted they default to all domain parents and all non-hidden domain
-    parents respectively, and the interventional set is folded into the
-    observational one so that int_parents <= obs_parents <= dag parents.
+    the DAG, with the regime node first, must respect it, arrows out of
+    the regime node may only enter actions, and the single response
+    variable comes last.  Per-action parent subsets ``obs_parents`` and
+    ``int_parents`` describe which parents the observational and
+    interventional mechanisms may use; when omitted they default to all
+    domain parents and all non-hidden domain parents respectively, and
+    the interventional set is folded into the observational one so that
+    int_parents <= obs_parents <= dag parents.
     """
 
     def __init__(
@@ -444,14 +445,9 @@ class InfluenceDiagram:
                 raise ModelError(f"only the response may follow the last action; found {stray}")
 
         self.dag = Dag((SIGMA,) + names, edges)
-        for u, v in self.dag.edges:
-            if v == SIGMA:
-                raise ModelError("the regime node has no parents")
-            if u == SIGMA:
-                if self.kinds[v] != "act":
-                    raise ModelError(f"arrow {SIGMA} -> {v} enters a non-action")
-            elif self.index[u] >= self.index[v]:
-                raise ModelError(f"edge {u} -> {v} goes backward in the declared order")
+        for v in self.dag.children(SIGMA):
+            if self.kinds[v] != "act":
+                raise ModelError(f"arrow {SIGMA} -> {v} enters a non-action")
 
         self.domain_parents = {
             v: tuple(p for p in self.dag.parents(v) if p != SIGMA) for v in names

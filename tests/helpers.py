@@ -209,9 +209,12 @@ def build_dag_i_prime(
     actions = tuple(action_order) if action_order else diagram.actions
     if not 1 <= i <= len(actions):
         raise InputError(f"stage index {i} outside 1..{len(actions)}")
-    d = build_dag_i(diagram, i, actions).drop([SIGMA])
+    d = build_dag_i(diagram, i, actions)
     a_i = actions[i - 1]
-    return Dag(d.nodes, [(u, v) for u, v in d.edges if u != a_i])
+    return Dag(
+        tuple(v for v in d.nodes if v != SIGMA),
+        [(u, v) for u, v in d.edges if u not in (SIGMA, a_i)],
+    )
 
 
 def graphsep_by_action(diagram: InfluenceDiagram) -> tuple[tuple[int, bool], ...]:

@@ -12,6 +12,7 @@ import numpy as np
 
 from fixtures import complete_stable, f1, f2, f3
 from helpers import random_extended_id, random_strategy, rng
+from moral_reference import moral_ancestral
 from regimes.admissible import (
     check_admissible,
     compute_candidate_sequence,
@@ -20,7 +21,7 @@ from regimes.admissible import (
 from regimes.cli import main as cli_main
 from regimes.data import estimate_conditionals, sample
 from regimes.errors import ModelError
-from regimes.graph import Dag, ancestral_closure, moral_ancestral, separated
+from regimes.graph import Dag, ancestral_closure, separated
 from regimes.grecursion import check_graphsep, g_recursion
 from regimes.model import ExactSource, consequence_direct
 from regimes.optimize import enumerate_strategies, optimal_strategy

@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from regimes.cli import build_parser, main
 from regimes.parser import ModelDocument, format_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+SRC = MODELS.parent / "src"
 
 
 def run(*argv):
@@ -237,6 +241,24 @@ class TestErrorsAndDeterminism:
 
     def test_usage_error(self):
         assert run("grec", "--model", model("f1.id"))[0] == 2
+
+    def test_first_backward_edge_reported_under_every_hash_seed(self, tmp_path):
+        # The edges are kept in a frozenset: the reported one must be the
+        # first in document order, not the first in hash order.
+        doc = tmp_path / "backward.id"
+        doc.write_text(
+            "var L1 kind=obs states=0,1\nvar L2 kind=obs states=0,1\n"
+            "var A kind=act states=0,1\nvar Y kind=resp states=0,1\n"
+            "order L1 L2 A Y\nedge Y L1\nedge Y L2\nedge A L2\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for seed in range(8):
+            got = subprocess.run(
+                [sys.executable, "-m", "regimes.cli", "seqrand", "--model", str(doc)],
+                capture_output=True, text=True, env={**env, "PYTHONHASHSEED": str(seed)},
+            )
+            assert (got.returncode, got.stdout) == (2, "")
+            assert got.stderr == "error: line 5: edge Y -> L1 goes backward in the declared order\n"
 
     def test_byte_identical_reports(self, tmp_path):
         commands = [

@@ -4,18 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import f2, f3
-from helpers import random_dag, rng
+from fixtures import f1, f2, f3, f4, f5
+from helpers import random_dag, random_extended_id, rng
+from moral_reference import moral_ancestral, moralize, reference_path
 from regimes.errors import InputError, ModelError
-from regimes.graph import (
-    Dag,
-    ancestral_closure,
-    descendants,
-    moral_ancestral,
-    moralize,
-    separated,
-    topological_order,
-)
+from regimes.graph import Dag, ancestral_closure, connecting_path, descendants, separated
 from regimes.grecursion import build_dag_i
 
 
@@ -108,23 +101,25 @@ class TestDescendants:
 
 
 class TestTopologicalOrder:
-    def test_declaration_ties(self):
-        d = Dag(("b", "a"), [("a", "b")])
-        assert topological_order(d) == ("a", "b")
-
-    def test_edgeless_declaration_order(self):
-        assert topological_order(Dag(("x", "y", "z"), [])) == ("x", "y", "z")
+    """The declaration order is a topological order: every edge must point
+    forward in it, and the first edge in input order that does not is the
+    one reported."""
 
     def test_cycle_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=r"^edge b -> a goes backward in the declared order$"):
             Dag(("a", "b"), [("a", "b"), ("b", "a")])
 
-    def test_every_edge_forward(self):
-        for seed in range(30):
-            d = random_dag(rng(200 + seed), 7)
-            order = topological_order(d)
-            pos = {v: i for i, v in enumerate(order)}
-            assert all(pos[u] < pos[v] for u, v in d.edges)
+    def test_first_backward_edge_in_input_order(self):
+        edges = [("a", "b"), ("c", "a"), ("d", "b"), ("c", "b")]
+        with pytest.raises(ModelError, match=r"^edge c -> a goes backward"):
+            Dag(("a", "b", "c", "d"), edges)
+        with pytest.raises(ModelError, match=r"^edge d -> b goes backward"):
+            Dag(("a", "b", "c", "d"), edges[2:] + edges[:2])
+
+    def test_forward_edges_accepted_in_any_input_order(self):
+        edges = [("b", "c"), ("a", "c"), ("a", "b")]
+        d = Dag(("a", "b", "c"), edges)
+        assert d.parents("c") == ("a", "b") and d.children("a") == ("b", "c")
 
 
 def _random_triple(gen, dag, max_size=2):
@@ -240,3 +235,42 @@ def test_restriction_to_ancestral_set_preserves_separation(inst, rnd):
     seed = x | y | {v for v in d.nodes if rnd.random() < 0.3}
     a = set(ancestral_closure(d, seed))
     assert separated(d, y, x, z & a)
+
+
+# The walk must return the very path, not only the verdict, that a plain
+# breadth-first search gives over the built moral ancestral graph: the
+# CLI prints these paths as witnesses.
+
+
+@settings(max_examples=300, deadline=None)
+@given(separation_instances())
+def test_connecting_path_is_the_reference_path(inst):
+    d, x, y, z = inst
+    assert connecting_path(d, x, y, z) == reference_path(d, x, y, z)
+    assert connecting_path(d, y, x, z) == reference_path(d, y, x, z)
+
+
+def test_connecting_path_is_the_reference_path_on_all_four_node_dags():
+    names = ("a", "b", "c", "d")
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
+    for mask in range(1 << len(pairs)):
+        d = Dag(names, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        for x, y in itertools.permutations(names, 2):
+            rest = [v for v in names if v not in (x, y)]
+            for zmask in range(4):
+                z = {v for i, v in enumerate(rest) if zmask >> i & 1}
+                assert connecting_path(d, {x}, {y}, z) == reference_path(d, {x}, {y}, z)
+
+
+def test_connecting_path_is_the_reference_path_on_stage_diagrams():
+    diagrams = [f()[0] for f in (f1, f2, f3, f4, f5)] + [f2(wide=True)[0]]
+    diagrams += [random_extended_id(s, n_actions=2 + s % 2, hidden_to_action=s % 2 == 1) for s in range(20)]
+    gen = rng(900)
+    for diagram in diagrams:
+        for i in range(1, diagram.n + 1):
+            d = build_dag_i(diagram, i)
+            cond = set(diagram.base.vars[: diagram.base.after_a(i)])
+            queries = [({diagram.response}, {"sigma"}, cond)]
+            queries += [_random_triple(gen, d, max_size=3) for _ in range(40)]
+            for x, y, z in queries:
+                assert connecting_path(d, x, y, z) == reference_path(d, x, y, z)

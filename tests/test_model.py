@@ -92,6 +92,17 @@ class TestValidation:
         with pytest.raises(ModelError):
             InfluenceDiagram(vs, [("L", "Y"), ("sigma", "L")], cpts)
 
+    def test_edge_into_sigma_rejected(self):
+        # The regime node comes first in the diagram's order, so an arrow
+        # into it goes backward.
+        vs = [Variable("L", "obs", ("0", "1")), Variable("Y", "resp", ("0", "1"))]
+        cpts = {
+            "L": Cpt("L", (), {(): (0.5, 0.5)}),
+            "Y": Cpt("Y", (), {(): (0.5, 0.5)}),
+        }
+        with pytest.raises(ModelError, match=r"^edge L -> sigma goes backward in the declared order$"):
+            InfluenceDiagram(vs, [("L", "sigma")], cpts)
+
     def test_bad_row_sum_rejected(self):
         v = Variable("Y", "resp", ("0", "1"))
         with pytest.raises(ModelError):

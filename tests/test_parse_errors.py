@@ -132,6 +132,8 @@ CASES = {
     "no_variables": "# nothing here\n",
     "missing_order": edit("order L A Y\n", ""),
     "diagram_model_error": edit("edge A Y", "edge Y A"),
+    "diagram_cycle": edit("edge sigma A\n", "edge sigma A\nedge Y A\n"),
+    "diagram_two_backward_edges": edit("edge L A", "edge A L").replace("edge L Y", "edge Y L"),
     "strategy_policy_error": BASE + "strategy t\n",
     "strategy_policy_reads_later": BASE + "strategy t\nassign A | Y\nrow 0 : 0\nrow 1 : 1\n",
 }
