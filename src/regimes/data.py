@@ -27,6 +27,13 @@ builds its radix from its first parent's code row.  On a complete model
 that is one pass per variable.  The radix is the same integer however
 it is built, so reusing it changes no sampled code.
 
+A dataset's codes are stored in the smallest unsigned dtype that holds
+every state index of its columns, ``np.min_scalar_type(w - 1)`` for the
+widest column's w states: uint8 up to 256 states, uint16 up to 65,536.
+``sample`` and ``Dataset.from_text`` both follow this rule; the values
+are the same state indices in any dtype.  ``EstimatedSource`` accepts
+codes of any integer dtype.
+
 Estimation is plain relative frequency with optional additive smoothing;
 with smoothing the estimated model is strictly positive, while at
 alpha=0 unobserved conditioning events stay undefined and genuine
@@ -54,7 +61,7 @@ class Dataset:
 
     columns: tuple[str, ...]
     states: tuple[tuple[str, ...], ...]
-    codes: np.ndarray  # (n, len(columns)) state indices
+    codes: np.ndarray  # (n, len(columns)) state indices, in _codes_dtype(states)
     regime: str
     seed: int
 
@@ -94,7 +101,7 @@ class Dataset:
         states = tuple(base.states[v] for v in columns)
         index = [{s: j for j, s in enumerate(st)} for st in states]
         k = len(columns)
-        codes = np.empty((len(lines) - 1, k), dtype=np.int64)
+        codes = np.empty((len(lines) - 1, k), dtype=_codes_dtype(states))
         for start in range(0, len(codes), SAMPLE_ROWS):
             rows = [ln.split() for ln in lines[start + 1 : start + 1 + SAMPLE_ROWS]]
             if set(map(len, rows)) != {k}:
@@ -107,6 +114,12 @@ class Dataset:
             except KeyError:
                 _first_bad_row(rows, start, columns, index)
         return cls(columns, states, codes, regime, seed)
+
+
+def _codes_dtype(states) -> np.dtype:
+    """The smallest unsigned dtype that holds every state index of columns
+    with these ``states``."""
+    return np.min_scalar_type(max(map(len, states)) - 1)
 
 
 def _first_bad_row(rows, start: int, columns, index) -> None:
@@ -159,7 +172,8 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
             chain = key
 
     keep = [j for j, v in enumerate(diagram.order) if diagram.kinds[v] != "hid"]
-    codes = np.empty((n, len(keep)), dtype=np.int64)
+    states = tuple(diagram.states[v] for v in diagram.base.vars)
+    codes = np.empty((n, len(keep)), dtype=_codes_dtype(states))
     block = np.empty((k, min(n, SAMPLE_ROWS)), dtype=np.min_scalar_type(max(widths) - 1))
     gen = np.random.Philox(key=np.uint64(seed))
     for start in range(0, n, SAMPLE_ROWS):
@@ -182,16 +196,12 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
                 out.fill(0)
             for row in thresholds[1:]:
                 out += x[:, j] >= row.take(radix)
+        # A hidden variable wider than every observable one makes the block
+        # wider than the codes; the kept codes fit the narrower dtype.
         codes[start : start + m] = block[keep, :m].T
 
     name = regime if isinstance(regime, str) else regime.name
-    return Dataset(
-        diagram.base.vars,
-        tuple(diagram.states[v] for v in diagram.base.vars),
-        codes,
-        name,
-        seed,
-    )
+    return Dataset(diagram.base.vars, states, codes, name, seed)
 
 
 class EstimatedSource(PrefixSource):
@@ -208,9 +218,18 @@ class EstimatedSource(PrefixSource):
             raise InputError("dataset schema does not match the information base")
         if dataset.states != tuple(base.states[v] for v in base.vars):
             raise InputError("dataset states do not match the information base")
-        cards = tuple(len(s) for s in dataset.states)
+        codes, cards = dataset.codes, tuple(len(s) for s in dataset.states)
+        if not isinstance(codes, np.ndarray):
+            raise InputError(f"dataset codes must be a numpy array, got {type(codes).__name__}")
+        if codes.ndim != 2 or codes.shape[1] != len(cards):
+            raise InputError(
+                f"dataset codes must have shape (n, {len(cards)}), one column per variable "
+                f"of the information base; got {codes.shape}"
+            )
+        if not np.issubdtype(codes.dtype, np.integer):
+            raise InputError(f"dataset codes must have an integer dtype, got {codes.dtype}")
         try:
-            cells = np.ravel_multi_index(tuple(dataset.codes.T), cards)
+            cells = np.ravel_multi_index(tuple(codes.T), cards)
         except ValueError:
             raise InputError("dataset codes outside their columns' states") from None
         counts = np.bincount(cells, minlength=math.prod(cards)).reshape(cards)

@@ -53,6 +53,12 @@ def reference_sample(diagram, regime, n, seed):
     return codes[:, keep]
 
 
+def codes_dtype(states):
+    """The dtype the package stores codes in: the smallest unsigned one
+    that holds every state index of the widest column."""
+    return np.min_scalar_type(max(len(st) for st in states) - 1)
+
+
 def reference_rows(dataset):
     """The per-cell label loop that ``Dataset.rows`` replaced."""
     for r in range(dataset.n):
@@ -89,6 +95,20 @@ def wide_parent_model(seed=8):
     return InfluenceDiagram(variables, [("X", "L"), ("L", "Y")], cpts)
 
 
+def wide_hidden_model(seed=10):
+    """A 300-state hidden root read by the binary L and the ternary Y, so
+    the sampler codes its block in uint16 and its codes in uint8."""
+    states = {"U": tuple(f"u{i}" for i in range(300)), "L": ("0", "1"),
+              "A": ("0", "1"), "Y": ("0", "1", "2")}
+    parents = {"U": [], "L": ["U"], "A": ["L"], "Y": ["U", "L", "A"]}
+    gen = rng(seed)
+    cpts = {v: cpt_for(gen, v, parents[v], states) for v in states}
+    kinds = {"U": "hid", "L": "obs", "A": "act", "Y": "resp"}
+    variables = [Variable(v, kinds[v], states[v]) for v in states]
+    edges = [(u, v) for v, ps in parents.items() for u in ps] + [("sigma", "A")]
+    return InfluenceDiagram(variables, edges, cpts)
+
+
 def shared_prefix_model(seed=9):
     """Roots of widths 3, 2, 4 and 2, then B over (X1, X2, X3), C over
     (X1, X2, X4), which shares only the prefix (X1, X2) with B, D over
@@ -107,8 +127,9 @@ def shared_prefix_model(seed=9):
 
 def sampler_cases():
     """(name, diagram, regime) triples: state widths 1-4, 256 and 300, three-state
-    variables with a hidden one, hidden parents of actions, and strategies
-    whose policies have zero entries."""
+    variables with a hidden one, a hidden variable wider than every observable
+    one, hidden parents of actions, and strategies whose policies have zero
+    entries."""
     ternary = parse_model(TERNARY.read_text())
     d1, s1 = f1()
     d2, s2 = f2()
@@ -120,7 +141,7 @@ def sampler_cases():
     cases += [("f1", d1, "obs"), ("f1_stat", d1, s1["stat"]), ("f1_mix", d1, s1["mix"])]
     cases += [("f2", d2, "obs")] + [(f"f2_{n}", d2, s) for n, s in s2.items()]
     cases += [("f4", d4, "obs")] + [(f"f4_{n}", d4, s) for n, s in s4.items()]
-    cases += [("wide_parent", wide_parent_model(), "obs")]
+    cases += [("wide_parent", wide_parent_model(), "obs"), ("wide_hidden", wide_hidden_model(), "obs")]
     for seed in range(4):
         d = random_extended_id(seed, hidden_to_action=bool(seed % 2))
         cases += [(f"random{seed}", d, "obs"),
@@ -213,7 +234,8 @@ class TestSamplerReference:
         _, diagram, regime = case
         for n, seed in ((1, 0), (997, 7), (3000, 2**64 - 1)):
             got = sample(diagram, regime, n, seed).codes
-            assert got.dtype == np.int64 and got.flags.c_contiguous
+            want_dtype = codes_dtype([diagram.states[v] for v in diagram.base.vars])
+            assert got.dtype == want_dtype and got.flags.c_contiguous
             assert np.array_equal(got, reference_sample(diagram, regime, n, seed))
 
     def test_cumulative_column_equal_to_a_drawn_uniform(self):
@@ -286,11 +308,12 @@ class TestSamplerReference:
         # complete5's radix over its first eight variables fits uint8 and
         # A5's extension of it needs uint16; its "dyn" actions read one
         # parent each, which breaks the chain of radices; wide_parent codes
-        # its block in uint16.
+        # its block in uint16, and wide_hidden narrows its uint16 block into
+        # uint8 codes.
         complete5, strategies = complete_stable(5, seed=3)
         cases = [(widths, "obs"), (ternary.diagram, "obs"), (widths, random_strategy(widths, 1)),
                  (complete5, "obs"), (complete5, strategies["dyn"]), (shared_prefix_model(), "obs"),
-                 (wide_parent_model(), "obs")]
+                 (wide_parent_model(), "obs"), (wide_hidden_model(), "obs")]
         for diagram, regime in cases:
             for n in (size - 1, size, size + 1, 2 * size + 3):
                 if n < 1:
@@ -298,16 +321,46 @@ class TestSamplerReference:
                 got = sample(diagram, regime, n, seed=11).codes
                 assert np.array_equal(got, reference_sample(diagram, regime, n, 11)), (n, regime)
 
-    def test_peak_memory_tracks_the_output(self):
-        diagram, _ = complete_stable(5, seed=2)
-        n = 200_000
-        out_bytes = 8 * n * len(diagram.base.vars)
-        sample(diagram, "obs", 10, seed=1)
+    @staticmethod
+    def traced_peak(run):
         tracemalloc.start()
-        sample(diagram, "obs", n, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak <= 1.25 * out_bytes, peak / out_bytes
+        try:
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def memory_case(self):
+        """complete_stable(5): eleven binary columns, so one byte per code,
+        and the per-block scratch: three blocks' worth of raw draws, which
+        covers the block being replaced, its successor and the gathers."""
+        diagram, _ = complete_stable(5, seed=2)
+        n, k = 200_000, len(diagram.order)
+        out_bytes = n * len(diagram.base.vars)
+        scratch = 3 * 8 * regimes.data.SAMPLE_ROWS * k
+        estimate_conditionals(sample(diagram, "obs", 10, seed=1), diagram.base)
+        return diagram, n, out_bytes, scratch
+
+    def test_peak_memory_tracks_the_output(self):
+        # int64 codes would take eight bytes per code and overshoot the bound.
+        diagram, n, out_bytes, scratch = self.memory_case()
+        ds, peak = self.traced_peak(lambda: sample(diagram, "obs", n, seed=1))
+        assert peak <= out_bytes + scratch, (peak, out_bytes, scratch)
+        assert ds.codes.nbytes == out_bytes
+
+    def test_peak_memory_of_sample_then_estimate(self):
+        # Estimation adds one intp cell index per row, numpy's iterator
+        # buffers (within the scratch) and four tables of 2**11 float counts.
+        diagram, n, out_bytes, scratch = self.memory_case()
+        tables = 4 * 8 * 2 ** len(diagram.base.vars)
+
+        def run():
+            ds = sample(diagram, "obs", n, seed=1)
+            return ds, estimate_conditionals(ds, diagram.base)
+
+        (ds, _), peak = self.traced_peak(run)
+        assert peak <= out_bytes + 8 * n + tables + scratch, (peak, out_bytes, scratch)
+        assert ds.codes.nbytes == out_bytes
 
     def test_peak_memory_within_twice_the_raw_draws(self):
         diagram, _ = complete_stable(5, seed=2)
@@ -417,7 +470,7 @@ def read_outcome(reader, text, base):
 
 def column_reader(text, base):
     ds = Dataset.from_text(text, base)
-    assert ds.codes.dtype == np.int64 and ds.codes.flags.c_contiguous
+    assert ds.codes.dtype == codes_dtype(ds.states) and ds.codes.flags.c_contiguous
     assert ds.states == tuple(base.states[v] for v in ds.columns)
     return ds.codes
 
@@ -498,6 +551,28 @@ class TestColumnReader:
         )
 
 
+class TestCodesDtype:
+    @pytest.mark.parametrize("case", SAMPLER_CASES, ids=[c[0] for c in SAMPLER_CASES])
+    def test_text_round_trip_keeps_the_dtype(self, case):
+        _, diagram, regime = case
+        ds = sample(diagram, regime, 300, seed=14)
+        back = Dataset.from_text(ds.to_text(), diagram.base).codes
+        assert back.dtype == codes_dtype(ds.states) and back.flags.c_contiguous
+        assert np.array_equal(back, ds.codes)
+
+    def test_wide_parent_round_trips_as_uint16(self):
+        d = wide_parent_model()
+        ds = sample(d, "obs", 2000, seed=13)
+        back = Dataset.from_text(ds.to_text(), d.base)
+        assert ds.codes.dtype == back.codes.dtype == np.uint16
+        assert back.codes.flags.c_contiguous and np.array_equal(back.codes, ds.codes)
+        wide = Dataset(ds.columns, ds.states, ds.codes.astype(np.int64), ds.regime, ds.seed)
+        full = len(d.base.vars)
+        want = estimate_conditionals(wide, d.base).marginal(full)
+        for narrow in (ds, back):
+            assert np.array_equal(estimate_conditionals(narrow, d.base).marginal(full), want)
+
+
 class TestEstimation:
     def test_exact_proportions_recover_conditionals(self):
         # a dataset replicating the joint's exact proportions reproduces
@@ -576,11 +651,40 @@ class TestEstimation:
     def test_codes_outside_the_states_rejected(self, code):
         d, _ = f1()
         ds = sample(d, "obs", 50, 3)
-        codes = ds.codes.copy()
+        codes = ds.codes.astype(np.int64)  # a caller's signed array
         codes[7, 2] = code
         bad = Dataset(ds.columns, ds.states, codes, ds.regime, ds.seed)
         with pytest.raises(InputError, match="codes"):
             estimate_conditionals(bad, d.base)
+
+    @pytest.mark.parametrize("kind", ["float", "bool", "one_column_short", "two_columns",
+                                      "one_dimensional", "three_dimensional", "list"])
+    def test_malformed_codes_rejected(self, kind):
+        # Float codes raised numpy's TypeError, and a (50, 2) array was
+        # reported as codes outside the states.
+        d, _ = f1()
+        ds = sample(d, "obs", 50, 3)
+        codes, message = {
+            "float": (ds.codes.astype(float), "integer dtype, got float64"),
+            "bool": (ds.codes.astype(bool), "integer dtype, got bool"),
+            "one_column_short": (ds.codes[:, :4], r"shape \(n, 5\).*got \(50, 4\)"),
+            "two_columns": (ds.codes[:, :2], r"shape \(n, 5\).*got \(50, 2\)"),
+            "one_dimensional": (ds.codes.ravel(), r"got \(250,\)"),
+            "three_dimensional": (ds.codes[None], r"got \(1, 50, 5\)"),
+            "list": (ds.codes.tolist(), "numpy array, got list"),
+        }[kind]
+        bad = Dataset(ds.columns, ds.states, codes, ds.regime, ds.seed)
+        with pytest.raises(InputError, match=message):
+            estimate_conditionals(bad, d.base)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint32, np.uint64])
+    def test_any_integer_dtype_gives_the_same_counts(self, dtype):
+        d, _ = f1()
+        ds = sample(d, "obs", 500, 3)
+        full = len(d.base.vars)
+        want = estimate_conditionals(ds, d.base).marginal(full)
+        other = Dataset(ds.columns, ds.states, ds.codes.astype(dtype), ds.regime, ds.seed)
+        assert np.array_equal(estimate_conditionals(other, d.base).marginal(full), want)
 
     def test_negative_alpha_rejected(self):
         d, _ = f1()
