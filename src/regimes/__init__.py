@@ -52,7 +52,6 @@ from .stability import (
     check_simple_stability_graphical,
     check_simple_stability_numeric,
     extended_positivity,
-    support_propagation,
 )
 from .admissible import (
     AdmissibleSequence,

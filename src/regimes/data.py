@@ -199,6 +199,7 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
         # A hidden variable wider than every observable one makes the block
         # wider than the codes; the kept codes fit the narrower dtype.
         codes[start : start + m] = block[keep, :m].T
+        del x  # free this block's draws before the next block's are drawn
 
     name = regime if isinstance(regime, str) else regime.name
     return Dataset(diagram.base.vars, states, codes, name, seed)
@@ -228,10 +229,18 @@ class EstimatedSource(PrefixSource):
             )
         if not np.issubdtype(codes.dtype, np.integer):
             raise InputError(f"dataset codes must have an integer dtype, got {codes.dtype}")
-        try:
-            cells = np.ravel_multi_index(tuple(codes.T), cards)
-        except ValueError:
-            raise InputError("dataset codes outside their columns' states") from None
+        # One pass over every code for its least and largest value; a column
+        # is read again only when it is no wider than the largest code.  Then
+        # the row-major cell of each row, adding the checked codes as intp.
+        top = codes.max(initial=0)
+        if codes.min(initial=0) < 0 or any(
+            codes[:, j].max() >= card for j, card in enumerate(cards) if card <= top
+        ):
+            raise InputError("dataset codes outside their columns' states")
+        cells = np.zeros(len(codes), dtype=np.intp)
+        for j, card in enumerate(cards):
+            cells *= card
+            np.add(cells, codes[:, j], out=cells, dtype=np.intp, casting="unsafe")
         counts = np.bincount(cells, minlength=math.prod(cards)).reshape(cards)
         super().__init__(base, counts.astype(float), "estimated", alpha)
 

@@ -119,21 +119,24 @@ def live_frontier(support: SupportSet, policies: list[np.ndarray] | None = None)
     there is no such extension.
     """
     base = support.base
-    stage_of = {base.after_a(i): i for i in range(1, base.n + 1)}
     masks, witness, prev = {}, None, None
     for m in base.boundaries:
         mask = support.masks[m]
         if prev is not None:
-            parent = masks[prev].reshape(masks[prev].shape + (1,) * (m - prev))
-            if policies is not None and m in stage_of:
-                parent = parent & (policies[stage_of[m] - 1] > 0.0)
-                bad = parent & ~mask
-                if witness is None and bad.any():
+            parent = masks[prev][(...,) + (None,) * (m - prev)]
+            if policies is not None and m in base.stage_of:
+                parent = parent & (policies[base.stage_of[m] - 1] > 0.0)
+                live = mask & parent
+                # Strategy-positive extensions that are observationally impossible.
+                if witness is None and np.count_nonzero(live) < np.count_nonzero(parent):
                     states = base.states[base.vars[m - 1]]
                     witness = min(
-                        base.histories(bad), key=lambda h: (h[:-1], states.index(h[-1]))
+                        base.histories(parent > mask),
+                        key=lambda h: (h[:-1], states.index(h[-1])),
                     )
-            mask = mask & parent
+                mask = live
+            else:
+                mask = mask & parent
         masks[m] = mask
         prev = m
     return SupportSet(base, masks), witness
@@ -156,9 +159,15 @@ def _backward(source, k, action_step, policies=None):
     Full histories take their ``k`` value (a callable ``k`` is called on
     live full histories only, in row-major order) and covariate blocks are
     averaged over ``source.given``; ``action_step(i, values)`` maps the
-    value array after the i-th action to the one before it.  Raises
-    ``PositivityError`` with the ``live_frontier`` witness.  Returns the
-    live frontier and one value array per stage boundary, 0 off it.
+    value array after the i-th action to the one before it, 0 off the
+    live frontier.  Raises ``PositivityError`` with the ``live_frontier``
+    witness.  Returns the live frontier and one value array per stage
+    boundary, 0 off it.
+
+    Only the leaves are masked.  The frontier is prefix-closed, so every
+    extension of a pruned history is pruned and holds 0; an average of
+    those zeros with finite non-negative weights, summed from 0.0, is 0.0
+    again, which is exactly what masking it would store.
     """
     base = source.base
     live, witness = live_frontier(source.support(), policies)
@@ -175,12 +184,12 @@ def _backward(source, k, action_step, policies=None):
         leaf = response_weights(base, k)
     values = {full: np.where(leaves, leaf, 0.0)}
     v = values[full]
-    for i in range(base.n + 1, 0, -1):
-        lo, hi = base.before_l(i), base.after_l(i)
+    for i, lo, hi, _ in reversed(base.stages):
         if i <= base.n:
-            v = values[hi] = np.where(live.masks[hi], action_step(i, v), 0.0)
+            v = values[hi] = action_step(i, v)
         cond = source.given(lo, hi)
-        v = values[lo] = np.where(live.masks[lo], _average(cond, v.reshape(cond.shape)), 0.0)
+        v = values[lo] = _average(cond, v.reshape(cond.shape))
+    values[0] = np.asarray(v)  # the average over one row is a numpy scalar
     return live, values
 
 

@@ -230,17 +230,6 @@ class Strategy:
     name: str
     policies: Mapping[str, Policy]
 
-    @classmethod
-    def static(cls, name: str, assignments: Mapping[str, str], states: Mapping[str, tuple[str, ...]]) -> "Strategy":
-        """Fixed action sequence, ignoring all observations."""
-        policies = {}
-        for action, chosen in assignments.items():
-            row = tuple(1.0 if s == chosen else 0.0 for s in states[action])
-            if not any(row):
-                raise PolicyError(f"{chosen!r} is not a state of {action}")
-            policies[action] = Policy((), {(): row})
-        return cls(name, policies)
-
 
 Regime = "str | Strategy"
 PartialHistory = tuple  # labels of a boundary prefix of the observable base
@@ -261,21 +250,17 @@ class InfoBase:
     actions: tuple[str, ...]
 
     def __post_init__(self):
-        pos = {v: i for i, v in enumerate(self.vars)}
-        before_l, after_l, after_a = [], [], []
-        m = 0
-        for i, block in enumerate(self.lblocks):
-            before_l.append(m)
-            m += len(block)
-            after_l.append(m)
-            if i < len(self.actions):
-                m += 1
-                after_a.append(m)
-        object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_before_l", tuple(before_l))
-        object.__setattr__(self, "_after_l", tuple(after_l))
-        object.__setattr__(self, "_after_a", tuple(after_a))
-        bounds = {0, *after_l, *after_a}
+        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.vars)})
+        # The recursion's plan: (i, before_l, after_l, after_a) per stage, with
+        # after_a None for the response block, and the stage each after_a ends.
+        stages, m = [], 0
+        for i, block in enumerate(self.lblocks, start=1):
+            lo, hi = m, m + len(block)
+            m = hi + 1 if i <= len(self.actions) else hi
+            stages.append((i, lo, hi, m if i <= len(self.actions) else None))
+        object.__setattr__(self, "stages", tuple(stages))
+        object.__setattr__(self, "stage_of", {s[3]: s[0] for s in stages if s[3] is not None})
+        bounds = {0, *(s[2] for s in stages), *self.stage_of}
         object.__setattr__(self, "boundaries", tuple(sorted(bounds)))
 
     @property
@@ -299,13 +284,13 @@ class InfoBase:
         return self.actions[i - 1]
 
     def before_l(self, i: int) -> int:
-        return self._before_l[i - 1]
+        return self.stages[i - 1][1]
 
     def after_l(self, i: int) -> int:
-        return self._after_l[i - 1]
+        return self.stages[i - 1][2]
 
     def after_a(self, i: int) -> int:
-        return self._after_a[i - 1]
+        return self.stages[i - 1][3]
 
     def codes(self, h: PartialHistory) -> tuple[int, ...]:
         """State indices of a boundary history; InputError names a bad
@@ -579,16 +564,27 @@ def factor_array(axes: tuple[str, ...], var: str, parents, array: np.ndarray) ->
     """One mechanism's ``array`` over (``parents``..., ``var``) laid out on
     ``axes``: its own variables on their axes, size 1 on the others.  The
     parents must precede ``var`` in ``axes``."""
-    own = (*parents, var)
-    perm = [own.index(v) for v in axes if v in own]
-    shape = [array.shape[own.index(v)] if v in own else 1 for v in axes]
-    return np.transpose(array, perm).reshape(shape)
+    perm, shape = _layout_plan(axes, (*parents, var), array.shape)
+    return array.transpose(perm).reshape(shape)
+
+
+@functools.lru_cache(maxsize=1024)
+def _layout_plan(axes: tuple[str, ...], own: tuple[str, ...], dims: tuple[int, ...]):
+    """The axis order and shape ``factor_array`` gives a table over ``own``
+    with these ``dims``.  They depend on names and widths only, so every
+    table with the same variables shares them: cached, not worked out on
+    each call of the recursion and the oracle."""
+    perm = tuple(own.index(v) for v in axes if v in own)
+    shape = tuple(dims[own.index(v)] if v in own else 1 for v in axes)
+    return perm, shape
 
 
 def _nonaction_product(diagram: InfluenceDiagram) -> np.ndarray:
-    """Product of all non-action factors; cached, the tables never change."""
+    """Product of all non-action factors; cached, the tables never change,
+    so only the first call checks the capacity."""
     cached = getattr(diagram, "_nonaction_cache", None)
     if cached is None:
+        _check_capacity(diagram.cards())
         probs = np.ones(diagram.cards())
         for v in diagram.order:
             if diagram.kinds[v] == "act":
@@ -604,7 +600,6 @@ def _joint(diagram: InfluenceDiagram, factors) -> np.ndarray:
     leading strategy axis: a copy of the cached non-action product times each
     action's factor (one per action, in ``diagram.actions`` order, each with
     that axis).  Every exact joint of the package comes from here."""
-    _check_capacity(diagram.cards())
     probs = np.repeat(_nonaction_product(diagram)[None], len(factors[0]) if factors else 1, 0)
     for factor in factors:
         probs *= factor

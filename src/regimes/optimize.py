@@ -47,7 +47,8 @@ def optimal_strategy(source, k, sense: str = "max") -> tuple[Strategy, float]:
             best = np.where(take, v, best)
             choice[take] = j
         choices[i] = choice.ravel()
-        return best
+        # Rows off the support have no possible state: 0 replaces their NaN.
+        return np.where(support[base.after_l(i)], best, 0.0)
 
     _, values = _backward(source, k, best_action)
     picks = [choices[i] for i in range(1, base.n + 1)]

@@ -1,5 +1,5 @@
-"""Identifiability condition checks: stability, randomization, irrelevance,
-positivity variants and support propagation.
+"""Identifiability condition checks: stability, randomization, irrelevance
+and the positivity variants.
 
 Graphical checks run separation tests on the full diagram (hidden
 variables included); numeric checks compare exact conditionals across
@@ -25,7 +25,6 @@ from .model import (
     Strategy,
     factor_array,
     joint_distribution,
-    mechanism,
     observable_joint,
     support,
 )
@@ -241,23 +240,3 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
         raise AssertionError("parent-child and extended positivity must each imply simple")
     return PositivityReport(simple, extended, parent_child, general)
 
-
-def support_propagation(
-    diagram: InfluenceDiagram, strategies: Iterable[Strategy] = ()
-) -> dict[str, np.ndarray]:
-    """Zero/non-zero possibility marking over all joint configurations,
-    derived from the zero pattern of the tables alone.
-
-    Matches exact support by construction at this scale: a configuration
-    is possible exactly when every factor entry along it is positive.
-    """
-    out = {}
-    for regime in ("obs", *strategies):
-        if regime != "obs":
-            diagram.validate_strategy(regime)
-        mask = np.ones(diagram.cards(), dtype=bool)
-        for v in diagram.order:
-            # One AND per factor: a product of tiny entries could underflow to 0.
-            mask &= factor_array(diagram.order, v, *mechanism(diagram, regime, v)) > 0.0
-        out[regime if regime == "obs" else regime.name] = mask
-    return out

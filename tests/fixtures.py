@@ -43,6 +43,17 @@ def _policy(rng, *parents: str) -> Policy:
     return Policy(parents, _table(rng, parents, 2))
 
 
+def static_strategy(name: str, assignments, states) -> Strategy:
+    """Fixed action sequence, ignoring all observations."""
+    policies = {}
+    for action, chosen in assignments.items():
+        row = tuple(1.0 if s == chosen else 0.0 for s in states[action])
+        if not any(row):
+            raise ValueError(f"{chosen!r} is not a state of {action}")
+        policies[action] = Policy((), {(): row})
+    return Strategy(name, policies)
+
+
 def complete_stable(n_actions: int = 2, seed: int = 1):
     """Fully connected diagram over (L1, A1, ..., LN, AN, Y), no hidden
     variables, regime arrows into actions only.  Stable by construction."""
@@ -62,7 +73,7 @@ def complete_stable(n_actions: int = 2, seed: int = 1):
     actions = range(1, n_actions + 1)
     identity = {("0",): (1.0, 0.0), ("1",): (0.0, 1.0)}
     strategies = {
-        "stat": Strategy.static("stat", {a: "1" for a in diagram.actions}, states),
+        "stat": static_strategy("stat", {a: "1" for a in diagram.actions}, states),
         "dyn": Strategy("dyn", {f"A{i}": Policy((f"L{i}",), identity) for i in actions}),
         "mix": Strategy("mix", {f"A{i}": _policy(rng, f"L{i}") for i in actions}),
     }
@@ -182,7 +193,7 @@ def f4(seed: int = 4, two_actions: bool = False):
     diagram = InfluenceDiagram(variables, edges, _random_cpts(rng, parent_map))
     strategies = {
         "e": Strategy("e", {a: _policy(rng) for a in diagram.actions}),
-        "pick1": Strategy.static("pick1", {a: "1" for a in diagram.actions}, states),
+        "pick1": static_strategy("pick1", {a: "1" for a in diagram.actions}, states),
     }
     return diagram, strategies
 

@@ -30,6 +30,8 @@ from regimes.model import (
     Strategy,
     Table,
     Variable,
+    factor_array,
+    mechanism,
 )
 
 B = ("0", "1")
@@ -272,4 +274,25 @@ def conditional(joint: JointTable, target: Iterable[str], given: Mapping[str, st
     for config in itertools.product(*(joint.states[joint.names.index(v)] for v in target)):
         idx = tuple(joint.states[joint.names.index(v)].index(s) for v, s in zip(target, config))
         out[config] = float(table[idx])
+    return out
+
+
+def support_propagation(
+    diagram: InfluenceDiagram, strategies: Iterable[Strategy] = ()
+) -> dict[str, np.ndarray]:
+    """Zero/non-zero possibility marking over all joint configurations,
+    derived from the zero pattern of the tables alone.
+
+    Matches exact support by construction at this scale: a configuration
+    is possible exactly when every factor entry along it is positive.
+    """
+    out = {}
+    for regime in ("obs", *strategies):
+        if regime != "obs":
+            diagram.validate_strategy(regime)
+        mask = np.ones(diagram.cards(), dtype=bool)
+        for v in diagram.order:
+            # One AND per factor: a product of tiny entries could underflow to 0.
+            mask &= factor_array(diagram.order, v, *mechanism(diagram, regime, v)) > 0.0
+        out[regime if regime == "obs" else regime.name] = mask
     return out

@@ -332,12 +332,13 @@ class TestSamplerReference:
 
     def memory_case(self):
         """complete_stable(5): eleven binary columns, so one byte per code,
-        and the per-block scratch: three blocks' worth of raw draws, which
-        covers the block being replaced, its successor and the gathers."""
+        and the per-block scratch: two blocks' worth of raw draws, which
+        covers one block's draws and its gathers (a block's draws are freed
+        before the next block's are drawn)."""
         diagram, _ = complete_stable(5, seed=2)
         n, k = 200_000, len(diagram.order)
         out_bytes = n * len(diagram.base.vars)
-        scratch = 3 * 8 * regimes.data.SAMPLE_ROWS * k
+        scratch = 2 * 8 * regimes.data.SAMPLE_ROWS * k
         estimate_conditionals(sample(diagram, "obs", 10, seed=1), diagram.base)
         return diagram, n, out_bytes, scratch
 
@@ -656,6 +657,43 @@ class TestEstimation:
         bad = Dataset(ds.columns, ds.states, codes, ds.regime, ds.seed)
         with pytest.raises(InputError, match="codes"):
             estimate_conditionals(bad, d.base)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+    @pytest.mark.parametrize("column", [0, 2, 4])
+    def test_negative_codes_of_signed_dtypes_rejected(self, dtype, column):
+        d, _ = f1()
+        codes = sample(d, "obs", 50, 3).codes.astype(dtype)
+        codes[11, column] = -1
+        bad = Dataset(d.base.vars, tuple(d.states[v] for v in d.base.vars), codes, "obs", 3)
+        with pytest.raises(InputError, match="outside their columns' states"):
+            estimate_conditionals(bad, d.base)
+
+    @pytest.mark.parametrize("model", ["f1", "ternary"])
+    @pytest.mark.parametrize("column", [0, 1, -1])
+    def test_code_equal_to_its_column_width_rejected(self, model, column):
+        # In a middle column such a code would carry into the next digit of
+        # a valid cell; the ternary model also has codes at or above the
+        # narrowest width that are valid in their own columns.
+        d = f1()[0] if model == "f1" else parse_model(TERNARY.read_text()).diagram
+        ds = sample(d, "obs", 200, 5)
+        codes = ds.codes.copy()
+        codes[17, column] = len(ds.states[column])
+        bad = Dataset(ds.columns, ds.states, codes, ds.regime, ds.seed)
+        with pytest.raises(InputError, match="outside their columns' states"):
+            estimate_conditionals(bad, d.base)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    @pytest.mark.parametrize("model", ["f1", "ternary"])
+    def test_counts_equal_ravel_multi_index_cells(self, dtype, model):
+        d = f1()[0] if model == "f1" else parse_model(TERNARY.read_text()).diagram
+        states = tuple(d.states[v] for v in d.base.vars)
+        cards = tuple(map(len, states))
+        gen = rng(7)
+        codes = np.stack([gen.integers(0, c, size=3000) for c in cards], axis=1).astype(dtype)
+        cells = np.ravel_multi_index(tuple(codes.T), cards)
+        want = np.bincount(cells, minlength=int(np.prod(cards))).reshape(cards).astype(float)
+        got = EstimatedSource(Dataset(d.base.vars, states, codes, "obs", 0), d.base, 0.0)
+        assert got.marginal(len(cards)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["float", "bool", "one_column_short", "two_columns",
                                       "one_dimensional", "three_dimensional", "list"])

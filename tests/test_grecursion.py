@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import complete_stable, f1, f2, f3, f4, f5
+from fixtures import complete_stable, f1, f2, f3, f4, f5, static_strategy
 from helpers import (
     build_dag_i_prime,
     conditional,
@@ -20,7 +20,11 @@ from helpers import (
     random_extended_id,
     random_strategy,
     rng,
+    zero_action_rows,
+    zero_covariate_rows,
 )
+from recursion_reference import reference_arrays
+from regimes.data import EstimatedSource, sample
 from regimes.errors import InputError, PolicyError, PositivityError
 from regimes.grecursion import (
     build_dag_i,
@@ -114,6 +118,71 @@ class TestValuesView:
         assert not all(mask.all() for mask in live.masks.values())
         base = cases["ternary_fixed"][0].base
         assert len(base.boundaries) < len(base.vars) + 1
+
+
+def arrays_or_witness(run):
+    """The value arrays a recursion returns, or the history of the
+    ``PositivityError`` it raises."""
+    try:
+        return run()
+    except PositivityError as err:
+        return err.history
+
+
+def assert_same_recursion(source, strategy, k):
+    got = arrays_or_witness(lambda: recursion_table(source, strategy, k).arrays)
+    want = arrays_or_witness(lambda: reference_arrays(source, strategy, k))
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert isinstance(got, dict) and sorted(got) == sorted(want)
+    for m, array in want.items():
+        assert got[m].shape == array.shape and got[m].dtype == array.dtype, m
+        assert got[m].tobytes() == array.tobytes(), m
+    return None
+
+
+def zeroed_rows_cases():
+    """(name, source, strategy): random diagrams with point-mass rows, the
+    observational actions' or the covariates', and random strategies."""
+    cases = []
+    for zero in (zero_action_rows, zero_covariate_rows):
+        for seed in range(12):
+            d = zero(random_extended_id(seed, hidden_to_action=bool(seed % 2)), seed)
+            cases.append((f"{zero.__name__}{seed}", ExactSource(d), random_strategy(d, seed)))
+    return cases
+
+
+class TestScalarReference:
+    """The stage-array engine against a scalar walk over every history that
+    adds the same numbers in the same order, compared by their bytes."""
+
+    @pytest.mark.parametrize("case", values_view_cases(), ids=lambda c: c[0])
+    def test_arrays_bitwise_the_scalar_walk(self, case):
+        _, source, strategy = case
+        assert assert_same_recursion(source, strategy, ordinal_k(source.base)) is None
+
+    @pytest.mark.parametrize("case", zeroed_rows_cases(), ids=lambda c: c[0])
+    def test_positivity_witness_is_the_brute_force_one(self, case):
+        _, source, strategy = case
+        assert_same_recursion(source, strategy, K01)
+
+    def test_zeroed_rows_reach_witnesses_values_and_impossible_histories(self):
+        raised, impossible = set(), set()
+        for name, source, strategy in zeroed_rows_cases():
+            if name.startswith("zero_action_rows"):
+                raised.add(assert_same_recursion(source, strategy, K01) is not None)
+            else:
+                impossible.add(not all(m.all() for m in source.support().masks.values()))
+        assert raised == {True, False} and True in impossible
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("build", [f1, f2, f3, f4, f5], ids=lambda b: b.__name__)
+    def test_estimated_sources_bitwise_the_scalar_walk(self, build, alpha):
+        d, strats = build()
+        source = EstimatedSource(sample(d, "obs", 60, seed=3), d.base, alpha)
+        for strategy in strats.values():
+            assert_same_recursion(source, strategy, ordinal_k(d.base))
 
 
 class TestGRecursion:
@@ -241,6 +310,37 @@ class TestOnePositivityWitness:
         assert err.value.history == witness
 
 
+def one_action_diagram(l_states):
+    """L -> A -> Y with L's states in the given order."""
+    variables = [Variable("L", "obs", l_states), Variable("A", "act", ("0", "1")),
+                 Variable("Y", "resp", ("0", "1"))]
+    edges = [("L", "A"), ("L", "Y"), ("A", "Y"), ("sigma", "A")]
+    cpts = {
+        "L": Cpt("L", (), {(): (0.3, 0.7)}),
+        "A": Cpt("A", ("L",), {(s,): (0.4, 0.6) for s in l_states}),
+        "Y": Cpt("Y", ("L", "A"), {("0", "0"): (0.9, 0.1), ("0", "1"): (0.2, 0.8),
+                                   ("1", "0"): (0.6, 0.4), ("1", "1"): (0.5, 0.5)}),
+    }
+    return InfluenceDiagram(variables, edges, cpts)
+
+
+def follow_l():
+    return Strategy("follow", {"A": Policy(("L",), {("0",): (1.0, 0.0), ("1",): (0.0, 1.0)})})
+
+
+def test_a_policy_densified_again_reads_its_new_rows():
+    # The same policy object on a diagram whose L states come in the other
+    # order is converted again; the recursion and the oracle read the new rows.
+    strategy = follow_l()
+    first, second = one_action_diagram(("0", "1")), one_action_diagram(("1", "0"))
+    g_recursion(ExactSource(first), strategy, K01)
+    consequence_direct(first, strategy, K01)
+    for d in (second, first):
+        for evaluate in (lambda s: g_recursion(ExactSource(d), s, K01),
+                         lambda s: consequence_direct(d, s, K01)):
+            assert evaluate(strategy) == evaluate(follow_l())
+
+
 A2_ANY = Policy((), {(): (0.5, 0.5)})
 
 
@@ -277,7 +377,7 @@ class TestGammaSupport:
 
     def test_deterministic_strategy_keeps_on_policy(self):
         d, _ = f1()
-        stat = Strategy.static("s", {"A1": "1", "A2": "0"}, d.states)
+        stat = static_strategy("s", {"A1": "1", "A2": "0"}, d.states)
         gam = gamma_support(support(d, "obs"), stat)
         assert ("0", "1") in gam and ("0", "0") not in gam
 

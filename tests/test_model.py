@@ -4,13 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fixtures import f1, f2, f3, f4, f5
+from fixtures import f1, f2, f3, f4, f5, static_strategy
 from helpers import (
     conditional,
     prob,
     random_extended_id,
     random_strategy,
     rng,
+    support_propagation,
     zero_covariate_rows,
 )
 from regimes.data import EstimatedSource, sample
@@ -34,7 +35,6 @@ from regimes.model import (
     support,
 )
 from regimes.parser import parse_model
-from regimes.stability import support_propagation
 
 
 def single_response(p1=0.3):
@@ -268,7 +268,7 @@ class TestSupport:
 
     def test_degenerate_strategy_excludes_off_policy(self):
         d, _ = f1()
-        stat = Strategy.static("s", {"A1": "1", "A2": "0"}, d.states)
+        stat = static_strategy("s", {"A1": "1", "A2": "0"}, d.states)
         sup = support(d, stat)
         assert ("0", "0") not in sup  # (l1, a1) with off-policy action
         assert ("0", "1") in sup
@@ -506,6 +506,26 @@ def test_smoothed_support_holds_every_history():
 
 def test_support_sets_compare_by_content():
     d, strats = f1()
-    stat = Strategy.static("s", {"A1": "1", "A2": "0"}, d.states)
+    stat = static_strategy("s", {"A1": "1", "A2": "0"}, d.states)
     assert support(d, "obs") == ExactSource(d).support()
     assert support(d, stat) != support(d, "obs")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_array_puts_each_entry_on_its_axes(seed):
+    # Tables over the same names in other orders and with other widths, each
+    # laid out twice: a cached plan must follow the names and the widths.
+    gen = rng(seed)
+    axes = ("a", "b", "c", "d", "e")
+    for _ in range(12):
+        parents = tuple(axes[j] for j in gen.permutation(4)[: gen.integers(0, 5)])
+        own = parents + ("e",)
+        array = gen.random(tuple(int(w) for w in gen.integers(1, 4, size=len(own))))
+        for _ in range(2):
+            got = factor_array(axes, "e", parents, array)
+            assert got.shape == tuple(
+                array.shape[own.index(v)] if v in own else 1 for v in axes
+            )
+            for ix in itertools.product(*map(range, array.shape)):
+                at = dict(zip(own, ix))
+                assert got[tuple(at.get(v, 0) for v in axes)] == array[ix]

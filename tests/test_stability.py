@@ -1,7 +1,7 @@
 import numpy as np
 
-from fixtures import f1, f2, f3, f4
-from helpers import conditional, random_extended_id, random_strategy
+from fixtures import f1, f2, f3, f4, static_strategy
+from helpers import conditional, random_extended_id, random_strategy, support_propagation
 from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, joint_distribution, support
 from regimes.stability import (
     DivergenceWitness,
@@ -12,7 +12,6 @@ from regimes.stability import (
     check_simple_stability_graphical,
     check_simple_stability_numeric,
     extended_positivity,
-    support_propagation,
 )
 
 
@@ -210,7 +209,7 @@ class TestPositivity:
         d2 = InfluenceDiagram(
             d.variables, list(d.dag.edges), cpts, d.obs_parents, d.int_parents
         )
-        stat = Strategy.static("s", {"A1": "1", "A2": "1"}, d.states)
+        stat = static_strategy("s", {"A1": "1", "A2": "1"}, d.states)
         rep = check_positivity(d2, stat)
         assert rep.simple and not rep.parent_child
 
