@@ -36,7 +36,6 @@ from .model import (
 from .grecursion import (
     RecursionTable,
     build_dag_i,
-    check_graphsep,
     construct_p_i,
     g_recursion,
     gamma_support,
@@ -46,6 +45,7 @@ from .grecursion import (
 from .stability import (
     PositivityReport,
     StabilityReport,
+    check_graphsep,
     check_positivity,
     check_sequential_irrelevance_numeric,
     check_sequential_randomization,

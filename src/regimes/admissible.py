@@ -21,8 +21,9 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, InputError, ModelError
 from .graph import ancestral_closure, descendants, separated
-from .grecursion import _check_int_strategy, build_dag_i
+from .grecursion import build_dag_i
 from .model import SIGMA, InfluenceDiagram, Strategy
+from .stability import _check_int_strategy
 
 MAX_SEARCH_ACTIONS = 8
 
@@ -38,12 +39,6 @@ class AdmissibleSequence:
     def admissible(self) -> bool:
         return all(self.verdicts)
 
-    def cumulative(self, i: int) -> tuple[str, ...]:
-        out: list[str] = []
-        for s in self.sets[:i]:
-            out.extend(s)
-        return tuple(out)
-
 
 def _the_order(diagram: InfluenceDiagram, action_order) -> tuple[str, ...]:
     if action_order is None:
@@ -54,16 +49,11 @@ def _the_order(diagram: InfluenceDiagram, action_order) -> tuple[str, ...]:
     return order
 
 
-def _interventional_dag(diagram: InfluenceDiagram):
-    """Diagram with every action on its interventional parents; the
-    regime node is left without edges."""
-    return build_dag_i(diagram, 0)
-
-
 def _reaching(diagram: InfluenceDiagram):
-    """The interventional diagram, once every action is checked to reach
-    the response in it."""
-    d_e = _interventional_dag(diagram)
+    """The interventional diagram (every action on its interventional
+    parents, the regime node without edges), once every action is checked
+    to reach the response in it."""
+    d_e = build_dag_i(diagram, 0)
     for a in diagram.actions:
         if diagram.response not in descendants(d_e, {a}):
             raise ModelError(
@@ -198,7 +188,7 @@ def _orders_consistent_with(diagram: InfluenceDiagram):
     actions, in declaration-lexicographic order: an action is placed once
     every action it descends from has been placed."""
     actions = diagram.actions
-    d_e = _interventional_dag(diagram)
+    d_e = build_dag_i(diagram, 0)
     above = {a: set(ancestral_closure(d_e, {a})) & set(actions) - {a} for a in actions}
 
     def extend(prefix: tuple[str, ...]):

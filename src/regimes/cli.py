@@ -138,9 +138,9 @@ def cmd_positivity(doc: ModelDocument, args) -> int:
 
 def cmd_graphsep(doc: ModelDocument, args) -> int:
     strategy = doc.strategy(args.strategy) if args.strategy else None
-    report = grec.check_graphsep(doc.diagram, strategy)
-    for i, ok in report.stages:
-        _emit(f"i_{i}", ok)
+    report = stab.check_graphsep(doc.diagram, strategy)
+    for s in report.stages:
+        _emit(f"i_{s.stage}", s.passed)
     _emit("graphsep", report.overall)
     return 0 if report.overall else CHECK_FAILED
 
@@ -181,8 +181,7 @@ def cmd_admissible(doc: ModelDocument, args) -> int:
 def cmd_optimize(doc: ModelDocument, args) -> int:
     diagram = doc.diagram
     graphical = stab.check_simple_stability_graphical(diagram).overall
-    mixed = grec.check_graphsep(diagram).overall
-    if not graphical and not mixed:
+    if not graphical and not stab.check_graphsep(diagram).overall:
         print(
             "optimize refused: the model passes neither the stability check "
             "nor the mixed-diagram check, so backward induction is not licensed",

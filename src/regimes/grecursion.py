@@ -12,8 +12,9 @@ histories the engine visits, as one mask per boundary, and the positivity
 witness that the recursion, ``check_cond6`` and the numeric checks share.
 The module also builds the auxiliary mixed-regime diagrams and artificial
 joint distributions used to justify the recursion when plain stability
-fails, together with their graphical and numeric checks, which read each
-artificial distribution through a source of the same type.
+fails, and checks them numerically, reading each artificial distribution
+through a source of the same type; their graphical check,
+``check_graphsep``, is in ``stability`` with the other stage-wise checks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PositivityError
-from .graph import Dag, separated
+from .graph import Dag
 from .model import (
     SIGMA,
     ExactSource,
@@ -41,7 +42,7 @@ from .model import (
     response_weights,
 )
 
-TOL = 1e-9
+TOL = 1e-9  # absolute tolerance of every numeric check
 
 
 class HistoryValues(Mapping):
@@ -270,49 +271,6 @@ def build_dag_i(
     return diagram.dag.with_parents(assignments)
 
 
-def _check_int_strategy(diagram: InfluenceDiagram, strategy: Strategy | None) -> None:
-    """Raise unless the strategy is absent or valid with every policy on
-    its action's declared int-parents."""
-    if strategy is None:
-        return
-    diagram.validate_strategy(strategy)
-    for a, pol in strategy.policies.items():
-        extra = set(pol.parents) - set(diagram.int_parents[a])
-        if extra:
-            raise InputError(
-                f"strategy {strategy.name!r} lets {a} depend on {sorted(extra)}, "
-                f"outside its declared int-parents"
-            )
-
-
-@dataclass(frozen=True)
-class GraphsepReport:
-    stages: tuple[tuple[int, bool], ...]
-
-    @property
-    def overall(self) -> bool:
-        return all(ok for _, ok in self.stages)
-
-    def stage(self, i: int) -> bool:
-        return dict(self.stages)[i]
-
-
-def check_graphsep(diagram: InfluenceDiagram, strategy: Strategy | None = None) -> GraphsepReport:
-    """Per-stage separation of the response from the regime node in the
-    mixed diagrams, given the observed past up to and including the stage
-    action; licenses the recursion without plain stability.  (Separating
-    the response from the stage action in the mixed diagram without the
-    regime node and the action's out-arrows is equivalent; the tests hold
-    that lemma.)"""
-    _check_int_strategy(diagram, strategy)
-    base = diagram.base
-    stages = []
-    for i in range(1, diagram.n + 1):
-        cond = base.vars[: base.after_a(i)]
-        stages.append((i, separated(build_dag_i(diagram, i), {diagram.response}, {SIGMA}, cond)))
-    return GraphsepReport(tuple(stages))
-
-
 @dataclass(frozen=True)
 class GeneralConditionsReport:
     """Numeric verification of the conditions licensing the recursion."""
@@ -372,7 +330,7 @@ def verify_general_conditions(
             lhs = g_recursion(obs, strategy, k)
             rhs = consequence_direct(diagram, strategy, k)
             delta = max(delta, abs(lhs - rhs))
-        if not delta <= 1e-9:
+        if not delta <= TOL:
             raise AssertionError(f"recursion disagrees with the oracle by {delta}")
 
     return GeneralConditionsReport(y_ok, tuple(y_failures), witness is None, delta)

@@ -1,8 +1,11 @@
-"""Identifiability condition checks: stability, randomization, irrelevance
-and the positivity variants.
+"""Identifiability condition checks: simple stability, sequential
+randomization and irrelevance, the mixed-diagram separation behind
+``graphsep``, and the positivity variants.
 
-Graphical checks run separation tests on the full diagram (hidden
-variables included); numeric checks compare exact conditionals across
+Every stage-wise check returns one ``StabilityReport`` of
+``StageVerdict``s.  Graphical checks run separation tests on the full
+diagram (hidden variables included), or on the mixed diagrams for
+``check_graphsep``; numeric checks compare exact conditionals across
 regimes on positive-probability events to an absolute tolerance of 1e-9.
 Failed stages always carry a witness: an offending path for graphical
 checks, a conditioning event with the two differing probability vectors
@@ -12,12 +15,14 @@ for numeric ones.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .graph import connecting_path
+from .errors import InputError
+from .graph import Dag, connecting_path
 from .model import (
     SIGMA,
     InfluenceDiagram,
@@ -26,11 +31,8 @@ from .model import (
     factor_array,
     joint_distribution,
     observable_joint,
-    support,
 )
-from .grecursion import check_cond6
-
-TOL = 1e-9
+from .grecursion import TOL, build_dag_i, check_cond6
 
 
 @dataclass(frozen=True)
@@ -75,20 +77,28 @@ class StabilityReport:
         return next(s for s in self.stages if s.stage == i)
 
 
+def _separation(i: int, dag: Dag, a: Iterable[str], c: Iterable[str]) -> StageVerdict:
+    """Stage ``i`` passes when ``c`` separates ``a`` from the regime node
+    (always, for an empty block ``a``); otherwise its witness is the
+    connecting path."""
+    path = connecting_path(dag, a, {SIGMA}, c)
+    return StageVerdict(i, path is None, None if path is None else PathWitness(path))
+
+
+def _labels(diagram: InfluenceDiagram, names, flat) -> tuple[tuple[str, str], ...]:
+    """``(name, state)`` pairs of the row-major configuration ``flat`` of ``names``."""
+    dims = [len(diagram.states[v]) for v in names]
+    return tuple((v, diagram.states[v][j]) for v, j in zip(names, np.unravel_index(flat, dims)))
+
+
 def check_simple_stability_graphical(diagram: InfluenceDiagram) -> StabilityReport:
     """Separation of each covariate block from the regime node given the
     observed past, on the full diagram."""
     base = diagram.base
-    stages = []
-    for i in range(1, base.n + 2):
-        block = base.block(i)
-        if not block:
-            stages.append(StageVerdict(i, True))
-            continue
-        past = base.vars[: base.before_l(i)]
-        path = connecting_path(diagram.dag, set(block), {SIGMA}, set(past))
-        witness = PathWitness(path) if path is not None else None
-        stages.append(StageVerdict(i, path is None, witness))
+    stages = (
+        _separation(i, diagram.dag, base.vars[lo:hi], base.vars[:lo])
+        for i, lo, hi, _ in base.stages
+    )
     return StabilityReport("simple_stability_graphical", tuple(stages))
 
 
@@ -103,11 +113,10 @@ def check_simple_stability_numeric(
     regimes = [("obs", "obs")] + [(s.name, s) for s in strategies]
     sources = [PrefixSource(base, observable_joint(diagram, r).probs, name) for name, r in regimes]
     stages = []
-    for i in range(1, base.n + 2):
-        if not base.block(i):
+    for i, lo, hi, _ in base.stages:
+        if lo == hi:
             stages.append(StageVerdict(i, True))
             continue
-        lo, hi = base.before_l(i), base.after_l(i)
         first = None  # (row, left source, right source)
         for a, b in itertools.combinations(sources, 2):
             defined = a.support().masks[lo] & b.support().masks[lo]
@@ -120,9 +129,8 @@ def check_simple_stability_numeric(
             continue
         row, a, b = first
         event = np.unravel_index(row, a.marginal(lo).shape)
-        labels = tuple(base.states[v][j] for v, j in zip(base.vars, event))
         witness = DivergenceWitness(
-            tuple(zip(base.vars, labels)), a.label, b.label,
+            _labels(diagram, base.vars[:lo], row), a.label, b.label,
             tuple(a.given(lo, hi)[event]), tuple(b.given(lo, hi)[event]),
         )
         stages.append(StageVerdict(i, False, witness))
@@ -130,21 +138,23 @@ def check_simple_stability_numeric(
 
 
 def check_sequential_randomization(diagram: InfluenceDiagram) -> bool:
-    """Structural test: regime arrows enter actions only, and no action has
-    a hidden parent in the diagram."""
-    for u, v in diagram.dag.edges:
-        if u == SIGMA and diagram.kinds[v] != "act":
-            return False
+    """Structural test: no action has a hidden parent in the diagram.
+    (Regime arrows enter actions only: ``InfluenceDiagram`` rejects any
+    other.)"""
     hidden = set(diagram.hidden)
     return not any(hidden & set(diagram.domain_parents[a]) for a in diagram.actions)
+
+
+def _covered(p: np.ndarray, q: np.ndarray) -> bool:
+    """Whether ``q`` is positive wherever ``p`` is (absolute continuity)."""
+    return bool(np.all((p <= 0.0) | (q > 0.0)))
 
 
 def extended_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> bool:
     """Absolute continuity of the strategy joint with respect to the
     observational one over all variables, hidden included."""
     je = joint_distribution(diagram, strategy).probs
-    jo = joint_distribution(diagram, "obs").probs
-    return bool(np.all((je <= 0.0) | (jo > 0.0)))
+    return _covered(je, joint_distribution(diagram, "obs").probs)
 
 
 def check_sequential_irrelevance_numeric(
@@ -161,12 +171,8 @@ def check_sequential_irrelevance_numeric(
     joint = joint_distribution(diagram, "obs")
     index = diagram.index
     stages = []
-    for i in range(1, base.n + 2):
-        block = base.block(i)
-        if not block:
-            stages.append(StageVerdict(i, True))
-            continue
-        if i == 1:
+    for i, lo, hi, _ in base.stages:
+        if i == 1 or lo == hi:
             u_past: tuple[str, ...] = ()
         else:
             a_prev = base.action(i - 1)
@@ -174,13 +180,12 @@ def check_sequential_irrelevance_numeric(
         if not u_past:
             stages.append(StageVerdict(i, True))
             continue
-        past = base.vars[: base.before_l(i)]
-        wanted = tuple(past) + u_past + tuple(block)
-        past_configs = list(itertools.product(*(base.states[v] for v in past)))
-        u_configs = list(itertools.product(*(diagram.states[v] for v in u_past)))
+        past = base.vars[:lo]
+        wanted = past + u_past + base.vars[lo:hi]
+        dims = [len(diagram.states[v]) for v in wanted]
         marginal = joint.marginal(wanted)
         arr = np.transpose(marginal.probs, [marginal.names.index(v) for v in wanted]).reshape(
-            len(past_configs), len(u_configs), -1
+            math.prod(dims[:lo]), math.prod(dims[lo : lo + len(u_past)]), -1
         )
         # The block given (past, hidden past), compared in each past row
         # with the first defined hidden configuration of that row.
@@ -194,18 +199,51 @@ def check_sequential_irrelevance_numeric(
             stages.append(StageVerdict(i, True))
             continue
         row, ucol = hits[0]
-        ev = tuple(zip(past, past_configs[row])) + tuple(zip(u_past, u_configs[ucol]))
-        ref = tuple(zip(u_past, u_configs[first[row]]))
+        u_event = _labels(diagram, u_past, ucol)
         witness = DivergenceWitness(
-            ev,
-            "given " + ",".join(f"{v}={s}" for v, s in ref),
-            "given " + ",".join(f"{v}={s}" for v, s in ev[-len(u_past) :]),
+            _labels(diagram, past, row) + u_event,
+            "given " + ",".join(f"{v}={s}" for v, s in _labels(diagram, u_past, first[row])),
+            "given " + ",".join(f"{v}={s}" for v, s in u_event),
             tuple(cond[row, first[row]]),
             tuple(cond[row, ucol]),
         )
         stages.append(StageVerdict(i, False, witness))
-    extras = {s.name: extended_positivity(diagram, s) for s in strategies}
+    extras = {
+        s.name: _covered(joint_distribution(diagram, s).probs, joint.probs) for s in strategies
+    }
     return StabilityReport("sequential_irrelevance_numeric", tuple(stages), extras)
+
+
+def _check_int_strategy(diagram: InfluenceDiagram, strategy: Strategy | None) -> None:
+    """Raise unless the strategy is absent or valid with every policy on
+    its action's declared int-parents."""
+    if strategy is None:
+        return
+    diagram.validate_strategy(strategy)
+    for a, pol in strategy.policies.items():
+        extra = set(pol.parents) - set(diagram.int_parents[a])
+        if extra:
+            raise InputError(
+                f"strategy {strategy.name!r} lets {a} depend on {sorted(extra)}, "
+                f"outside its declared int-parents"
+            )
+
+
+def check_graphsep(diagram: InfluenceDiagram, strategy: Strategy | None = None) -> StabilityReport:
+    """Per-stage separation of the response from the regime node in the
+    mixed diagrams, given the observed past up to and including the stage
+    action; licenses the recursion without plain stability.  A failing
+    stage carries the connecting path, from the response to the regime
+    node.  (Separating the response from the stage action in the mixed
+    diagram without the regime node and the action's out-arrows is
+    equivalent; the tests hold that lemma.)"""
+    _check_int_strategy(diagram, strategy)
+    base = diagram.base
+    stages = (
+        _separation(i, build_dag_i(diagram, i), (diagram.response,), base.vars[:m])
+        for i, _, _, m in base.stages[: base.n]
+    )
+    return StabilityReport("graphsep", tuple(stages))
 
 
 @dataclass(frozen=True)
@@ -220,9 +258,13 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
     """The four positivity variants for one strategy against the
     observational regime."""
     diagram.validate_strategy(strategy)
-    obs_support = support(diagram, "obs")
-    simple = support(diagram, strategy).issubset(obs_support)
-    extended = extended_positivity(diagram, strategy)
+    je, jo = joint_distribution(diagram, strategy), joint_distribution(diagram, "obs")
+    obs = jo.marginal(diagram.base.vars).probs
+    # A prefix's mass sums its full histories' non-negative masses, so it is
+    # positive exactly when one of them is: the full histories decide simple
+    # positivity for every prefix.
+    simple = _covered(je.marginal(diagram.base.vars).probs, obs)
+    extended = _covered(je.probs, jo.probs)
 
     parent_child = True
     for a in diagram.actions:
@@ -234,9 +276,8 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
             parent_child = False
             break
 
-    general, _ = check_cond6(obs_support, strategy)
+    general, _ = check_cond6(PrefixSource(diagram.base, obs, "obs").support(), strategy)
 
     if (parent_child or extended) and not simple:
         raise AssertionError("parent-child and extended positivity must each imply simple")
     return PositivityReport(simple, extended, parent_child, general)
-

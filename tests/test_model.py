@@ -92,6 +92,23 @@ class TestValidation:
         with pytest.raises(ModelError):
             InfluenceDiagram(vs, [("L", "Y"), ("sigma", "L")], cpts)
 
+    @pytest.mark.parametrize("target", ["U", "L", "Y"])
+    def test_sigma_into_every_non_action_kind_rejected(self, target):
+        # The diagram itself, not only the parser, refuses a regime arrow
+        # into a hidden, observed or response variable; the sequential
+        # randomization check relies on it and looks at hidden parents only.
+        vs = [
+            Variable("U", "hid", ("0", "1")),
+            Variable("L", "obs", ("0", "1")),
+            Variable("A", "act", ("0", "1")),
+            Variable("Y", "resp", ("0", "1")),
+        ]
+        cpts = {v.name: Cpt(v.name, (), {(): (0.5, 0.5)}) for v in vs}
+        edges = [("sigma", "A")]
+        assert InfluenceDiagram(vs, edges, cpts).dag.children("sigma") == ("A",)
+        with pytest.raises(ModelError, match=rf"^arrow sigma -> {target} enters a non-action$"):
+            InfluenceDiagram(vs, edges + [("sigma", target)], cpts)
+
     def test_edge_into_sigma_rejected(self):
         # The regime node comes first in the diagram's order, so an arrow
         # into it goes backward.

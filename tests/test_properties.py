@@ -20,7 +20,6 @@ from helpers import dirichlet_row, random_extended_id, random_strategy, rng, zer
 from regimes.errors import PositivityError
 from regimes.grecursion import (
     check_cond6,
-    check_graphsep,
     construct_p_i,
     gamma_support,
     recursion_table,
@@ -36,6 +35,7 @@ from regimes.model import (
     support,
 )
 from regimes.optimize import enumerate_strategies, optimal_strategy
+from regimes.stability import check_graphsep
 
 K01 = {"0": 0.0, "1": 1.0}
 

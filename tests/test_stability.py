@@ -1,11 +1,24 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import f1, f2, f3, f4, static_strategy
-from helpers import conditional, random_extended_id, random_strategy, support_propagation
+from helpers import (
+    conditional,
+    random_extended_id,
+    random_strategy,
+    support_propagation,
+    zero_action_rows,
+    zero_covariate_rows,
+)
+from moral_reference import moral_ancestral
+from regimes.grecursion import build_dag_i, check_cond6
 from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, joint_distribution, support
 from regimes.stability import (
     DivergenceWitness,
     PathWitness,
+    StageVerdict,
+    check_graphsep,
     check_positivity,
     check_sequential_irrelevance_numeric,
     check_sequential_randomization,
@@ -40,6 +53,51 @@ class TestGraphical:
             rep = check_simple_stability_graphical(d)
             for s in rep.stages:
                 assert s.passed or s.witness is not None
+
+
+def graphsep_witnesses(d) -> set:
+    """Check every stage of ``check_graphsep`` on ``d``: a witness exactly
+    when the stage fails, and then a path of the stage's moral ancestral
+    graph from the response to the regime node that avoids the observed
+    past up to the stage action.  Returns the verdicts seen."""
+    rep = check_graphsep(d)
+    assert rep.check == "graphsep"
+    assert [s.stage for s in rep.stages] == list(range(1, d.n + 1))
+    for s in rep.stages:
+        assert isinstance(s, StageVerdict)
+        assert (s.witness is None) == s.passed
+        if s.passed:
+            continue
+        assert isinstance(s.witness, PathWitness)
+        path = s.witness.path
+        cond = set(d.base.vars[: d.base.after_a(s.stage)])
+        assert path[0] == d.response and path[-1] == "sigma"
+        assert len(set(path)) == len(path) and not cond & set(path)
+        graph = moral_ancestral(build_dag_i(d, s.stage), cond | {d.response, "sigma"})
+        assert all(v in graph.neighbors(u) for u, v in zip(path, path[1:])), path
+    assert rep.overall == all(s.passed for s in rep.stages)
+    return {s.passed for s in rep.stages}
+
+
+class TestGraphsepWitness:
+    def test_f2_wide_fails_stage_one_with_path(self):
+        d, _ = f2(wide=True)
+        assert graphsep_witnesses(d) == {True, False}
+        rep = check_graphsep(d)
+        assert not rep.stage(1).passed and rep.stage(2).passed
+        assert not rep.overall
+
+    def test_f2_narrow_passes_without_witness(self):
+        d, _ = f2()
+        assert graphsep_witnesses(d) == {True}
+
+    def test_random_diagrams(self):
+        seen = set()
+        for seed in range(40):
+            for hidden in (False, True):
+                d = random_extended_id(seed, n_actions=1 + seed % 3, hidden_to_action=hidden)
+                seen |= graphsep_witnesses(d)
+        assert seen == {True, False}
 
 
 class TestNumeric:
@@ -216,6 +274,42 @@ class TestPositivity:
     def test_extended_positivity_under_all_positive_tables(self):
         d, strats = f2()
         assert extended_positivity(d, strats["e2"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.booleans(),
+    st.sampled_from(["actions", "covariates", "both"]),
+    st.integers(0, 10**6),
+)
+def test_positivity_matches_its_definitions(seed, n_actions, confounded, zeroed, other_seed):
+    """One strategy joint and one observational joint give the verdicts
+    that the support sets, the two full joints and ``check_cond6`` give."""
+    d = random_extended_id(seed, n_actions=n_actions, hidden_to_action=confounded)
+    if zeroed != "covariates":
+        d = zero_action_rows(d, other_seed)
+    if zeroed != "actions":
+        d = zero_covariate_rows(d, other_seed + 1)
+    s = random_strategy(d, other_seed)
+    rep = check_positivity(d, s)
+    obs = support(d, "obs")
+    assert rep.simple == support(d, s).issubset(obs)
+    assert rep.extended == extended_positivity(d, s)
+    assert rep.general == check_cond6(obs, s)[0]
+
+
+def test_positivity_generator_reaches_both_verdicts():
+    """The property above sees simple and extended positivity both hold
+    and fail."""
+    seen = set()
+    for seed in range(30):
+        d = zero_action_rows(random_extended_id(seed, hidden_to_action=seed % 2 == 1), seed)
+        rep = check_positivity(d, random_strategy(d, seed))
+        seen.add((rep.simple, rep.extended))
+    assert {simple for simple, _ in seen} == {True, False}
+    assert {extended for _, extended in seen} == {True, False}
 
 
 class TestSupportPropagation:
