@@ -158,11 +158,9 @@ def improve_sequence(
     The result keeps cumulative sets inside the pools, so it is itself
     admissible.
     """
-    _check_int_strategy(diagram, strategy)
-    order = _the_order(diagram, action_order)
-    if candidate is not None and candidate.order != order:
+    stages = _checked_stages(diagram, action_order, strategy)
+    if candidate is not None and candidate.order != stages.order:
         raise InputError("candidate was computed for a different action order")
-    stages = _Stages(diagram, order, _reaching(diagram))
     if candidate is None:
         candidate = _candidate(stages)
     sets: list[tuple[str, ...]] = []
@@ -180,7 +178,7 @@ def improve_sequence(
                     changed = True
         sets.append(diagram.sort(keep))
         cum |= keep
-    return AdmissibleSequence(order, tuple(sets), candidate.pools, (True,) * len(sets))
+    return AdmissibleSequence(stages.order, tuple(sets), candidate.pools, (True,) * len(sets))
 
 
 def _orders_consistent_with(diagram: InfluenceDiagram):

@@ -83,10 +83,11 @@ class Dataset:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str, base: InfoBase, regime: str = "?", seed: int = -1) -> "Dataset":
+    def from_text(cls, text: str, base: InfoBase) -> "Dataset":
         """Read ``to_text`` output: a header of column names, then one row
         of state labels per line; blank lines and lines starting with
-        ``#`` are skipped.  Each block of ``SAMPLE_ROWS`` rows is split
+        ``#`` are skipped.  The text holds no regime or seed: they read
+        ``"?"`` and -1.  Each block of ``SAMPLE_ROWS`` rows is split
         once and each column's labels mapped through its state dict.  An
         error names the first bad row and, in it, a wrong cell count
         before the first unknown cell."""
@@ -113,7 +114,7 @@ class Dataset:
                     block[:, j] = list(map(labels.__getitem__, cells[j::k]))
             except KeyError:
                 _first_bad_row(rows, start, columns, index)
-        return cls(columns, states, codes, regime, seed)
+        return cls(columns, states, codes, "?", -1)
 
 
 def _codes_dtype(states) -> np.dtype:

@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -82,23 +83,21 @@ class Variable:
             raise ModelError(f"duplicate state label on variable {self.name}")
 
 
-def row_problem(row, width: int) -> str | None:
-    """Why ``row`` is not a distribution over ``width`` states, or None.
-
-    The comparisons are written so that NaN fails them.  The sum runs left
-    to right on every Python version (3.12's ``sum`` compensates), so the
-    parser's column-wise sum of many rows gives the same verdicts.
-    """
-    if len(row) != width:
-        return f"has {len(row)} entries, want {width}"
-    total = 0
-    for p in row:
-        if not 0.0 <= p <= 1.0:
-            return "has entries outside [0, 1]"
-        total += p
-    if not abs(total - 1.0) <= ROW_SUM_TOL:
-        return f"sums to {total!r}"
-    return None
+def row_problems(probs: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a 2-D float array that is not a distribution, as
+    ``(index, reason)``, or None.  The comparisons are written so that NaN
+    fails them.  Each row is summed left to right from its first entry, so
+    any batch of rows gets the same verdicts; ``0.0 +`` makes a row of
+    negative zeros sum to 0.0, as ``sum`` does."""
+    inside = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+    total = 0.0 + probs[:, 0]
+    for c in range(1, probs.shape[1]):
+        total += probs[:, c]
+    ok = inside & (abs(total - 1.0) <= ROW_SUM_TOL)
+    if ok.all():
+        return None
+    k = int(ok.argmin())
+    return k, "has entries outside [0, 1]" if not inside[k] else f"sums to {float(total[k])!r}"
 
 
 class Table(Mapping):
@@ -140,19 +139,39 @@ class Table(Mapping):
         return f"Table({dict(self)!r})"
 
 
-def _checked_array(table: Mapping, states, width: int, what: str, error) -> np.ndarray | None:
-    """The rows of a label-keyed table as one array over (parents..., child),
-    or None unless its keys are exactly the parent configurations.  Raises
-    ``error`` naming the first bad row in row-major order."""
+def _checked_array(table: Mapping, states, width: int, what: str, error) -> np.ndarray:
+    """The rows of a label-keyed table as one array over (parents..., child).
+    Raises ``error`` listing up to three missing and three unknown rows
+    unless the keys are exactly the parent configurations, else naming the
+    first bad row in row-major order."""
     configs = list(itertools.product(*states))
-    if len(table) != len(configs) or not all(c in table for c in configs):
-        return None
-    rows = [table[c] for c in configs]
-    for config, row in zip(configs, rows):
-        problem = row_problem(row, width)
-        if problem:
-            raise error(f"{what}: row {config} {problem}")
-    return np.array(rows, dtype=float).reshape(tuple(map(len, states)) + (width,))
+    missing = [c for c in configs if c not in table]
+    if missing or len(table) != len(configs):
+        known = set(configs)
+        unknown = [c for c in table if c not in known]
+        raise error(f"{what}: missing rows {missing[:3]}, unknown rows {unknown[:3]}")
+    # Rows are checked up to the first that is not ``width`` numbers; a
+    # string must not reach the array, which would read "0.5" as 0.5.  The
+    # exact types come first: ``np.ndim`` copies a row, and the ``Real``
+    # check costs several times a ``float`` one.
+    rows = []
+    for config in configs:
+        row = table[config]
+        sequence = isinstance(row, (tuple, list)) or np.ndim(row) == 1
+        if not sequence or not all(isinstance(p, float) or isinstance(p, Real) for p in row):
+            problem = "is not a sequence of numbers"
+            break
+        if len(row) != width:
+            problem = f"has {len(row)} entries, want {width}"
+            break
+        rows.append(row)
+    probs = np.array(rows, dtype=float).reshape(len(rows), width)
+    found = row_problems(probs)
+    if found:
+        config, problem = configs[found[0]], found[1]
+    if found or len(rows) < len(configs):
+        raise error(f"{what}: row {config} {problem}")
+    return probs.reshape(tuple(map(len, states)) + (width,))
 
 
 class _Dense:
@@ -162,19 +181,17 @@ class _Dense:
     def array(self) -> np.ndarray:
         return self.table.array
 
-    def _densify(self, states, width: int, what: str, error) -> bool:
+    def _densify(self, states, width: int, what: str, error) -> None:
         """Turn ``table`` into a checked ``Table`` over these parent states,
-        converting a label dict once; False on missing or unknown rows."""
+        converting a label dict once; ``_checked_array`` raises ``error`` on
+        wrong keys or a bad row."""
         if len(set(self.parents)) != len(self.parents):
             raise error(f"{what} lists a parent twice")
         table = self.table
         if isinstance(table, Table) and table.states == states and table.array.shape[-1] == width:
-            return True
+            return
         array = _checked_array(table, states, width, what, error)
-        if array is None:
-            return False
         object.__setattr__(self, "table", Table(states, array))
-        return True
 
 
 @dataclass(frozen=True)
@@ -186,25 +203,12 @@ class Cpt(_Dense):
     table: Mapping[tuple[str, ...], tuple[float, ...]]
 
     def validate(self, states: Mapping[str, tuple[str, ...]]) -> None:
-        what = f"cpt for {self.child}"
         own = tuple(states[p] for p in self.parents)
-        if not self._densify(own, len(states[self.child]), what, ModelError):
-            expected = list(itertools.product(*own))
-            missing = [c for c in expected if c not in self.table]
-            extra = [c for c in self.table if c not in set(expected)]
-            raise ModelError(f"{what}: missing rows {missing[:3]}, unknown rows {extra[:3]}")
-
-    def row(self, config: tuple[str, ...]) -> tuple[float, ...]:
-        try:
-            return self.table[config]
-        except KeyError:
-            raise ModelError(f"cpt for {self.child}: no row for {config}") from None
+        self._densify(own, len(states[self.child]), f"cpt for {self.child}", ModelError)
 
     def lift(self, parents: tuple[str, ...], states: Mapping[str, tuple[str, ...]]) -> "Cpt":
         """Re-key a validated table to a parent superset; added parents do
         not affect the rows."""
-        if parents == self.parents:
-            return self
         axes = parents + (self.child,)
         own = factor_array(axes, self.child, self.parents, self.array)
         array = np.broadcast_to(own, tuple(len(states[v]) for v in axes))
@@ -217,12 +221,6 @@ class Policy(_Dense):
 
     parents: tuple[str, ...]
     table: Mapping[tuple[str, ...], tuple[float, ...]]
-
-    def row(self, config: tuple[str, ...]) -> tuple[float, ...]:
-        try:
-            return self.table[config]
-        except KeyError:
-            raise PolicyError(f"no policy row for parent configuration {config}") from None
 
 
 @dataclass(frozen=True)
@@ -330,11 +328,7 @@ class InfoBase:
                 if self._pos[p] >= self._pos[a]:
                     raise PolicyError(f"policy for {a} reads {p}, which does not precede it")
             own = tuple(self.states[p] for p in pol.parents)
-            if not pol._densify(own, len(self.states[a]), f"policy for {a}", PolicyError):
-                raise PolicyError(
-                    f"policy for {a} must have one row per parent configuration "
-                    f"({len(pol.table)} given, {math.prod(map(len, own))} required)"
-                )
+            pol._densify(own, len(self.states[a]), f"policy for {a}", PolicyError)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,8 +31,8 @@ one reported.
 
 A run of row lines is read by one loop: each row's key is looked up in
 its block's dict of row-key text, its values become floats as read, and
-the distribution check of ``row_problem`` runs on the run's values at
-once, before any later error is reported.
+the model's distribution check, ``row_problems``, runs on the run's
+values at once, before any later error is reported.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import ModelError, ParseError, PolicyError
 from .model import (
-    KINDS, MAX_JOINT_CELLS, ROW_SUM_TOL, SIGMA, Cpt, InfluenceDiagram, Policy, Strategy, Table,
-    Variable, row_problem,
+    KINDS, MAX_JOINT_CELLS, SIGMA, Cpt, InfluenceDiagram, Policy, Strategy, Table, Variable,
+    row_problems,
 )
 
 _ROW_WORDS = ("row", "prow")
@@ -325,43 +325,25 @@ class _Parser:
         return lineno, tokens
 
     def _store(self, block, at, rows, values):
-        """Check the run's rows as ``row_problem`` does, all at once, and
+        """Check the run's rows with ``row_problems``, all at once, and
         write them into the block; report the first that fails."""
         if not rows:
             return
         probs = np.array(values).reshape(len(rows), block.width)
-        total = probs[:, 0].copy()
-        for c in range(1, block.width):
-            total += probs[:, c]  # left to right, as row_problem sums
-        ok = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1) & (abs(total - 1.0) <= ROW_SUM_TOL)
-        if not ok.all():
-            k = int(ok.argmin())
-            self.fail(at[k], f"row {row_problem(probs[k].tolist(), block.width)}")
+        found = row_problems(probs)
+        if found:
+            self.fail(at[found[0]], f"row {found[1]}")
         block.rows[rows] = probs
 
     def _row_error(self, tokens, lineno):
         """Report why a row line cannot be read: no open block, or a key, a
-        value or a width the run reader refused."""
+        value or a width the run reader refused.  A row of the block's
+        width whose values parse was read, and ``_store`` checked it."""
         block = self._block
         if tokens[0] == "prow" and (block is None or block.strategy is None):
             self.fail(lineno, "prow outside an assign block")
         if block is None:
             self.fail(lineno, "row outside a cpt or assign block")
-        self._row(tokens, lineno)
-        if tokens[0] == "row" and block.strategy is not None:
-            if len(tokens) != 4:
-                self.fail(lineno, "deterministic row takes a single action state")
-            self.fail(lineno, f"{tokens[3]!r} is not a state of {block.name}")
-        try:
-            probs = [float(t) for t in tokens[3:]]
-        except ValueError:
-            self.fail(lineno, f"expected probabilities, got {tokens[3:]}")
-        self.fail(lineno, f"row {row_problem(probs, block.width)}")
-
-    def _row(self, tokens, lineno):
-        """Report a row line whose key is malformed or already given; return
-        if it names a new parent configuration of the open block."""
-        block = self._block
         if len(tokens) < 3 or tokens[2] != ":":
             self.fail(lineno, "expected: row <s1,s2,...|-> : <values>")
         # ``-`` is the empty configuration only where there are no parents;
@@ -375,6 +357,15 @@ class _Parser:
         if block.seen[block.keys[tokens[1]]]:
             where = f"in {block.what}" if block.strategy is None else f"for {block.name}"
             self.fail(lineno, f"duplicate row {key} {where}")
+        if tokens[0] == "row" and block.strategy is not None:
+            if len(tokens) != 4:
+                self.fail(lineno, "deterministic row takes a single action state")
+            self.fail(lineno, f"{tokens[3]!r} is not a state of {block.name}")
+        try:
+            [float(t) for t in tokens[3:]]
+        except ValueError:
+            self.fail(lineno, f"expected probabilities, got {tokens[3:]}")
+        self.fail(lineno, f"row has {len(tokens) - 3} entries, want {block.width}")
 
     # ------------------------------------------------------------------
     # assembly

@@ -31,7 +31,7 @@ def _action_prob(base, strategy, h, i: int) -> float:
     """The probability the strategy gives the i-th action's state in ``h``."""
     action = base.action(i)
     policy = strategy.policies[action]
-    row = policy.row(tuple(h[base.position(p)] for p in policy.parents))
+    row = policy.table[tuple(h[base.position(p)] for p in policy.parents)]
     return row[base.states[action].index(h[base.after_a(i) - 1])]
 
 

@@ -110,6 +110,20 @@ class TestImproveSequence:
         improved = improve_sequence(d, ("B", "A"), candidate)
         assert improved.sets == candidate.sets
 
+    def test_without_candidate_computes_one(self):
+        d, _ = f5()
+        assert improve_sequence(d) == improve_sequence(d, candidate=compute_candidate_sequence(d))
+
+    def test_preconditions_checked_as_by_the_other_calls(self):
+        # An action that cannot reach the response is reported before a bad
+        # action order, as compute_candidate_sequence and check_admissible do.
+        vs = [Variable("A1", "act", ("0", "1")), Variable("Y", "resp", ("0", "1"))]
+        cpts = {"A1": Cpt("A1", (), {(): (0.5, 0.5)}), "Y": Cpt("Y", (), {(): (0.5, 0.5)})}
+        d = InfluenceDiagram(vs, [("sigma", "A1")], cpts)
+        for call in (compute_candidate_sequence, improve_sequence):
+            with pytest.raises(ModelError, match="A1"):
+                call(d, ("Z",))
+
     def test_single_stage_required_covariate_kept(self):
         d, _ = f4()  # hidden confounder: stage pool check fails, abort
         candidate = compute_candidate_sequence(d)

@@ -215,6 +215,9 @@ class TestErrorsAndDeterminism:
         [
             ("evaluate", "--model", "{f1}", "--k", "0=abc,1=1"),
             ("evaluate", "--model", "{f1}", "--k", "0=nan,1=1"),
+            ("evaluate", "--model", "{f1}", "--k", "0"),
+            ("evaluate", "--model", "{f1}", "--k", "2=1"),
+            ("evaluate", "--model", "{f1}", "--target", "2"),
             ("estimate", "--model", "{f1}", "--data", "{rows}", "--alpha", "nan", "--strategy", "dyn"),
             ("estimate", "--model", "{f1}", "--data", "{rows}", "--alpha", "-1", "--strategy", "dyn"),
             ("simulate", "--model", "{f1}", "--regime", "obs", "--n", "5", "--seed", "-1",

@@ -96,7 +96,7 @@ def naive_gamma(obs_support, strategy):
             if len(h) < cut:
                 break
             pol = strategy.policies[action]
-            row = pol.row(tuple(h[base.position(p)] for p in pol.parents))
+            row = pol.table[tuple(h[base.position(p)] for p in pol.parents)]
             if row[base.states[action].index(h[cut - 1])] <= 0.0:
                 ok = False
                 break
@@ -115,7 +115,7 @@ def naive_cond6(obs_support, strategy):
         for i, action in enumerate(base.actions, start=1):
             if len(h) == base.after_l(i):
                 pol = strategy.policies[action]
-                row = pol.row(tuple(h[base.position(p)] for p in pol.parents))
+                row = pol.table[tuple(h[base.position(p)] for p in pol.parents)]
                 for state, p in zip(base.states[action], row):
                     if p > 0.0 and h + (state,) not in obs_support:
                         return False, h + (state,)

@@ -1,0 +1,184 @@
+"""Refusal paths of the library: each bad input raises its error type with
+a message that names the fault.  One case per place that refuses."""
+
+import itertools
+import re
+
+import numpy as np
+import pytest
+
+from fixtures import f1
+from regimes.admissible import check_admissible, compute_candidate_sequence, improve_sequence
+from regimes.data import Dataset, EstimatedSource
+from regimes.errors import InputError, ModelError, PolicyError
+from regimes.graph import Dag
+from regimes.grecursion import build_dag_i, recursion_table
+from regimes.model import (
+    Cpt,
+    ExactSource,
+    InfluenceDiagram,
+    Strategy,
+    Table,
+    Variable,
+    joint_distribution,
+    response_weights,
+)
+from regimes.optimize import enumerate_strategies, optimal_strategy
+
+B = ("0", "1")
+K01 = {"0": 0.0, "1": 1.0}
+UNIFORM = (0.5, 0.5)
+
+
+def uniform(child, *parents):
+    return Cpt(child, parents, {c: UNIFORM for c in itertools.product(B, repeat=len(parents))})
+
+
+def small(variables=None, edges=None, cpts=None, **annotations):
+    """L -> A -> Y with L -> Y and the regime node into A, unless told
+    otherwise; every table uniform."""
+    variables = variables or [
+        Variable("L", "obs", B), Variable("A", "act", B), Variable("Y", "resp", B)
+    ]
+    edges = edges or [("sigma", "A"), ("L", "A"), ("L", "Y"), ("A", "Y")]
+    if cpts is None:
+        cpts = {"L": uniform("L"), "A": uniform("A", "L"), "Y": uniform("Y", "L", "A")}
+    return InfluenceDiagram(variables, edges, cpts, **annotations)
+
+
+def unknown_action():
+    diagram, strategies = f1()
+    policies = strategies["dyn"].policies
+    diagram.validate_strategy(Strategy("s", {**policies, "Z": policies["A1"]}))
+
+
+def other_candidate():
+    diagram, _ = f1()
+    improve_sequence(diagram, ("A1", "A2"), compute_candidate_sequence(diagram, ("A2", "A1")))
+
+
+CASES = {
+    # graph.Dag
+    "dag duplicate node": (lambda: Dag(("a", "a"), []), ModelError, "duplicate node declaration"),
+    "dag duplicate edge": (
+        lambda: Dag(("a", "b"), [("a", "b"), ("a", "b")]), ModelError, "duplicate edge"
+    ),
+    "dag undeclared node": (
+        lambda: Dag(("a",), [("a", "b")]), InputError, "edge (a, b) references an undeclared node"
+    ),
+    "dag self-loop": (lambda: Dag(("a",), [("a", "a")]), ModelError, "self-loop at a"),
+    # model.Variable
+    "variable named sigma": (
+        lambda: Variable("sigma", "obs", B), ModelError, "'sigma' is reserved for the regime node"
+    ),
+    "variable of unknown kind": (
+        lambda: Variable("L", "cov", B), ModelError, "unknown kind 'cov' for variable L"
+    ),
+    "variable without states": (
+        lambda: Variable("L", "obs", ()), ModelError, "variable L needs at least one state"
+    ),
+    # model.Table lookups
+    "table key not a tuple": (lambda: Table((B,), np.full((2, 2), 0.5))["0"], KeyError, "'0'"),
+    "table key unknown label": (
+        lambda: Table((B,), np.full((2, 2), 0.5))[("2",)], KeyError, "('2',)"
+    ),
+    # model.InfoBase.validate_strategy
+    "strategy for an unknown action": (
+        unknown_action, PolicyError, "strategy 's' assigns unknown action 'Z'"
+    ),
+    # model.InfluenceDiagram
+    "duplicate variable name": (
+        lambda: small(variables=[Variable("Y", "resp", B)] * 2, edges=[], cpts={}),
+        ModelError, "duplicate variable name",
+    ),
+    "observable after the last action": (
+        lambda: small(
+            variables=[Variable("A", "act", B), Variable("L", "obs", B), Variable("Y", "resp", B)],
+            edges=[("sigma", "A")], cpts={},
+        ),
+        ModelError, "only the response may follow the last action; found ['L']",
+    ),
+    "annotation on a non-action": (
+        lambda: small(obs_parents={"Y": ()}), ModelError, "parent annotation on non-action 'Y'"
+    ),
+    "no cpt": (
+        lambda: small(cpts={"L": uniform("L"), "A": uniform("A", "L")}),
+        ModelError, "no cpt for variable Y",
+    ),
+    "cpt on a non-parent": (
+        lambda: small(edges=[("sigma", "A"), ("L", "A"), ("A", "Y")]),
+        ModelError, "cpt for Y conditions on ['L'], not among its parents",
+    ),
+    "annotation lists a parent twice": (
+        lambda: small(obs_parents={"A": ("L", "L")}),
+        ModelError, "obs-parents of A: duplicate entry",
+    ),
+    "annotation names a non-parent": (
+        lambda: small(int_parents={"A": ("Y",)}),
+        ModelError, "int-parents of A: ['Y'] are not dag-parents",
+    ),
+    # model: marginals, response functionals, conditionals
+    "marginal over an unknown variable": (
+        lambda: joint_distribution(f1()[0], "obs").marginal(["Z"]),
+        InputError, "unknown variables ['Z']",
+    ),
+    "k without a response state": (
+        lambda: response_weights(f1()[0].base, {"0": 1.0}),
+        InputError, "k assigns no value to response states ['1']",
+    ),
+    "conditional after the wrong history": (
+        lambda: ExactSource(f1()[0]).l_conditional(1, ("0",)),
+        InputError, "history of length 1 does not precede block 1",
+    ),
+    # grecursion
+    "values keyed by a non-tuple": (
+        lambda: recursion_table(ExactSource(f1()[0]), f1()[1]["dyn"], K01).values["0"],
+        KeyError, "'0'",
+    ),
+    "stage diagram for a partial order": (
+        lambda: build_dag_i(f1()[0], 1, ("A1",)),
+        InputError, "action_order must be a permutation of the diagram's actions",
+    ),
+    "stage diagram past the last stage": (
+        lambda: build_dag_i(f1()[0], 4), InputError, "stage index 4 outside 0..3"
+    ),
+    # data.EstimatedSource
+    "dataset over other columns": (
+        lambda: EstimatedSource(
+            Dataset(("Y",), (B,), np.zeros((1, 1), np.uint8), "?", -1), f1()[0].base
+        ),
+        InputError, "dataset schema does not match the information base",
+    ),
+    # optimize
+    "optimizer sense": (
+        lambda: optimal_strategy(ExactSource(f1()[0]), K01, "best"),
+        ValueError, "sense must be 'max' or 'min', not 'best'",
+    ),
+    "enumeration sense": (
+        lambda: enumerate_strategies(f1()[0], K01, "best"),
+        ValueError, "sense must be 'max' or 'min', not 'best'",
+    ),
+    # admissible
+    "action order not a permutation": (
+        lambda: compute_candidate_sequence(f1()[0], ("A1",)),
+        InputError, "action order must be a permutation of the diagram's actions",
+    ),
+    "too few covariate sets": (
+        lambda: check_admissible(f1()[0], None, [("L1",)]),
+        InputError, "need 2 covariate sets, got 1",
+    ),
+    "covariate set holds an action": (
+        lambda: check_admissible(f1()[0], None, [("A1",), ()]),
+        InputError, "A1 is not an observable covariate",
+    ),
+    "candidate for another order": (
+        other_candidate, InputError, "candidate was computed for a different action order"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_refused_with_its_message(case):
+    call, error, message = case
+    with pytest.raises(error, match=re.escape(message)):
+        call()

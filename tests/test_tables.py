@@ -79,6 +79,15 @@ def with_a2_policy(table):
     ({("1",): (0.2, 0.2), ("0",): (2.0, -1.0)}, "row ('0',) has entries outside [0, 1]"),
     ({("0",): (0.5, 0.5), ("1",): (0.5, 0.5, 0.0)}, "row ('1',) has 3 entries, want 2"),
     ({("0",): (float("nan"), 0.5), ("1",): (0.5, 0.5)}, "row ('0',) has entries outside [0, 1]"),
+    # Rows that are not sequences of numbers are refused, not converted.
+    ({("0",): (0.5, 0.5), ("1",): ("0.5", "0.5")}, "row ('1',) is not a sequence of numbers"),
+    ({("0",): (None, 1.0), ("1",): (0.5, 0.5)}, "row ('0',) is not a sequence of numbers"),
+    ({("0",): 0.5, ("1",): (0.5, 0.5)}, "row ('0',) is not a sequence of numbers"),
+    ({("0",): "01", ("1",): (0.5, 0.5)}, "row ('0',) is not a sequence of numbers"),
+    ({("0",): {0.5, 0.25}, ("1",): (0.5, 0.5)}, "row ('0',) is not a sequence of numbers"),
+    ({("0",): np.array(0.5), ("1",): (0.5, 0.5)}, "row ('0',) is not a sequence of numbers"),
+    # The rows before the first malformed one are checked first.
+    ({("0",): (0.5, 0.4), ("1",): 0.5}, "row ('0',) sums to 0.9"),
 ])
 def test_bad_row_messages(table, message):
     with pytest.raises(ModelError, match=re.escape(f"cpt for Y: {message}")):
@@ -86,6 +95,33 @@ def test_bad_row_messages(table, message):
     diagram, strategy = with_a2_policy(table)
     with pytest.raises(PolicyError, match=re.escape(f"policy for A2: {message}")):
         diagram.validate_strategy(strategy)
+
+
+def per_row_problem(probs):
+    """``model.row_problems`` one row at a time, each summed left to right."""
+    for k, row in enumerate(probs.tolist()):
+        total = 0
+        for p in row:
+            if not 0.0 <= p <= 1.0:
+                return k, "has entries outside [0, 1]"
+            total += p
+        if not abs(total - 1.0) <= model.ROW_SUM_TOL:
+            return k, f"sums to {total!r}"
+    return None
+
+
+ENTRIES = st.sampled_from(
+    [0.0, -0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.0 - 1e-10, 2.0, -0.5, float("nan"), float("inf")]
+) | st.floats(-0.1, 1.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.lists(ENTRIES, min_size=w, max_size=w), min_size=1, max_size=6)
+))
+def test_row_problems_match_a_per_row_loop(rows):
+    probs = np.array(rows, dtype=float)
+    assert model.row_problems(probs) == per_row_problem(probs)
 
 
 def test_missing_row_messages():
@@ -99,7 +135,7 @@ def test_missing_row_messages():
         two_variable({("1",): (0.5, 0.5), ("2",): (0.5, 0.5)})
     diagram, strategy = with_a2_policy({("0",): (0.5, 0.5)})
     with pytest.raises(PolicyError, match=re.escape(
-        "policy for A2 must have one row per parent configuration (1 given, 2 required)"
+        "policy for A2: missing rows [('1',)], unknown rows []"
     )):
         diagram.validate_strategy(strategy)
 
