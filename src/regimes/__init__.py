@@ -31,14 +31,12 @@ from .model import (
     consequence_direct,
     joint_distribution,
     observable_joint,
-    support,
 )
 from .grecursion import (
     RecursionTable,
     build_dag_i,
     construct_p_i,
     g_recursion,
-    gamma_support,
     recursion_table,
     verify_general_conditions,
 )
@@ -51,7 +49,6 @@ from .stability import (
     check_sequential_randomization,
     check_simple_stability_graphical,
     check_simple_stability_numeric,
-    extended_positivity,
 )
 from .admissible import (
     AdmissibleSequence,

@@ -157,13 +157,13 @@ def _backward(source, k, action_step, policies=None):
     """Backward recursion over stage arrays, from full histories down to
     the empty one.
 
-    Full histories take their ``k`` value (a callable ``k`` is called on
-    live full histories only, in row-major order) and covariate blocks are
-    averaged over ``source.given``; ``action_step(i, values)`` maps the
-    value array after the i-th action to the one before it, 0 off the
-    live frontier.  Raises ``PositivityError`` with the ``live_frontier``
-    witness.  Returns the live frontier and one value array per stage
-    boundary, 0 off it.
+    Live full histories take the ``k`` value of their response state
+    (``response_weights``) and covariate blocks are averaged over
+    ``source.given``; ``action_step(i, values)`` maps the value array
+    after the i-th action to the one before it, 0 off the live frontier.
+    Raises ``PositivityError`` with the ``live_frontier`` witness.
+    Returns the live frontier and one value array per stage boundary, 0
+    off it.
 
     Only the leaves are masked.  The frontier is prefix-closed, so every
     extension of a pruned history is pruned and holds 0; an average of
@@ -177,13 +177,7 @@ def _backward(source, k, action_step, policies=None):
     if not live.masks[0]:
         raise PositivityError(())
     full = len(base.vars)
-    leaves = live.masks[full]
-    if callable(k):
-        leaf = np.zeros(leaves.shape)
-        leaf[leaves] = [k(h) for h in base.histories(leaves)]
-    else:
-        leaf = response_weights(base, k)
-    values = {full: np.where(leaves, leaf, 0.0)}
+    values = {full: np.where(live.masks[full], response_weights(base, k), 0.0)}
     v = values[full]
     for i, lo, hi, _ in reversed(base.stages):
         if i <= base.n:
@@ -207,12 +201,6 @@ def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
 def g_recursion(source, strategy: Strategy, k) -> float:
     """Consequence of the strategy from observational ingredients."""
     return recursion_table(source, strategy, k).root
-
-
-def gamma_support(obs_support: SupportSet, strategy: Strategy) -> SupportSet:
-    """Live recursion frontier: histories in the observational support
-    whose action prefix the strategy can generate."""
-    return live_frontier(obs_support, _policy_arrays(obs_support.base, strategy))[0]
 
 
 def check_cond6(obs_support: SupportSet, strategy: Strategy):

@@ -339,10 +339,6 @@ class SupportSet:
     base: InfoBase
     masks: Mapping[int, np.ndarray]
 
-    @functools.cached_property
-    def histories(self) -> frozenset:
-        return frozenset(h for mask in self.masks.values() for h in self.base.histories(mask))
-
     def index(self, h: PartialHistory) -> tuple[int, ...]:
         """State indices of a history in the support; KeyError for one
         outside it, with a bad label or off the stage boundaries."""
@@ -354,26 +350,8 @@ class SupportSet:
             raise KeyError(h)
         return idx
 
-    def __contains__(self, h) -> bool:
-        try:
-            self.index(tuple(h))
-        except KeyError:
-            return False
-        return True
-
-    def __iter__(self):
-        return iter(sorted(self.histories, key=lambda h: (len(h), h)))
-
     def __len__(self):
         return sum(int(mask.sum()) for mask in self.masks.values())
-
-    def issubset(self, other: "SupportSet") -> bool:
-        return all(np.all(mask <= other.masks[m]) for m, mask in self.masks.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SupportSet) and self.base == other.base and (
-            self.issubset(other) and other.issubset(self)
-        )
 
 
 class InfluenceDiagram:
@@ -622,17 +600,28 @@ def observable_joint(diagram: InfluenceDiagram, regime: Regime) -> JointTable:
     return joint_distribution(diagram, regime).marginal(diagram.base.vars)
 
 
-def support(diagram: InfluenceDiagram, regime: Regime) -> SupportSet:
-    table = observable_joint(diagram, regime).probs
-    return PrefixSource(diagram.base, table, "support").support()
-
-
 def response_weights(base: InfoBase, k: Mapping[str, float]) -> np.ndarray:
+    """The value ``k`` gives each response state, in declared order.  Raises
+    ``InputError`` unless ``k`` maps exactly the response states to finite
+    real numbers: like a table row, a string is not read as a number."""
+    # The recursion and the oracle check k on every call, so the checks make
+    # one pass and name a fault only once one shows; a dict skips the
+    # ``Mapping`` ABC check, which costs several times a type test.
+    if type(k) is not dict and not isinstance(k, Mapping):
+        raise InputError(f"k must map response states to numbers, not {k!r}")
     y_states = base.states[base.response]
-    missing = set(y_states) - set(k)
-    if missing:
-        raise InputError(f"k assigns no value to response states {sorted(missing)}")
-    return np.array([float(k[s]) for s in y_states])
+    try:
+        values = [k[s] for s in y_states]
+    except KeyError:
+        missing = sorted(s for s in y_states if s not in k)
+        raise InputError(f"k assigns no value to response states {missing}") from None
+    if len(k) != len(y_states):
+        unknown = sorted(set(k) - set(y_states), key=repr)
+        raise InputError(f"k assigns values to unknown response states {unknown}")
+    for s, v in zip(y_states, values):
+        if not (isinstance(v, float) or isinstance(v, Real)) or not math.isfinite(v):
+            raise InputError(f"k value {v!r} for response state {s} is not a finite number")
+    return np.array(values, dtype=float)
 
 
 def _consequences(diagram: InfluenceDiagram, factors, weights: np.ndarray) -> list[float]:
@@ -645,13 +634,7 @@ def _consequences(diagram: InfluenceDiagram, factors, weights: np.ndarray) -> li
 
 
 def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:
-    """Exact expectation of k over the response (or full history) under a regime."""
-    if callable(k):
-        probs = observable_joint(diagram, regime).probs
-        total = 0.0
-        for p, h in zip(probs[probs > 0.0].tolist(), diagram.base.histories(probs > 0.0)):
-            total += p * float(k(h))
-        return total
+    """Exact expectation of k over the response under a regime."""
     weights = response_weights(diagram.base, k)
     if regime != "obs":
         diagram.validate_strategy(regime)
@@ -664,7 +647,7 @@ class PrefixSource:
 
     ``given(lo, hi)`` holds, for every prefix of length ``lo``, the
     distribution of the positions ``lo..hi-1``; the backward recursion and
-    the mixed-regime checks read these stage arrays whole, ``possible`` and
+    the mixed-regime checks read these stage arrays whole, ``support`` and
     ``l_conditional`` index into them one history at a time.  With
     ``alpha > 0`` every row is additively smoothed, so every syntactically
     valid history counts as possible.
@@ -705,10 +688,6 @@ class PrefixSource:
             self._given[key].flags.writeable = False
         return self._given[key]
 
-    def possible(self, h: PartialHistory) -> bool:
-        idx = self.base.codes(h)
-        return bool(self.support().masks[len(h)][idx])
-
     def l_conditional(self, i: int, h: PartialHistory):
         """Distribution of the i-th observable block given the prefix ``h``,
         or UNDEFINED on an empty event."""
@@ -720,7 +699,7 @@ class PrefixSource:
         return self.given(len(h), self.base.after_l(i))[idx].copy()
 
     def support(self) -> SupportSet:
-        """Boundary prefixes that ``possible`` accepts: those with positive
+        """Boundary prefixes that count as possible: those with positive
         mass in the table, or every one when smoothed."""
         if self._support is None:
             self._support = SupportSet(self.base, {

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, InputError
 from .grecursion import _backward
 from .model import InfluenceDiagram, Policy, Strategy, Table, response_weights
 from .model import _check_capacity, _consequences
@@ -29,8 +29,7 @@ def optimal_strategy(source, k, sense: str = "max") -> tuple[Strategy, float]:
     positivity for the whole strategy class; with all-positive
     observational action rows every control strategy is covered.
     """
-    if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
+    _check_sense(sense)
     base = source.base
     support = source.support().masks
     choices = {}
@@ -53,6 +52,11 @@ def optimal_strategy(source, k, sense: str = "max") -> tuple[Strategy, float]:
     _, values = _backward(source, k, best_action)
     picks = [choices[i] for i in range(1, base.n + 1)]
     return _pure_strategy(base, sense + "-backward", picks), float(values[0])
+
+
+def _check_sense(sense: str) -> None:
+    if sense not in ("max", "min"):
+        raise InputError(f"sense must be 'max' or 'min', not {sense!r}")
 
 
 def _label_order(states) -> list[int]:
@@ -87,8 +91,7 @@ def enumerate_strategies(
     backward pass is checked against.  Ties keep the first strategy in the
     enumeration order (earlier actions and rows slowest, labels ascending).
     """
-    if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
+    _check_sense(sense)
     total = strategy_count(diagram)
     if total > MAX_ENUMERATED:
         raise CapacityError(f"{total} strategies exceed the enumeration cap")

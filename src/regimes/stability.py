@@ -14,7 +14,6 @@ for numeric ones.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -105,35 +104,38 @@ def check_simple_stability_graphical(diagram: InfluenceDiagram) -> StabilityRepo
 def check_simple_stability_numeric(
     diagram: InfluenceDiagram, strategies: Iterable[Strategy]
 ) -> StabilityReport:
-    """Equality of covariate-block conditionals across the observational
-    regime and every supplied strategy, wherever both sides are defined.
-    The witness is the first past configuration in row-major order that
-    differs, and within it the first differing pair of regimes."""
+    """Equality of covariate-block conditionals between the observational
+    regime and each supplied strategy, wherever both are defined.  The
+    witness is the first past configuration in row-major order that
+    differs, and on a tie the first strategy supplied.
+
+    Two strategies are never compared with each other: their joints
+    differ only in action factors, which read observed variables alone
+    and so cancel from every conditional of a block given the observed
+    past.  Each strategy's source is dropped before the next is built."""
     base = diagram.base
-    regimes = [("obs", "obs")] + [(s.name, s) for s in strategies]
-    sources = [PrefixSource(base, observable_joint(diagram, r).probs, name) for name, r in regimes]
-    stages = []
-    for i, lo, hi, _ in base.stages:
-        if lo == hi:
-            stages.append(StageVerdict(i, True))
-            continue
-        first = None  # (row, left source, right source)
-        for a, b in itertools.combinations(sources, 2):
-            defined = a.support().masks[lo] & b.support().masks[lo]
-            far = np.any(np.abs(a.given(lo, hi) - b.given(lo, hi)) > TOL, axis=-1)
-            bad = (defined & far).reshape(-1)
-            if bad.any() and (first is None or np.argmax(bad) < first[0]):
-                first = (int(np.argmax(bad)), a, b)
-        if first is None:
-            stages.append(StageVerdict(i, True))
-            continue
-        row, a, b = first
-        event = np.unravel_index(row, a.marginal(lo).shape)
-        witness = DivergenceWitness(
-            _labels(diagram, base.vars[:lo], row), a.label, b.label,
-            tuple(a.given(lo, hi)[event]), tuple(b.given(lo, hi)[event]),
-        )
-        stages.append(StageVerdict(i, False, witness))
+    obs = PrefixSource(base, observable_joint(diagram, "obs").probs, "obs")
+    first = {}  # stage -> (row, witness) of its earliest divergence so far
+    for strategy in strategies:
+        other = PrefixSource(base, observable_joint(diagram, strategy).probs, strategy.name)
+        for i, lo, hi, _ in base.stages:
+            if lo == hi:
+                continue
+            left, right = obs.given(lo, hi), other.given(lo, hi)
+            defined = obs.support().masks[lo] & other.support().masks[lo]
+            bad = (defined & np.any(np.abs(left - right) > TOL, axis=-1)).reshape(-1)
+            row = int(np.argmax(bad))
+            if bad[row] and (i not in first or row < first[i][0]):
+                event = np.unravel_index(row, defined.shape)
+                first[i] = row, DivergenceWitness(
+                    _labels(diagram, base.vars[:lo], row), obs.label, other.label,
+                    tuple(left[event]), tuple(right[event]),
+                )
+        del other
+    stages = (
+        StageVerdict(i, False, first[i][1]) if i in first else StageVerdict(i, True)
+        for i, *_ in base.stages
+    )
     return StabilityReport("simple_stability_numeric", tuple(stages))
 
 
@@ -148,13 +150,6 @@ def check_sequential_randomization(diagram: InfluenceDiagram) -> bool:
 def _covered(p: np.ndarray, q: np.ndarray) -> bool:
     """Whether ``q`` is positive wherever ``p`` is (absolute continuity)."""
     return bool(np.all((p <= 0.0) | (q > 0.0)))
-
-
-def extended_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> bool:
-    """Absolute continuity of the strategy joint with respect to the
-    observational one over all variables, hidden included."""
-    je = joint_distribution(diagram, strategy).probs
-    return _covered(je, joint_distribution(diagram, "obs").probs)
 
 
 def check_sequential_irrelevance_numeric(

@@ -27,11 +27,14 @@ from regimes.model import (
     InfluenceDiagram,
     JointTable,
     Policy,
+    PrefixSource,
     Strategy,
+    SupportSet,
     Table,
     Variable,
     factor_array,
     mechanism,
+    observable_joint,
 )
 
 B = ("0", "1")
@@ -275,6 +278,18 @@ def conditional(joint: JointTable, target: Iterable[str], given: Mapping[str, st
         idx = tuple(joint.states[joint.names.index(v)].index(s) for v, s in zip(target, config))
         out[config] = float(table[idx])
     return out
+
+
+def labels(support: SupportSet) -> frozenset:
+    """Every history of a support set, as a tuple of state labels."""
+    base = support.base
+    return frozenset(h for mask in support.masks.values() for h in base.histories(mask))
+
+
+def support_labels(diagram: InfluenceDiagram, regime) -> frozenset:
+    """The observable histories with positive probability under a regime."""
+    table = observable_joint(diagram, regime).probs
+    return labels(PrefixSource(diagram.base, table, "support").support())
 
 
 def support_propagation(

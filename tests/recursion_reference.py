@@ -6,7 +6,7 @@ possible and the strategy gives each of its actions positive probability;
 its value sums the states of the next block or action in declared order,
 from 0.0, and a pruned history holds 0.0.  The numbers it adds are the
 source's own conditionals (``l_conditional``) and the policies' own rows
-(``Policy.row``), so the stage-array engine must match it bit for bit.
+(``Policy.table``), so the stage-array engine must match it bit for bit.
 
 ``reference_witness`` finds the positivity witness by brute force: every
 strategy-positive action extension of a live history that the source
@@ -35,9 +35,16 @@ def _action_prob(base, strategy, h, i: int) -> float:
     return row[base.states[action].index(h[base.after_a(i) - 1])]
 
 
+def possible(source, h) -> bool:
+    """Whether a boundary history has positive mass (or is smoothed) in the
+    source; InputError for a bad label or length, as ``l_conditional`` gives."""
+    idx = source.base.codes(h)
+    return bool(source.support().masks[len(h)][idx])
+
+
 def _live(source, strategy, h) -> bool:
     base = source.base
-    return source.possible(h) and all(
+    return possible(source, h) and all(
         _action_prob(base, strategy, h, i) > 0.0
         for i in range(1, base.n + 1)
         if base.after_a(i) <= len(h)
@@ -53,7 +60,7 @@ def reference_witness(source, strategy):
             for h in _histories(base, base.after_l(i))
             if _live(source, strategy, h)
             for j, s in enumerate(states)
-            if _action_prob(base, strategy, h + (s,), i) > 0.0 and not source.possible(h + (s,))
+            if _action_prob(base, strategy, h + (s,), i) > 0.0 and not possible(source, h + (s,))
         ]
         if bad:
             h, j = min(bad)
@@ -68,7 +75,7 @@ def reference_arrays(source, strategy, k) -> dict[int, np.ndarray]:
     witness = reference_witness(source, strategy)
     if witness is not None:
         raise PositivityError(witness)
-    if not source.possible(()):
+    if not possible(source, ()):
         raise PositivityError(())
     full = len(base.vars)
     value = {

@@ -9,6 +9,7 @@ import pytest
 
 from fixtures import complete_stable, f1, f2, f4
 from helpers import cpt_for, random_extended_id, random_strategy, rng
+from recursion_reference import possible
 import regimes.data
 from regimes.cli import main
 from regimes.data import Dataset, EstimatedSource, estimate_conditionals, sample
@@ -607,7 +608,7 @@ class TestEstimation:
         ds = Dataset.from_text(header + "\n0 0 0 0 0\n", d.base)
         src = estimate_conditionals(ds, d.base, alpha=0.0)
         assert src.l_conditional(2, ("0", "1")) is UNDEFINED
-        assert not src.possible(("1",))
+        assert not possible(src, ("1",))
 
     def test_no_rows_fail_positivity_at_the_root(self):
         d, strats = f1()
@@ -623,7 +624,7 @@ class TestEstimation:
         src = estimate_conditionals(ds, d.base, alpha=0.5)
         cond = src.l_conditional(2, ("0", "1"))
         assert cond is not UNDEFINED and abs(cond.sum() - 1.0) < 1e-12
-        assert src.possible(("1",))
+        assert possible(src, ("1",))
 
     def test_estimated_recursion_close_to_oracle(self):
         d, strats = f1()

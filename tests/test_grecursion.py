@@ -16,10 +16,12 @@ from helpers import (
     cpt_for,
     f4_without_action_one,
     graphsep_by_action,
+    labels,
     prob,
     random_extended_id,
     random_strategy,
     rng,
+    support_labels,
     zero_action_rows,
     zero_covariate_rows,
 )
@@ -27,11 +29,12 @@ from recursion_reference import reference_arrays
 from regimes.data import EstimatedSource, sample
 from regimes.errors import InputError, PolicyError, PositivityError
 from regimes.grecursion import (
+    _policy_arrays,
     build_dag_i,
     check_cond6,
     construct_p_i,
     g_recursion,
-    gamma_support,
+    live_frontier,
     recursion_table,
     verify_general_conditions,
 )
@@ -44,7 +47,6 @@ from regimes.model import (
     Variable,
     consequence_direct,
     joint_distribution,
-    support,
 )
 from regimes.parser import parse_model
 from regimes.stability import check_graphsep
@@ -214,20 +216,6 @@ class TestGRecursion:
         want = consequence_direct(d, strats["e2"], K01)
         assert abs(got - want) < 1e-9
 
-    def test_full_history_functional(self):
-        # start values may be any function of the full history
-        d, strats = f1()
-        src = ExactSource(d)
-
-        def ystar(h):
-            l1, a1, l2, a2, y = h
-            return float(y == "1") + 0.25 * float(a1 == "1") - 0.5 * float(l2 == "0")
-
-        for s in strats.values():
-            got = g_recursion(src, s, ystar)
-            want = consequence_direct(d, s, ystar)
-            assert abs(got - want) < 1e-9
-
     def test_table_start_values_and_convention(self):
         d, strats = f1()
         table = recursion_table(ExactSource(d), strats["stat"], K01)
@@ -285,7 +273,7 @@ class TestPositivityFailure:
     @pytest.mark.parametrize("name", ["pick1", "e"])
     def test_unsupported_strategy_mass_raises(self, name):
         d, strats = f4_without_action_one()
-        ok, witness = check_cond6(support(d, "obs"), strats[name])
+        ok, witness = check_cond6(ExactSource(d).support(), strats[name])
         assert not ok and witness == ("1",)
         with pytest.raises(PositivityError) as err:
             g_recursion(ExactSource(d), strats[name], K01)
@@ -303,7 +291,7 @@ class TestOnePositivityWitness:
             table[config] = (1.0, 0.0)
             cpts[var] = Cpt(var, d.cpts[var].parents, table)
         d = InfluenceDiagram(d.variables, d.dag.edges, cpts, d.obs_parents, d.int_parents)
-        ok, witness = check_cond6(support(d, "obs"), strats["stat"])
+        ok, witness = check_cond6(ExactSource(d).support(), strats["stat"])
         assert not ok and witness == ("1", "1")
         with pytest.raises(PositivityError) as err:
             g_recursion(ExactSource(d), strats["stat"], K01)
@@ -357,10 +345,9 @@ A2_ANY = Policy((), {(): (0.5, 0.5)})
     "call",
     [
         lambda d, s: recursion_table(ExactSource(d), s, K01),
-        lambda d, s: gamma_support(support(d, "obs"), s),
-        lambda d, s: check_cond6(support(d, "obs"), s),
+        lambda d, s: check_cond6(ExactSource(d).support(), s),
     ],
-    ids=["recursion_table", "gamma_support", "check_cond6"],
+    ids=["recursion_table", "check_cond6"],
 )
 def test_invalid_strategy_rejected(call, strategy):
     d, _ = f1()
@@ -368,29 +355,31 @@ def test_invalid_strategy_rejected(call, strategy):
         call(d, strategy)
 
 
+def gamma(d, strategy) -> frozenset:
+    """The live recursion frontier over the observational support."""
+    return labels(live_frontier(ExactSource(d).support(), _policy_arrays(d.base, strategy))[0])
+
+
 class TestGammaSupport:
     def test_all_positive_rows_give_full_support(self):
         d, strats = f2()
-        sup = support(d, "obs")
-        gam = gamma_support(sup, strats["e2"])
-        assert set(gam.histories) == set(sup.histories)
+        assert gamma(d, strats["e2"]) == support_labels(d, "obs")
 
     def test_deterministic_strategy_keeps_on_policy(self):
         d, _ = f1()
         stat = static_strategy("s", {"A1": "1", "A2": "0"}, d.states)
-        gam = gamma_support(support(d, "obs"), stat)
+        gam = gamma(d, stat)
         assert ("0", "1") in gam and ("0", "0") not in gam
 
     def test_gamma_equals_strategy_support(self):
         d, strats = f2()
-        gam = gamma_support(support(d, "obs"), strats["e2"])
-        assert set(gam.histories) == set(support(d, strats["e2"]).histories)
+        assert gamma(d, strats["e2"]) == support_labels(d, strats["e2"])
 
     def test_prefix_monotonicity(self):
         d, _ = f1()
         for seed in range(5):
             s = random_strategy(d, 70 + seed)
-            gam = gamma_support(support(d, "obs"), s)
+            gam = gamma(d, s)
             bounds = d.base.boundaries
             for h in gam:
                 for m in bounds:
@@ -399,7 +388,7 @@ class TestGammaSupport:
 
     def test_cond6_holds_with_positive_tables(self):
         d, strats = f2()
-        ok, witness = check_cond6(support(d, "obs"), strats["e2"])
+        ok, witness = check_cond6(ExactSource(d).support(), strats["e2"])
         assert ok and witness is None
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from pathlib import Path
 
@@ -7,13 +8,16 @@ import pytest
 from fixtures import f1, f2, f3, f4, f5, static_strategy
 from helpers import (
     conditional,
+    labels,
     prob,
     random_extended_id,
     random_strategy,
     rng,
+    support_labels,
     support_propagation,
     zero_covariate_rows,
 )
+from recursion_reference import possible
 from regimes.data import EstimatedSource, sample
 from regimes.errors import CapacityError, InputError, ModelError, PolicyError
 from regimes.grecursion import construct_p_i
@@ -32,7 +36,6 @@ from regimes.model import (
     joint_distribution,
     mechanism,
     observable_joint,
-    support,
 )
 from regimes.parser import parse_model
 
@@ -271,10 +274,19 @@ class TestConditional:
             conditional(j, (), {"Y": "nope"})
 
 
+def indexed(sup, h) -> bool:
+    """Whether ``sup.index`` accepts ``h`` rather than raising KeyError."""
+    try:
+        sup.index(h)
+    except KeyError:
+        return False
+    return True
+
+
 class TestSupport:
     def test_all_positive_tables_full_support(self):
         d, _ = f1()
-        sup = support(d, "obs")
+        sup = support_labels(d, "obs")
         base = d.base
         want = 1  # null history
         run = 1
@@ -286,7 +298,7 @@ class TestSupport:
     def test_degenerate_strategy_excludes_off_policy(self):
         d, _ = f1()
         stat = static_strategy("s", {"A1": "1", "A2": "0"}, d.states)
-        sup = support(d, stat)
+        sup = support_labels(d, stat)
         assert ("0", "0") not in sup  # (l1, a1) with off-policy action
         assert ("0", "1") in sup
 
@@ -297,30 +309,34 @@ class TestSupport:
         cpts["A1"] = Cpt("A1", ("U",), {("0",): (1.0, 0.0), ("1",): (1.0, 0.0)})
         d2 = InfluenceDiagram(d.variables, list(d.dag.edges), cpts,
                               d.obs_parents, d.int_parents)
-        sup = support(d2, "obs")
+        sup = support_labels(d2, "obs")
         assert ("1",) not in sup and ("0",) in sup
 
     def test_membership_agrees_with_the_label_set(self):
+        """``SupportSet.index`` raises KeyError exactly for the histories
+        outside the support's label set."""
         supports = []
         for build in (f1, f2, f3, f4, f5):
             d, strats = build()
-            supports += [support(d, "obs")] + [support(d, s) for s in strats.values()]
+            supports += [(d, "obs")] + [(d, s) for s in strats.values()]
         ternary = parse_model((Path(__file__).parent / "golden" / "ternary.id").read_text())
-        supports += [support(ternary.diagram, "obs")]
+        supports += [(ternary.diagram, "obs")]
         for seed in range(10):
             d = random_extended_id(seed, hidden_to_action=bool(seed % 2))
-            supports += [support(zero_covariate_rows(d, seed), "obs"),
-                         support(d, random_strategy(d, seed, deterministic=True))]
-        for sup in supports:
-            base, labels = sup.base, set(sup.histories)
+            supports += [(zero_covariate_rows(d, seed), "obs"),
+                         (d, random_strategy(d, seed, deterministic=True))]
+        for d, regime in supports:
+            sup = PrefixSource(d.base, observable_joint(d, regime).probs, "support").support()
+            base, want = sup.base, labels(sup)
+            held = functools.partial(indexed, sup)
             for m in range(len(base.vars) + 1):
                 for h in itertools.product(*(base.states[v] for v in base.vars[:m])):
-                    assert (h in sup) == (h in labels), h
-                    assert (list(h) in sup) == (h in labels), h
-            longest = max(labels, key=len)
-            assert () in sup and longest in sup
-            assert longest + (longest[-1],) not in sup  # no boundary that long
-            assert ("?",) not in sup and longest[:-1] + ("?",) not in sup
+                    assert held(h) == (h in want), h
+                    assert held(list(h)) == (h in want), h
+            longest = max(want, key=len)
+            assert held(()) and held(longest)
+            assert not held(longest + (longest[-1],))  # no boundary that long
+            assert not held(("?",)) and not held(longest[:-1] + ("?",))
 
 
 class TestConsequenceDirect:
@@ -389,7 +405,7 @@ class TestExtendedStabilityByConstruction:
     def test_support_subset_under_parent_child_positivity(self):
         d, strats = f1()  # all-positive tables: parent-child positivity holds
         for s in strats.values():
-            assert support(d, s).issubset(support(d, "obs"))
+            assert support_labels(d, s) <= support_labels(d, "obs")
 
 
 class TestExactSource:
@@ -403,9 +419,7 @@ class TestExactSource:
 
     def test_support_matches_module_level(self):
         d, _ = f2()
-        assert set(ExactSource(d).support().histories) == set(
-            support(d, "obs").histories
-        )
+        assert labels(ExactSource(d).support()) == support_labels(d, "obs")
 
 
 def selector_joint(diagram, selector) -> np.ndarray:
@@ -463,7 +477,7 @@ def test_one_builder_is_bitwise_the_selector_joint(d, strategies):
     "call",
     [
         lambda d: joint_distribution(d, "Obs"),
-        lambda d: support(d, "Obs"),
+        lambda d: support_labels(d, "Obs"),
         lambda d: consequence_direct(d, "Obs", {"0": 0.0, "1": 1.0}),
         lambda d: sample(d, "Obs", 10, 0),
         lambda d: support_propagation(d, ["Obs"]),
@@ -490,7 +504,7 @@ SOURCES = {
 @pytest.mark.parametrize("make", SOURCES.values(), ids=SOURCES.keys())
 @pytest.mark.parametrize(
     "query",
-    [lambda src: src.possible(("1", "9")), lambda src: src.l_conditional(2, ("1", "9"))],
+    [lambda src: possible(src, ("1", "9")), lambda src: src.l_conditional(2, ("1", "9"))],
     ids=["possible", "l_conditional"],
 )
 def test_bad_history_label_rejected(make, query):
@@ -503,7 +517,7 @@ def test_bad_history_label_rejected(make, query):
 def test_over_long_history_rejected(make):
     d, _ = f1()
     with pytest.raises(InputError, match="stage boundary"):
-        make(d).possible(("0",) * 6)
+        possible(make(d), ("0",) * 6)
 
 
 @pytest.mark.parametrize("make", SOURCES.values(), ids=SOURCES.keys())
@@ -518,14 +532,14 @@ def test_smoothed_support_holds_every_history():
     d, _ = f1()
     sup = SOURCES["smoothed"](d).support()
     assert len(sup) == sum(2**m for m in d.base.boundaries)
-    assert ("1", "1", "1", "1", "1") in sup
+    assert ("1", "1", "1", "1", "1") in labels(sup)
 
 
 def test_support_sets_compare_by_content():
     d, strats = f1()
     stat = static_strategy("s", {"A1": "1", "A2": "0"}, d.states)
-    assert support(d, "obs") == ExactSource(d).support()
-    assert support(d, stat) != support(d, "obs")
+    assert support_labels(d, "obs") == labels(ExactSource(d).support())
+    assert support_labels(d, stat) != support_labels(d, "obs")
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -16,12 +16,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixtures import complete_stable
-from helpers import dirichlet_row, random_extended_id, random_strategy, rng, zero_action_rows
+from helpers import (
+    dirichlet_row,
+    labels,
+    random_extended_id,
+    random_strategy,
+    rng,
+    zero_action_rows,
+)
 from regimes.errors import PositivityError
 from regimes.grecursion import (
+    _policy_arrays,
     check_cond6,
     construct_p_i,
-    gamma_support,
+    live_frontier,
     recursion_table,
     verify_general_conditions,
 )
@@ -32,7 +40,6 @@ from regimes.model import (
     Strategy,
     consequence_direct,
     factor_array,
-    support,
 )
 from regimes.optimize import enumerate_strategies, optimal_strategy
 from regimes.stability import check_graphsep
@@ -70,7 +77,7 @@ def test_recursion_matches_oracle_when_licensed(seed, n_actions, confounded, str
     diagram = random_extended_id(seed, n_actions=n_actions, hidden_to_action=confounded)
     strategy = int_parent_strategy(diagram, strategy_seed)
     assume(check_graphsep(diagram, strategy).overall)
-    assume(check_cond6(support(diagram, "obs"), strategy)[0])
+    assume(check_cond6(ExactSource(diagram).support(), strategy)[0])
     root = recursion_table(ExactSource(diagram), strategy, K01).root
     assert abs(root - consequence_direct(diagram, strategy, K01)) <= 1e-9
 
@@ -89,7 +96,7 @@ def naive_gamma(obs_support, strategy):
     every action the strategy gives positive probability."""
     base = obs_support.base
     live = set()
-    for h in obs_support.histories:
+    for h in labels(obs_support):
         ok = True
         for i, action in enumerate(base.actions, start=1):
             cut = base.after_a(i)
@@ -109,7 +116,7 @@ def naive_cond6(obs_support, strategy):
     """Per-history definition: the first strategy-positive extension of a
     live history (support order, then declared action order) that is
     observationally impossible."""
-    base = obs_support.base
+    base, possible = obs_support.base, labels(obs_support)
     live = naive_gamma(obs_support, strategy)
     for h in sorted(live, key=lambda h: (len(h), h)):
         for i, action in enumerate(base.actions, start=1):
@@ -117,7 +124,7 @@ def naive_cond6(obs_support, strategy):
                 pol = strategy.policies[action]
                 row = pol.table[tuple(h[base.position(p)] for p in pol.parents)]
                 for state, p in zip(base.states[action], row):
-                    if p > 0.0 and h + (state,) not in obs_support:
+                    if p > 0.0 and h + (state,) not in possible:
                         return False, h + (state,)
     return True, None
 
@@ -133,7 +140,7 @@ def by_construction_conditions(diagram, strategy, tol=1e-9):
         for i in range(base.n + 1)
     ]
     obs = ExactSource(diagram)
-    gamma = gamma_support(obs.support(), strategy)
+    gamma = live_frontier(obs.support(), _policy_arrays(base, strategy))[0]
 
     def differs(left, right):
         return np.any(np.abs(left - right) > tol, axis=-1)
@@ -164,8 +171,9 @@ def test_live_masks_match_per_history_definitions(seed, n_actions, confounded, o
         random_extended_id(seed, n_actions=n_actions, hidden_to_action=confounded), other_seed
     )
     strategy = random_strategy(diagram, other_seed)
-    obs = support(diagram, "obs")
-    assert set(gamma_support(obs, strategy).histories) == naive_gamma(obs, strategy)
+    obs = ExactSource(diagram).support()
+    gamma = live_frontier(obs, _policy_arrays(diagram.base, strategy))[0]
+    assert labels(gamma) == naive_gamma(obs, strategy)
     ok, witness = check_cond6(obs, strategy)
     assert (ok, witness) == naive_cond6(obs, strategy)
     if not ok:
@@ -184,5 +192,6 @@ def test_zeroed_action_rows_break_positivity():
     verdicts = set()
     for seed in range(30):
         diagram = zero_action_rows(random_extended_id(seed, n_actions=2), seed)
-        verdicts.add(check_cond6(support(diagram, "obs"), random_strategy(diagram, seed))[0])
+        obs = ExactSource(diagram).support()
+        verdicts.add(check_cond6(obs, random_strategy(diagram, seed))[0])
     assert verdicts == {True, False}

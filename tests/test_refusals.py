@@ -20,6 +20,7 @@ from regimes.model import (
     Strategy,
     Table,
     Variable,
+    consequence_direct,
     joint_distribution,
     response_weights,
 )
@@ -126,6 +127,22 @@ CASES = {
         lambda: response_weights(f1()[0].base, {"0": 1.0}),
         InputError, "k assigns no value to response states ['1']",
     ),
+    "k not a mapping": (
+        lambda: consequence_direct(f1()[0], "obs", lambda h: 1.0),
+        InputError, "k must map response states to numbers, not <function",
+    ),
+    "k with an unknown response state": (
+        lambda: consequence_direct(f1()[0], "obs", {"0": 0.0, "1": 1.0, "2": 7.0}),
+        InputError, "k assigns values to unknown response states ['2']",
+    ),
+    "k with values that are not numbers": (
+        lambda: consequence_direct(f1()[0], "obs", {"0": "0", "1": "1"}),
+        InputError, "k value '0' for response state 0 is not a finite number",
+    ),
+    "k with a value that is not finite": (
+        lambda: consequence_direct(f1()[0], "obs", {"0": float("nan"), "1": 1.0}),
+        InputError, "k value nan for response state 0 is not a finite number",
+    ),
     "conditional after the wrong history": (
         lambda: ExactSource(f1()[0]).l_conditional(1, ("0",)),
         InputError, "history of length 1 does not precede block 1",
@@ -152,11 +169,11 @@ CASES = {
     # optimize
     "optimizer sense": (
         lambda: optimal_strategy(ExactSource(f1()[0]), K01, "best"),
-        ValueError, "sense must be 'max' or 'min', not 'best'",
+        InputError, "sense must be 'max' or 'min', not 'best'",
     ),
     "enumeration sense": (
         lambda: enumerate_strategies(f1()[0], K01, "best"),
-        ValueError, "sense must be 'max' or 'min', not 'best'",
+        InputError, "sense must be 'max' or 'min', not 'best'",
     ),
     # admissible
     "action order not a permutation": (

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,13 +8,23 @@ from helpers import (
     conditional,
     random_extended_id,
     random_strategy,
+    support_labels,
     support_propagation,
     zero_action_rows,
     zero_covariate_rows,
 )
 from moral_reference import moral_ancestral
 from regimes.grecursion import build_dag_i, check_cond6
-from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, joint_distribution, support
+from regimes.model import (
+    Cpt,
+    ExactSource,
+    InfluenceDiagram,
+    Policy,
+    PrefixSource,
+    Strategy,
+    joint_distribution,
+    observable_joint,
+)
 from regimes.stability import (
     DivergenceWitness,
     PathWitness,
@@ -24,7 +35,6 @@ from regimes.stability import (
     check_sequential_randomization,
     check_simple_stability_graphical,
     check_simple_stability_numeric,
-    extended_positivity,
 )
 
 
@@ -121,6 +131,47 @@ class TestNumeric:
     def test_no_strategies_is_vacuous(self):
         d, _ = f2()
         assert check_simple_stability_numeric(d, []).overall
+
+
+PAIR_SEEDS = range(60)
+
+
+def strategy_pair_gap(seed):
+    """Two random strategies on a random diagram: the largest gap between
+    their covariate-block conditionals given the observed past where both
+    are defined, and the number of such rows the observational regime does
+    not define.  Confounding alternates; a third of the diagrams get
+    deterministic covariate rows and a third deterministic action rows."""
+    d = random_extended_id(seed, n_actions=1 + seed % 3, hidden_to_action=seed % 2 == 1)
+    if seed // 3 % 3 == 1:
+        d = zero_covariate_rows(d, seed)
+    elif seed // 3 % 3 == 2:
+        d = zero_action_rows(d, seed)
+    obs, left, right = (
+        PrefixSource(d.base, observable_joint(d, r).probs, "r")
+        for r in ("obs", random_strategy(d, 500 + seed), random_strategy(d, 900 + seed))
+    )
+    gap, obs_undefined = 0.0, 0
+    for _, lo, hi, _ in d.base.stages:
+        both = left.support().masks[lo] & right.support().masks[lo]
+        diff = np.abs(left.given(lo, hi) - right.given(lo, hi)).max(axis=-1)
+        gap = max(gap, float(np.max(diff, where=both, initial=0.0)))
+        obs_undefined += int(np.count_nonzero(both & ~obs.support().masks[lo]))
+    return gap, obs_undefined
+
+
+@pytest.mark.parametrize("seed", PAIR_SEEDS)
+def test_strategy_pairs_agree_where_both_are_defined(seed):
+    """The premise of comparing each strategy with the observational regime
+    alone: action factors read observed variables only, so they cancel
+    from every conditional of a covariate block given the observed past."""
+    assert strategy_pair_gap(seed)[0] <= 1e-12
+
+
+def test_strategy_pairs_reach_rows_the_observational_regime_lacks():
+    """The property above meets rows where both strategies are defined and
+    the observational regime is not."""
+    assert sum(strategy_pair_gap(seed)[1] for seed in PAIR_SEEDS) > 0
 
 
 class TestSequentialRandomization:
@@ -273,7 +324,7 @@ class TestPositivity:
 
     def test_extended_positivity_under_all_positive_tables(self):
         d, strats = f2()
-        assert extended_positivity(d, strats["e2"])
+        assert check_positivity(d, strats["e2"]).extended
 
 
 @settings(max_examples=150, deadline=None)
@@ -294,10 +345,10 @@ def test_positivity_matches_its_definitions(seed, n_actions, confounded, zeroed,
         d = zero_covariate_rows(d, other_seed + 1)
     s = random_strategy(d, other_seed)
     rep = check_positivity(d, s)
-    obs = support(d, "obs")
-    assert rep.simple == support(d, s).issubset(obs)
-    assert rep.extended == extended_positivity(d, s)
-    assert rep.general == check_cond6(obs, s)[0]
+    assert rep.simple == (support_labels(d, s) <= support_labels(d, "obs"))
+    je, jo = joint_distribution(d, s).probs, joint_distribution(d, "obs").probs
+    assert rep.extended == bool(np.all((je <= 0.0) | (jo > 0.0)))
+    assert rep.general == check_cond6(ExactSource(d).support(), s)[0]
 
 
 def test_positivity_generator_reaches_both_verdicts():
