@@ -18,19 +18,16 @@ from .graph import (
 )
 from .model import (
     SIGMA,
-    UNDEFINED,
     Cpt,
     ExactSource,
     InfluenceDiagram,
     InfoBase,
-    JointTable,
     Policy,
     Strategy,
     SupportSet,
     Variable,
     consequence_direct,
     joint_distribution,
-    observable_joint,
 )
 from .grecursion import (
     RecursionTable,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import math
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from . import grecursion as grec
 from . import optimize as opt
 from . import stability as stab
 from .errors import RegimesError
-from .model import UNDEFINED, ExactSource, consequence_direct
+from .model import ExactSource, consequence_direct
 from .parser import ModelDocument, _join_list, parse_model
 
 CHECK_FAILED = 1
@@ -50,6 +49,9 @@ def _load(path: str) -> ModelDocument:
 
 
 def _response_functional(doc: ModelDocument, args):
+    """The ``k`` of ``--k`` or ``--target``.  ``--k`` is only split and
+    parsed here: ``response_weights`` refuses unknown states and values
+    that are not finite."""
     states = doc.diagram.states[doc.diagram.response]
     if getattr(args, "k", None):
         k = {}
@@ -57,14 +59,10 @@ def _response_functional(doc: ModelDocument, args):
             if "=" not in part:
                 raise RegimesError(f"--k expects state=value pairs, got {part!r}")
             state, value = part.split("=", 1)
-            if state not in states:
-                raise RegimesError(f"{state!r} is not a state of {doc.diagram.response}")
             try:
                 k[state] = float(value)
             except ValueError:
                 raise RegimesError(f"--k value {value!r} for {state} is not a number") from None
-            if not math.isfinite(k[state]):
-                raise RegimesError(f"--k value for {state} must be finite, not {value!r}")
         return k
     target = getattr(args, "target", None) or states[0]
     if target not in states:
@@ -220,15 +218,17 @@ def cmd_estimate(doc: ModelDocument, args) -> int:
         value = grec.g_recursion(source, doc.strategy(args.strategy), k)
         _emit("consequence", value)
         return 0
-    for i in range(1, base.n + 2):
-        past = base.vars[: base.before_l(i)]
-        for config in itertools.product(*(base.states[v] for v in past)):
-            cond = source.l_conditional(i, config)
-            key_cfg = _join_list(config)
-            if cond is UNDEFINED:
-                _emit(f"cond[{i}|{key_cfg}]", "undefined")
-            else:
-                _emit(f"cond[{i}|{key_cfg}]", ",".join(format(p, ".12g") for p in cond))
+    # Each stage's ``given`` rows and support mask, in row-major order of
+    # the past; labels are made here only, for the printed keys.
+    masks = source.support().masks
+    for i, lo, hi, _ in base.stages:
+        rows = source.given(lo, hi)
+        configs = itertools.product(*(base.states[v] for v in base.vars[:lo]))
+        for config, row, seen in zip(
+            configs, rows.reshape(-1, rows.shape[-1]).tolist(), masks[lo].reshape(-1)
+        ):
+            text = ",".join(format(p, ".12g") for p in row) if seen else "undefined"
+            _emit(f"cond[{i}|{_join_list(config)}]", text)
     return 0
 
 
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("evaluate", cmd_evaluate, help="consequence by exact joint enumeration")
     p.add_argument("--strategy", help="strategy name (default: observational regime)")
-    p.add_argument("--direct", action="store_true", help="force the enumeration oracle (the default)")
     _add_k_flags(p)
 
     p = add("grec", cmd_grec, help="consequence by backward recursion")

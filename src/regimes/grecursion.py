@@ -31,12 +31,12 @@ from .model import (
     ExactSource,
     InfluenceDiagram,
     InfoBase,
-    JointTable,
     PrefixSource,
     Strategy,
     SupportSet,
     _action_factors,
     _joint,
+    _observed,
     consequence_direct,
     factor_array,
     response_weights,
@@ -83,8 +83,6 @@ class RecursionTable:
     """
 
     base: InfoBase
-    strategy: str
-    source: str
     live: SupportSet
     arrays: dict
 
@@ -195,7 +193,7 @@ def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
     live, arrays = _backward(
         source, k, lambda i, v: _average(policies[i - 1], v), policies
     )
-    return RecursionTable(base, strategy.name, source.label, live, arrays)
+    return RecursionTable(base, live, arrays)
 
 
 def g_recursion(source, strategy: Strategy, k) -> float:
@@ -210,9 +208,9 @@ def check_cond6(obs_support: SupportSet, strategy: Strategy):
     return witness is None, witness
 
 
-def construct_p_i(diagram: InfluenceDiagram, strategy: Strategy, i: int) -> JointTable:
-    """Artificial joint: the first i actions follow the observational
-    tables, the remaining ones follow the strategy.
+def construct_p_i(diagram: InfluenceDiagram, strategy: Strategy, i: int) -> np.ndarray:
+    """Artificial joint on ``diagram.order``: the first i actions follow the
+    observational tables, the remaining ones follow the strategy.
 
     Three of the conditions that license the recursion hold for these
     joints by construction, so ``verify_general_conditions`` reports them
@@ -233,8 +231,7 @@ def construct_p_i(diagram: InfluenceDiagram, strategy: Strategy, i: int) -> Join
         raise InputError(f"stage index {i} outside 0..{diagram.n}")
     diagram.validate_strategy(strategy)
     regimes = ["obs"] * i + [strategy] * (diagram.n - i)
-    probs = _joint(diagram, _action_factors(diagram, regimes))[0]
-    return JointTable(diagram.order, tuple(diagram.states[v] for v in diagram.order), probs)
+    return _joint(diagram, _action_factors(diagram, regimes))[0]
 
 
 def build_dag_i(
@@ -291,8 +288,7 @@ def verify_general_conditions(
     policies = _policy_arrays(base, strategy)
     p = {}
     for i in range(diagram.n):
-        table = construct_p_i(diagram, strategy, i).marginal(base.vars).probs
-        p[i] = PrefixSource(base, table, f"p{i}")
+        p[i] = PrefixSource(base, _observed(diagram, construct_p_i(diagram, strategy, i)), f"p{i}")
     # Stage n keeps every action observational: it is the observational source.
     obs = p[diagram.n] = ExactSource(diagram)
     gamma, witness = live_frontier(obs.support(), policies)

@@ -37,23 +37,6 @@ MAX_JOINT_CELLS = 1 << 22
 _RESERVED_CHARS = set(",:|#=;")
 
 
-class _Undefined:
-    """Marker for conditionals on zero-probability events."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNDEFINED"
-
-
-UNDEFINED = _Undefined()
-
-
 def _check_token(text: str, what: str) -> str:
     """Documents split on every whitespace character, so none may occur."""
     if not text or any(ch.isspace() or ch in _RESERVED_CHARS for ch in text):
@@ -269,20 +252,8 @@ class InfoBase:
     def response(self) -> str:
         return self.vars[-1]
 
-    def position(self, var: str) -> int:
-        try:
-            return self._pos[var]
-        except KeyError:
-            raise InputError(f"{var!r} is not an observable variable") from None
-
-    def block(self, i: int) -> tuple[str, ...]:
-        return self.lblocks[i - 1]
-
     def action(self, i: int) -> str:
         return self.actions[i - 1]
-
-    def before_l(self, i: int) -> int:
-        return self.stages[i - 1][1]
 
     def after_l(self, i: int) -> int:
         return self.stages[i - 1][2]
@@ -492,28 +463,6 @@ class InfluenceDiagram:
         self.base.validate_strategy(strategy)
 
 
-@dataclass(eq=False)
-class JointTable:
-    """Dense exact joint distribution in the diagram's variable order."""
-
-    names: tuple[str, ...]
-    states: tuple[tuple[str, ...], ...]
-    probs: np.ndarray
-
-    def marginal(self, names: Iterable[str]) -> "JointTable":
-        """Marginal over ``names``; axes stay in this table's variable order."""
-        keep = [v for v in self.names if v in set(names)]
-        missing = set(names) - set(keep)
-        if missing:
-            raise InputError(f"unknown variables {sorted(missing)}")
-        drop = tuple(i for i, v in enumerate(self.names) if v not in set(keep))
-        return JointTable(
-            tuple(keep),
-            tuple(self.states[self.names.index(v)] for v in keep),
-            self.probs.sum(axis=drop) if drop else self.probs.copy(),
-        )
-
-
 def _check_capacity(cards: Iterable[int]) -> None:
     if math.prod(cards) > MAX_JOINT_CELLS:
         raise CapacityError(
@@ -587,17 +536,19 @@ def _action_factors(diagram: InfluenceDiagram, regimes) -> list[np.ndarray]:
     ]
 
 
-def joint_distribution(diagram: InfluenceDiagram, regime: Regime) -> JointTable:
-    """Exact joint over all domain variables under one regime."""
+def joint_distribution(diagram: InfluenceDiagram, regime: Regime) -> np.ndarray:
+    """Exact joint over all domain variables under one regime, one axis per
+    variable of ``diagram.order``."""
     if regime != "obs":
         diagram.validate_strategy(regime)
-    probs = _joint(diagram, _action_factors(diagram, [regime] * diagram.n))[0]
-    return JointTable(diagram.order, tuple(diagram.states[v] for v in diagram.order), probs)
+    return _joint(diagram, _action_factors(diagram, [regime] * diagram.n))[0]
 
 
-def observable_joint(diagram: InfluenceDiagram, regime: Regime) -> JointTable:
-    """Joint over the observable information base (hidden variables summed out)."""
-    return joint_distribution(diagram, regime).marginal(diagram.base.vars)
+def _observed(diagram: InfluenceDiagram, probs: np.ndarray) -> np.ndarray:
+    """A joint on ``diagram.order`` summed over its hidden axes: the table
+    over the observable information base."""
+    hidden = tuple(diagram.index[v] for v in diagram.hidden)
+    return probs.sum(axis=hidden) if hidden else probs
 
 
 def response_weights(base: InfoBase, k: Mapping[str, float]) -> np.ndarray:
@@ -646,11 +597,10 @@ class PrefixSource:
     observable information base (probabilities or counts).
 
     ``given(lo, hi)`` holds, for every prefix of length ``lo``, the
-    distribution of the positions ``lo..hi-1``; the backward recursion and
-    the mixed-regime checks read these stage arrays whole, ``support`` and
-    ``l_conditional`` index into them one history at a time.  With
-    ``alpha > 0`` every row is additively smoothed, so every syntactically
-    valid history counts as possible.
+    distribution of the positions ``lo..hi-1``; the backward recursion,
+    the mixed-regime checks and the CLI's ``estimate`` read these stage
+    arrays whole.  With ``alpha > 0`` every row is additively smoothed, so
+    every syntactically valid history counts as possible.
     """
 
     def __init__(self, base: InfoBase, table: np.ndarray, label: str, alpha: float = 0.0):
@@ -688,16 +638,6 @@ class PrefixSource:
             self._given[key].flags.writeable = False
         return self._given[key]
 
-    def l_conditional(self, i: int, h: PartialHistory):
-        """Distribution of the i-th observable block given the prefix ``h``,
-        or UNDEFINED on an empty event."""
-        if len(h) != self.base.before_l(i):
-            raise InputError(f"history of length {len(h)} does not precede block {i}")
-        idx = self.base.codes(h)
-        if not self.support().masks[len(h)][idx]:
-            return UNDEFINED
-        return self.given(len(h), self.base.after_l(i))[idx].copy()
-
     def support(self) -> SupportSet:
         """Boundary prefixes that count as possible: those with positive
         mass in the table, or every one when smoothed."""
@@ -713,4 +653,6 @@ class ExactSource(PrefixSource):
     """Conditional source backed by the diagram's exact observational joint."""
 
     def __init__(self, diagram: InfluenceDiagram):
-        super().__init__(diagram.base, observable_joint(diagram, "obs").probs, "exact")
+        super().__init__(
+            diagram.base, _observed(diagram, joint_distribution(diagram, "obs")), "exact"
+        )

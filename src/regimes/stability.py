@@ -27,9 +27,9 @@ from .model import (
     InfluenceDiagram,
     PrefixSource,
     Strategy,
+    _observed,
     factor_array,
     joint_distribution,
-    observable_joint,
 )
 from .grecursion import TOL, build_dag_i, check_cond6
 
@@ -114,10 +114,12 @@ def check_simple_stability_numeric(
     and so cancel from every conditional of a block given the observed
     past.  Each strategy's source is dropped before the next is built."""
     base = diagram.base
-    obs = PrefixSource(base, observable_joint(diagram, "obs").probs, "obs")
+    obs = PrefixSource(base, _observed(diagram, joint_distribution(diagram, "obs")), "obs")
     first = {}  # stage -> (row, witness) of its earliest divergence so far
     for strategy in strategies:
-        other = PrefixSource(base, observable_joint(diagram, strategy).probs, strategy.name)
+        other = PrefixSource(
+            base, _observed(diagram, joint_distribution(diagram, strategy)), strategy.name
+        )
         for i, lo, hi, _ in base.stages:
             if lo == hi:
                 continue
@@ -178,8 +180,9 @@ def check_sequential_irrelevance_numeric(
         past = base.vars[:lo]
         wanted = past + u_past + base.vars[lo:hi]
         dims = [len(diagram.states[v]) for v in wanted]
-        marginal = joint.marginal(wanted)
-        arr = np.transpose(marginal.probs, [marginal.names.index(v) for v in wanted]).reshape(
+        kept = sorted(index[v] for v in wanted)
+        marginal = joint.sum(axis=tuple(j for j in range(joint.ndim) if j not in kept))
+        arr = np.transpose(marginal, [kept.index(index[v]) for v in wanted]).reshape(
             math.prod(dims[:lo]), math.prod(dims[lo : lo + len(u_past)]), -1
         )
         # The block given (past, hidden past), compared in each past row
@@ -203,9 +206,7 @@ def check_sequential_irrelevance_numeric(
             tuple(cond[row, ucol]),
         )
         stages.append(StageVerdict(i, False, witness))
-    extras = {
-        s.name: _covered(joint_distribution(diagram, s).probs, joint.probs) for s in strategies
-    }
+    extras = {s.name: _covered(joint_distribution(diagram, s), joint) for s in strategies}
     return StabilityReport("sequential_irrelevance_numeric", tuple(stages), extras)
 
 
@@ -254,12 +255,12 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
     observational regime."""
     diagram.validate_strategy(strategy)
     je, jo = joint_distribution(diagram, strategy), joint_distribution(diagram, "obs")
-    obs = jo.marginal(diagram.base.vars).probs
+    obs = _observed(diagram, jo)
     # A prefix's mass sums its full histories' non-negative masses, so it is
     # positive exactly when one of them is: the full histories decide simple
     # positivity for every prefix.
-    simple = _covered(je.marginal(diagram.base.vars).probs, obs)
-    extended = _covered(je.probs, jo.probs)
+    simple = _covered(_observed(diagram, je), obs)
+    extended = _covered(je, jo)
 
     parent_child = True
     for a in diagram.actions:

@@ -4,8 +4,8 @@ label-level reference oracle.
 Tables are drawn from a symmetric Dirichlet with unit concentration under
 seeded counter-based generators, so every suite is deterministic and the
 parameters are generic (no accidental independencies).  ``prob`` and
-``conditional`` read an exact ``JointTable`` by labels, one assignment at
-a time, independently of the stage arrays the engines use.
+``conditional`` read a joint array by labels, one assignment at a time,
+independently of the stage arrays the engines use.
 """
 
 from __future__ import annotations
@@ -22,19 +22,18 @@ from regimes.graph import Dag, separated
 from regimes.grecursion import build_dag_i
 from regimes.model import (
     SIGMA,
-    UNDEFINED,
     Cpt,
     InfluenceDiagram,
-    JointTable,
     Policy,
     PrefixSource,
     Strategy,
     SupportSet,
     Table,
     Variable,
+    _observed,
     factor_array,
+    joint_distribution,
     mechanism,
-    observable_joint,
 )
 
 B = ("0", "1")
@@ -229,53 +228,64 @@ def graphsep_by_action(diagram: InfluenceDiagram) -> tuple[tuple[int, bool], ...
     base = diagram.base
     stages = []
     for i in range(1, diagram.n + 1):
-        cond = [v for j in range(1, i + 1) for v in base.block(j)]
+        cond = [v for j in range(i) for v in base.lblocks[j]]
         cond += [base.action(j) for j in range(1, i)]
         d = build_dag_i_prime(diagram, i)
         stages.append((i, separated(d, {diagram.response}, {base.action(i)}, cond)))
     return tuple(stages)
 
 
-def _locate(joint: JointTable, assignment: Mapping[str, str]) -> tuple:
-    """Index of a label assignment into ``joint.probs``: the state's index
-    on each assigned axis, a full slice on the others."""
-    idx = [slice(None)] * len(joint.names)
+def _axes(diagram: InfluenceDiagram, probs: np.ndarray) -> tuple[str, ...]:
+    """The variables of an array's axes: ``diagram.order`` for a joint over
+    every variable, else the first ``probs.ndim`` variables of the
+    observable base."""
+    if probs.ndim == len(diagram.order):
+        return diagram.order
+    return diagram.base.vars[: probs.ndim]
+
+
+def _locate(diagram: InfluenceDiagram, names, assignment: Mapping[str, str]) -> tuple:
+    """Index of a label assignment into an array over ``names``: the
+    state's index on each assigned axis, a full slice on the others."""
+    idx = [slice(None)] * len(names)
     for var, label in assignment.items():
-        if var not in joint.names:
+        if var not in names:
             raise InputError(f"unknown variable {var!r}")
-        ax = joint.names.index(var)
-        if label not in joint.states[ax]:
+        if label not in diagram.states[var]:
             raise InputError(f"{label!r} is not a state of {var}")
-        idx[ax] = joint.states[ax].index(label)
+        idx[names.index(var)] = diagram.states[var].index(label)
     return tuple(idx)
 
 
-def prob(joint: JointTable, assignment: Mapping[str, str]) -> float:
-    """Probability of a label assignment under a joint."""
-    return float(joint.probs[_locate(joint, assignment)].sum())
+def prob(diagram: InfluenceDiagram, probs: np.ndarray, assignment: Mapping[str, str]) -> float:
+    """Probability of a label assignment under a joint array (see ``_axes``)."""
+    return float(probs[_locate(diagram, _axes(diagram, probs), assignment)].sum())
 
 
-def conditional(joint: JointTable, target: Iterable[str], given: Mapping[str, str]):
-    """Normalized slice over ``target`` configurations, or UNDEFINED.
+def conditional(
+    diagram: InfluenceDiagram, probs: np.ndarray, target: Iterable[str], given: Mapping[str, str]
+):
+    """Normalized slice over ``target`` configurations, or None.
 
-    Returns a mapping from target configuration (in the joint's variable
-    order) to probability when the conditioning event has positive mass;
-    the UNDEFINED marker otherwise.
+    ``probs`` is a joint array (see ``_axes``).  Returns a mapping from
+    target configuration (in the array's variable order) to probability
+    when the conditioning event has positive mass, None otherwise.
     """
-    target = [v for v in joint.names if v in set(target)]
+    names = _axes(diagram, probs)
+    target = [v for v in names if v in set(target)]
     if set(target) & set(given):
         raise InputError("target and conditioning variables overlap")
-    sub = joint.probs[_locate(joint, given)]
-    remaining = [v for v in joint.names if v not in given]
+    sub = probs[_locate(diagram, names, given)]
+    remaining = [v for v in names if v not in given]
     drop = tuple(i for i, v in enumerate(remaining) if v not in set(target))
     table = sub.sum(axis=drop) if drop else sub
     denom = float(table.sum())
     if denom <= 0.0:
-        return UNDEFINED
+        return None
     table = table / denom
     out = {}
-    for config in itertools.product(*(joint.states[joint.names.index(v)] for v in target)):
-        idx = tuple(joint.states[joint.names.index(v)].index(s) for v, s in zip(target, config))
+    for config in itertools.product(*(diagram.states[v] for v in target)):
+        idx = tuple(diagram.states[v].index(s) for v, s in zip(target, config))
         out[config] = float(table[idx])
     return out
 
@@ -288,7 +298,7 @@ def labels(support: SupportSet) -> frozenset:
 
 def support_labels(diagram: InfluenceDiagram, regime) -> frozenset:
     """The observable histories with positive probability under a regime."""
-    table = observable_joint(diagram, regime).probs
+    table = _observed(diagram, joint_distribution(diagram, regime))
     return labels(PrefixSource(diagram.base, table, "support").support())
 
 

@@ -5,8 +5,9 @@ keyed by label tuples.  A history is live when the source deems it
 possible and the strategy gives each of its actions positive probability;
 its value sums the states of the next block or action in declared order,
 from 0.0, and a pruned history holds 0.0.  The numbers it adds are the
-source's own conditionals (``l_conditional``) and the policies' own rows
-(``Policy.table``), so the stage-array engine must match it bit for bit.
+source's own conditionals (one row of ``given``, read by the history's
+state indices) and the policies' own rows (``Policy.table``), so the
+stage-array engine must match it bit for bit.
 
 ``reference_witness`` finds the positivity witness by brute force: every
 strategy-positive action extension of a live history that the source
@@ -31,13 +32,13 @@ def _action_prob(base, strategy, h, i: int) -> float:
     """The probability the strategy gives the i-th action's state in ``h``."""
     action = base.action(i)
     policy = strategy.policies[action]
-    row = policy.table[tuple(h[base.position(p)] for p in policy.parents)]
+    row = policy.table[tuple(h[base.vars.index(p)] for p in policy.parents)]
     return row[base.states[action].index(h[base.after_a(i) - 1])]
 
 
 def possible(source, h) -> bool:
     """Whether a boundary history has positive mass (or is smoothed) in the
-    source; InputError for a bad label or length, as ``l_conditional`` gives."""
+    source; InputError for a bad label or length (``InfoBase.codes``)."""
     idx = source.base.codes(h)
     return bool(source.support().masks[len(h)][idx])
 
@@ -82,8 +83,7 @@ def reference_arrays(source, strategy, k) -> dict[int, np.ndarray]:
         h: float(k[h[-1]]) if _live(source, strategy, h) else 0.0
         for h in _histories(base, full)
     }
-    for i in range(base.n + 1, 0, -1):
-        lo, hi = base.before_l(i), base.after_l(i)
+    for i, lo, hi, _ in reversed(base.stages):
         if i <= base.n:
             states = base.states[base.action(i)]
             for h in _histories(base, hi):
@@ -96,7 +96,8 @@ def reference_arrays(source, strategy, k) -> dict[int, np.ndarray]:
         for h in _histories(base, lo):
             total = 0.0
             if _live(source, strategy, h):
-                for c, ext in zip(source.l_conditional(i, h).tolist(), block):
+                row = source.given(lo, hi)[base.codes(h)].tolist()
+                for c, ext in zip(row, block):
                     total = total + c * value[h + ext]
             value[h] = total
     cards = tuple(len(base.states[v]) for v in base.vars)

@@ -341,7 +341,7 @@ def test_10_cli_determinism(tmp_path):
         "--n", "2000", "--seed", "5", "--out", data_path,
     ])
     commands = [
-        ["evaluate", "--model", f2_path, "--strategy", "e2", "--direct"],
+        ["evaluate", "--model", f2_path, "--strategy", "e2"],
         ["grec", "--model", f2_path, "--strategy", "e2"],
         ["stability", "--model", f2_path],
         ["stability", "--model", f2_path, "--numeric", "--strategy", "e2"],

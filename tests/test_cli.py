@@ -51,9 +51,7 @@ class TestEvaluateAndGrec:
 
     def test_grec_equals_direct_oracle(self):
         c1, out1, _ = run("grec", "--model", model("f2.id"), "--strategy", "e2")
-        c2, out2, _ = run(
-            "evaluate", "--model", model("f2.id"), "--strategy", "e2", "--direct"
-        )
+        c2, out2, _ = run("evaluate", "--model", model("f2.id"), "--strategy", "e2")
         assert c1 == c2 == 0
         lhs = float(kv(out1)["consequence"])
         rhs = float(kv(out2)["consequence"])
@@ -244,6 +242,8 @@ class TestErrorsAndDeterminism:
 
     def test_usage_error(self):
         assert run("grec", "--model", model("f1.id"))[0] == 2
+        # Enumeration is the only method ``evaluate`` has; it takes no flag for it.
+        assert run("evaluate", "--model", model("f1.id"), "--direct")[0] == 2
 
     def test_first_backward_edge_reported_under_every_hash_seed(self, tmp_path):
         # The edges are kept in a frozenset: the reported one must be the

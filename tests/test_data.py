@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fixtures import complete_stable, f1, f2, f4
-from helpers import cpt_for, random_extended_id, random_strategy, rng
+from helpers import conditional, cpt_for, random_extended_id, random_strategy, rng
 from recursion_reference import possible
 import regimes.data
 from regimes.cli import main
@@ -16,7 +17,6 @@ from regimes.data import Dataset, EstimatedSource, estimate_conditionals, sample
 from regimes.errors import InputError, PositivityError
 from regimes.grecursion import g_recursion
 from regimes.model import (
-    UNDEFINED,
     Cpt,
     InfluenceDiagram,
     Variable,
@@ -25,7 +25,7 @@ from regimes.model import (
     joint_distribution,
     mechanism,
 )
-from regimes.parser import parse_model
+from regimes.parser import ModelDocument, format_model, parse_model
 
 K01 = {"0": 0.0, "1": 1.0}
 ROOT = Path(__file__).resolve().parent.parent
@@ -199,8 +199,8 @@ class TestSample:
         radix = np.zeros(n, dtype=np.int64)
         for j in range(len(ds.columns)):
             radix = radix * 2 + ds.codes[:, j]
-        freq = np.bincount(radix, minlength=joint.probs.size) / n
-        assert np.max(np.abs(freq - joint.probs.reshape(-1))) < 0.01
+        freq = np.bincount(radix, minlength=joint.size) / n
+        assert np.max(np.abs(freq - joint.reshape(-1))) < 0.01
 
     def test_strategy_regime_respected(self):
         d, strats = f1()
@@ -397,6 +397,70 @@ def test_simulate_output_golden(model, regime, tmp_path):
                      "--n", "500", "--seed", "2026", "--out", str(out_file)])
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SIMULATE_SHA256[model, regime]
+
+
+def estimate_case(seed: int):
+    """A small random diagram and 30 observational rows: few enough that
+    some pasts have no rows."""
+    d = random_extended_id(seed, n_actions=1 + seed % 2, hidden_to_action=seed % 3 == 0)
+    return d, sample(d, "obs", 30, seed=seed)
+
+
+def reference_conditionals(d, ds, alpha: float) -> dict:
+    """Each ``cond[i|past]`` key ``estimate`` prints, in its order, with the
+    label-level ``conditional`` of the block given the past: the count
+    table summed down to the block, each cell plus ``alpha``.  None where
+    that event has no mass, which is where the past has no rows, unsmoothed."""
+    counts = np.zeros(tuple(len(states) for states in ds.states))
+    for row in ds.rows():
+        counts[tuple(states.index(s) for states, s in zip(ds.states, row))] += 1.0
+    base, out = d.base, {}
+    for i, lo, hi, _ in base.stages:
+        table = counts.sum(axis=tuple(range(hi, counts.ndim))) + alpha
+        past, block = base.vars[:lo], base.vars[lo:hi]
+        for config in itertools.product(*(base.states[v] for v in past)):
+            cond = conditional(d, table, block, dict(zip(past, config)))
+            key = f"cond[{i}|{','.join(config) or '-'}]"
+            out[key] = None if cond is None else list(cond.values())
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("seed", range(8))
+def test_estimate_prints_the_label_level_conditionals(seed, alpha, tmp_path):
+    """``estimate`` without a strategy prints every stage's conditional for
+    every past, ``undefined`` exactly where the reference has none."""
+    d, ds = estimate_case(seed)
+    model, rows = tmp_path / "model.id", tmp_path / "rows.txt"
+    model.write_text(format_model(ModelDocument(d, {})))
+    rows.write_text(ds.to_text())
+    out = io.StringIO()
+    with redirect_stdout(out):
+        argv = ["estimate", "--model", str(model), "--data", str(rows), "--alpha", str(alpha)]
+        assert main(argv) == 0
+    printed = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+    want = reference_conditionals(d, ds, alpha)
+    assert list(printed) == list(want)
+    for key, row in want.items():
+        if row is None:
+            assert printed[key] == "undefined", key
+        else:
+            got = [float(p) for p in printed[key].split(",")]
+            assert len(got) == len(row), key
+            assert max(abs(g - w) for g, w in zip(got, row)) <= 1e-12, key
+
+
+def test_estimate_cases_reach_both_kinds_of_line():
+    """Unsmoothed, the cases above print both ``undefined`` and numbers;
+    smoothed, numbers only."""
+    for alpha in (0.0, 0.5):
+        rows = [
+            row
+            for seed in range(8)
+            for row in reference_conditionals(*estimate_case(seed), alpha).values()
+        ]
+        assert any(row is not None for row in rows)
+        assert any(row is None for row in rows) == (alpha == 0.0)
 
 
 class TestDatasetText:
@@ -598,17 +662,17 @@ class TestEstimation:
         rows += ["1 0 0"] * 12 + ["1 0 1"] * 48  # p(Y | L=1, A=0) = .2/.8
         ds = Dataset.from_text("\n".join(rows) + "\n", d.base)
         src = estimate_conditionals(ds, d.base, alpha=0.0)
-        assert np.allclose(src.l_conditional(1, ()), [0.25, 0.75])
-        assert np.allclose(src.l_conditional(2, ("1", "0")), [0.2, 0.8])
-        assert src.l_conditional(2, ("0", "1")) is UNDEFINED
+        assert np.allclose(src.given(0, 1), [0.25, 0.75])
+        assert np.allclose(src.given(2, 3)[1, 0], [0.2, 0.8])
+        assert not possible(src, ("0", "1"))
 
     def test_empty_cell_undefined_at_alpha_zero(self):
         d, _ = f1()
         header = " ".join(d.base.vars)
         ds = Dataset.from_text(header + "\n0 0 0 0 0\n", d.base)
         src = estimate_conditionals(ds, d.base, alpha=0.0)
-        assert src.l_conditional(2, ("0", "1")) is UNDEFINED
-        assert not possible(src, ("1",))
+        assert not possible(src, ("0", "1")) and not possible(src, ("1",))
+        assert src.given(2, 3)[0, 1].tolist() == [0.0, 0.0]
 
     def test_no_rows_fail_positivity_at_the_root(self):
         d, strats = f1()
@@ -622,9 +686,8 @@ class TestEstimation:
         header = " ".join(d.base.vars)
         ds = Dataset.from_text(header + "\n0 0 0 0 0\n", d.base)
         src = estimate_conditionals(ds, d.base, alpha=0.5)
-        cond = src.l_conditional(2, ("0", "1"))
-        assert cond is not UNDEFINED and abs(cond.sum() - 1.0) < 1e-12
-        assert possible(src, ("1",))
+        assert possible(src, ("0", "1")) and possible(src, ("1",))
+        assert abs(src.given(2, 3)[0, 1].sum() - 1.0) < 1e-12
 
     def test_estimated_recursion_close_to_oracle(self):
         d, strats = f1()

@@ -166,8 +166,8 @@ K_SOFT = {"0": 0.3, "1": 1.7}
 def reference_values(diagram, k):
     """Every pure strategy in ``itertools.product`` order, as the per-strategy
     loop took them (``_pure_strategy``, then one joint each), with its value
-    computed as ``consequence_direct`` once did: the response marginal of a
-    ``JointTable``, weighted by a 1-D dot."""
+    computed as ``consequence_direct`` once did: the response marginal of
+    the exact joint, weighted by a 1-D dot."""
     base = diagram.base
     weights = response_weights(base, k)
     choice_lists = [
@@ -177,8 +177,9 @@ def reference_values(diagram, k):
     out = []
     for picks in itertools.product(*choice_lists):
         strategy = _pure_strategy(base, "enumerated", picks)
-        marg = joint_distribution(diagram, strategy).marginal((diagram.response,))
-        out.append((strategy, float(marg.probs @ weights)))
+        joint = joint_distribution(diagram, strategy)
+        marg = joint.sum(axis=tuple(range(joint.ndim - 1)))
+        out.append((strategy, float(marg @ weights)))
     return out
 
 
@@ -261,8 +262,9 @@ class TestEnumerationReference:
             want = []
             for j in range(len(index)):
                 strategy = _pure_strategy(base, "sample", [choices[j] for choices in picks])
-                marg = joint_distribution(diagram, strategy).marginal((diagram.response,))
-                want.append(float(marg.probs @ weights))
+                joint = joint_distribution(diagram, strategy)
+                marg = joint.sum(axis=tuple(range(joint.ndim - 1)))
+                want.append(float(marg @ weights))
                 assert consequence_direct(diagram, strategy, k) == want[-1]
             assert bits(batch) == bits(want)
             assert bits(_consequences(diagram, [f[:1] for f in factors], weights)) == bits(want[:1])

@@ -38,6 +38,7 @@ from regimes.model import (
     Policy,
     PrefixSource,
     Strategy,
+    _observed,
     consequence_direct,
     factor_array,
 )
@@ -103,7 +104,7 @@ def naive_gamma(obs_support, strategy):
             if len(h) < cut:
                 break
             pol = strategy.policies[action]
-            row = pol.table[tuple(h[base.position(p)] for p in pol.parents)]
+            row = pol.table[tuple(h[base.vars.index(p)] for p in pol.parents)]
             if row[base.states[action].index(h[cut - 1])] <= 0.0:
                 ok = False
                 break
@@ -122,7 +123,7 @@ def naive_cond6(obs_support, strategy):
         for i, action in enumerate(base.actions, start=1):
             if len(h) == base.after_l(i):
                 pol = strategy.policies[action]
-                row = pol.table[tuple(h[base.position(p)] for p in pol.parents)]
+                row = pol.table[tuple(h[base.vars.index(p)] for p in pol.parents)]
                 for state, p in zip(base.states[action], row):
                     if p > 0.0 and h + (state,) not in possible:
                         return False, h + (state,)
@@ -136,7 +137,7 @@ def by_construction_conditions(diagram, strategy, tol=1e-9):
     base = diagram.base
     diagram.validate_strategy(strategy)
     p = [
-        PrefixSource(base, construct_p_i(diagram, strategy, i).marginal(base.vars).probs, f"p{i}")
+        PrefixSource(base, _observed(diagram, construct_p_i(diagram, strategy, i)), f"p{i}")
         for i in range(base.n + 1)
     ]
     obs = ExactSource(diagram)
@@ -146,8 +147,7 @@ def by_construction_conditions(diagram, strategy, tol=1e-9):
         return np.any(np.abs(left - right) > tol, axis=-1)
 
     support_ok = l_ok = a_ok = True
-    for i in range(1, base.n + 2):
-        lo, hi = base.before_l(i), base.after_l(i)
+    for i, lo, hi, _ in base.stages:
         on = gamma.masks[lo] & p[i - 1].support().masks[lo]
         l_ok &= not (on & differs(p[i - 1].given(lo, hi), obs.given(lo, hi))).any()
     for i in range(1, base.n + 1):

@@ -21,7 +21,6 @@ from regimes.model import (
     Table,
     Variable,
     consequence_direct,
-    joint_distribution,
     response_weights,
 )
 from regimes.optimize import enumerate_strategies, optimal_strategy
@@ -118,11 +117,7 @@ CASES = {
         lambda: small(int_parents={"A": ("Y",)}),
         ModelError, "int-parents of A: ['Y'] are not dag-parents",
     ),
-    # model: marginals, response functionals, conditionals
-    "marginal over an unknown variable": (
-        lambda: joint_distribution(f1()[0], "obs").marginal(["Z"]),
-        InputError, "unknown variables ['Z']",
-    ),
+    # model: response functionals
     "k without a response state": (
         lambda: response_weights(f1()[0].base, {"0": 1.0}),
         InputError, "k assigns no value to response states ['1']",
@@ -142,10 +137,6 @@ CASES = {
     "k with a value that is not finite": (
         lambda: consequence_direct(f1()[0], "obs", {"0": float("nan"), "1": 1.0}),
         InputError, "k value nan for response state 0 is not a finite number",
-    ),
-    "conditional after the wrong history": (
-        lambda: ExactSource(f1()[0]).l_conditional(1, ("0",)),
-        InputError, "history of length 1 does not precede block 1",
     ),
     # grecursion
     "values keyed by a non-tuple": (

@@ -86,17 +86,52 @@ def _export_uses() -> set[str]:
     return used
 
 
+def _readme_names() -> set[str]:
+    """Names the README gives in backticks, each part of a dotted path
+    (``regimes.parser.format_model`` names ``format_model``)."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    return {n for path in re.findall(r"`([A-Za-z_][\w.]*)", readme) for n in path.split(".")}
+
+
 def test_every_export_is_used():
     """A public name is part of the product: the package uses it, or the
-    README names it in backticks (``regimes.parser.format_model`` names
-    ``format_model``)."""
+    README names it."""
     import regimes
 
     exports = {n for n in regimes.__all__ if not inspect.ismodule(getattr(regimes, n))}
-    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
-    named = {n for path in re.findall(r"`([A-Za-z_][\w.]*)", readme) for n in path.split(".")}
-    unused = sorted(exports - _export_uses() - named)
+    unused = sorted(exports - _export_uses() - _readme_names())
     assert unused == [], f"exported but unused: {unused}"
+
+
+def test_every_public_method_is_used():
+    """So is a public method or property of an exported class, or of a
+    package class it inherits from: the package reads it as an attribute
+    somewhere, or the README names it.  Dunders are exempt."""
+    import regimes
+
+    read = {
+        node.attr
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    kinds = (property, classmethod, staticmethod)
+    classes = {
+        cls
+        for name in regimes.__all__
+        if inspect.isclass(getattr(regimes, name))
+        for cls in getattr(regimes, name).__mro__
+        if cls.__module__.startswith("regimes.")
+    }
+    unused = sorted(
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name, member in vars(cls).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(member) or isinstance(member, kinds))
+        and name not in read | _readme_names()
+    )
+    assert unused == [], f"public but unused: {unused}"
 
 
 def _bound_imports(tree: ast.Module) -> dict[str, int]:

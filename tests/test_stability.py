@@ -22,8 +22,8 @@ from regimes.model import (
     Policy,
     PrefixSource,
     Strategy,
+    _observed,
     joint_distribution,
-    observable_joint,
 )
 from regimes.stability import (
     DivergenceWitness,
@@ -148,7 +148,7 @@ def strategy_pair_gap(seed):
     elif seed // 3 % 3 == 2:
         d = zero_action_rows(d, seed)
     obs, left, right = (
-        PrefixSource(d.base, observable_joint(d, r).probs, "r")
+        PrefixSource(d.base, _observed(d, joint_distribution(d, r)), "r")
         for r in ("obs", random_strategy(d, 500 + seed), random_strategy(d, 900 + seed))
     )
     gap, obs_undefined = 0.0, 0
@@ -230,7 +230,6 @@ class TestSequentialIrrelevance:
 
     def test_irrelevance_holds_under_strategy_regimes_too(self):
         # same conditional-independence statement, tested on the strategy joint
-        from regimes.model import UNDEFINED
         import itertools
 
         for seed in range(5):
@@ -238,8 +237,8 @@ class TestSequentialIrrelevance:
             s = random_strategy(d, 4000 + seed)
             je = joint_distribution(d, s)
             base = d.base
-            for i in range(1, base.n + 2):
-                block = base.block(i)
+            for i, lo, hi, _ in base.stages:
+                block = base.vars[lo:hi]
                 if not block or i == 1:
                     continue
                 a_prev = base.action(i - 1)
@@ -248,13 +247,13 @@ class TestSequentialIrrelevance:
                 )
                 if not u_past:
                     continue
-                past = base.vars[: base.before_l(i)]
+                past = base.vars[:lo]
                 for cfg in itertools.product(*(d.states[p] for p in past)):
                     given = dict(zip(past, cfg))
                     ref = None
                     for ucfg in itertools.product(*(d.states[u] for u in u_past)):
-                        cu = conditional(je, block, {**given, **dict(zip(u_past, ucfg))})
-                        if cu is UNDEFINED:
+                        cu = conditional(d, je, block, {**given, **dict(zip(u_past, ucfg))})
+                        if cu is None:
                             continue
                         if ref is None:
                             ref = cu
@@ -346,7 +345,7 @@ def test_positivity_matches_its_definitions(seed, n_actions, confounded, zeroed,
     s = random_strategy(d, other_seed)
     rep = check_positivity(d, s)
     assert rep.simple == (support_labels(d, s) <= support_labels(d, "obs"))
-    je, jo = joint_distribution(d, s).probs, joint_distribution(d, "obs").probs
+    je, jo = joint_distribution(d, s), joint_distribution(d, "obs")
     assert rep.extended == bool(np.all((je <= 0.0) | (jo > 0.0)))
     assert rep.general == check_cond6(ExactSource(d).support(), s)[0]
 
@@ -385,7 +384,7 @@ class TestSupportPropagation:
         )
         marks = support_propagation(d2)["obs"]
         j = joint_distribution(d2, "obs")
-        assert np.array_equal(marks, j.probs > 0)
+        assert np.array_equal(marks, j > 0)
         assert not marks[0, 0, 1]  # u=0, a1=0, y=1 now impossible
 
     def test_matches_exact_support_under_strategy(self):
@@ -399,4 +398,4 @@ class TestSupportPropagation:
         )
         marks = support_propagation(d, [det])["det"]
         j = joint_distribution(d, det)
-        assert np.array_equal(marks, j.probs > 0)
+        assert np.array_equal(marks, j > 0)
