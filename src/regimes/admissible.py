@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, InputError, ModelError
 from .graph import ancestral_closure, descendants, separated
-from .grecursion import build_dag_i
+from .grecursion import _action_order, build_dag_i
 from .model import SIGMA, InfluenceDiagram, Strategy
 from .stability import _check_int_strategy
 
@@ -40,19 +40,12 @@ class AdmissibleSequence:
         return all(self.verdicts)
 
 
-def _the_order(diagram: InfluenceDiagram, action_order) -> tuple[str, ...]:
-    if action_order is None:
-        return diagram.actions
-    order = tuple(action_order)
-    if sorted(order) != sorted(diagram.actions):
-        raise InputError("action order must be a permutation of the diagram's actions")
-    return order
-
-
-def _reaching(diagram: InfluenceDiagram):
+def _reaching(diagram: InfluenceDiagram, strategy: Strategy | None):
     """The interventional diagram (every action on its interventional
-    parents, the regime node without edges), once every action is checked
-    to reach the response in it."""
+    parents, the regime node without edges), once the strategy, if any,
+    passes ``_check_int_strategy`` and every action is checked to reach
+    the response in it: the preconditions of every public call."""
+    _check_int_strategy(diagram, strategy)
     d_e = build_dag_i(diagram, 0)
     for a in diagram.actions:
         if diagram.response not in descendants(d_e, {a}):
@@ -88,9 +81,8 @@ class _Stages:
 
 def _checked_stages(diagram, action_order, strategy) -> _Stages:
     """Run the preconditions of a public call, then build its stages."""
-    _check_int_strategy(diagram, strategy)
-    d_e = _reaching(diagram)
-    return _Stages(diagram, _the_order(diagram, action_order), d_e)
+    d_e = _reaching(diagram, strategy)
+    return _Stages(diagram, _action_order(diagram, action_order), d_e)
 
 
 def _candidate(stages: _Stages) -> AdmissibleSequence:
@@ -147,27 +139,22 @@ def check_admissible(
 def improve_sequence(
     diagram: InfluenceDiagram,
     action_order: Sequence[str] | None = None,
-    candidate: AdmissibleSequence | None = None,
     strategy: Strategy | None = None,
 ) -> AdmissibleSequence:
     """Shrink each stage set inside its pool by greedy removal.
 
     Later-declared variables are dropped first; removal passes repeat per
     stage until no single variable can go.  If a stage pool fails its own
-    verdict the process aborts and the candidate is returned unchanged.
-    The result keeps cumulative sets inside the pools, so it is itself
-    admissible.
+    verdict the process aborts and the candidate sequence
+    (``compute_candidate_sequence``) is returned.  The result keeps
+    cumulative sets inside the pools, so it is itself admissible.
     """
     stages = _checked_stages(diagram, action_order, strategy)
-    if candidate is not None and candidate.order != stages.order:
-        raise InputError("candidate was computed for a different action order")
-    if candidate is None:
-        candidate = _candidate(stages)
     sets: list[tuple[str, ...]] = []
     cum: set[str] = set()
-    for i, pool in enumerate(candidate.pools, start=1):
+    for i, pool in enumerate(stages.pools, start=1):
         if not stages.verdict(i, pool):
-            return candidate
+            return _candidate(stages)
         keep = set(pool) - cum
         changed = True
         while changed:
@@ -178,7 +165,7 @@ def improve_sequence(
                     changed = True
         sets.append(diagram.sort(keep))
         cum |= keep
-    return AdmissibleSequence(stages.order, tuple(sets), candidate.pools, (True,) * len(sets))
+    return AdmissibleSequence(stages.order, tuple(sets), stages.pools, (True,) * len(sets))
 
 
 def _orders_consistent_with(diagram: InfluenceDiagram):
@@ -201,17 +188,16 @@ def _orders_consistent_with(diagram: InfluenceDiagram):
 
 def search_admissible_ordering(
     diagram: InfluenceDiagram, strategy: Strategy | None = None
-):
-    """First action ordering whose pool sequence is admissible, with that
-    sequence; None when no ordering works."""
+) -> AdmissibleSequence | None:
+    """The pool sequence of the first action ordering for which it is
+    admissible; None when no ordering works."""
     if diagram.n > MAX_SEARCH_ACTIONS:
         raise CapacityError(
             f"{diagram.n} actions exceed the ordering-search cap of {MAX_SEARCH_ACTIONS}"
         )
-    _check_int_strategy(diagram, strategy)
-    d_e = _reaching(diagram)
+    d_e = _reaching(diagram, strategy)
     for order in _orders_consistent_with(diagram):
         seq = _candidate(_Stages(diagram, order, d_e))
         if seq.admissible:
-            return order, seq
+            return seq
     return None

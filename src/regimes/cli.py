@@ -59,6 +59,8 @@ def _response_functional(doc: ModelDocument, args):
             if "=" not in part:
                 raise RegimesError(f"--k expects state=value pairs, got {part!r}")
             state, value = part.split("=", 1)
+            if state in k:
+                raise RegimesError(f"--k gives response state {state!r} twice")
             try:
                 k[state] = float(value)
             except ValueError:
@@ -162,13 +164,12 @@ def cmd_admissible(doc: ModelDocument, args) -> int:
     if args.order:
         seq = adm.compute_candidate_sequence(diagram, args.order.split(","), strategy)
     else:
-        hit = adm.search_admissible_ordering(diagram, strategy)
-        if hit is None:
+        seq = adm.search_admissible_ordering(diagram, strategy)
+        if seq is None:
             _emit("ordering", "none")
             return CHECK_FAILED
-        seq = hit[1]
     if args.improve and seq.admissible:
-        seq = adm.improve_sequence(diagram, seq.order, seq, strategy)
+        seq = adm.improve_sequence(diagram, seq.order, strategy)
     _emit("ordering", ",".join(seq.order))
     _emit("sequence", ";".join(",".join(s) for s in seq.sets))
     if args.order:

@@ -62,8 +62,6 @@ class Dataset:
     columns: tuple[str, ...]
     states: tuple[tuple[str, ...], ...]
     codes: np.ndarray  # (n, len(columns)) state indices, in _codes_dtype(states)
-    regime: str
-    seed: int
 
     @property
     def n(self) -> int:
@@ -86,8 +84,7 @@ class Dataset:
     def from_text(cls, text: str, base: InfoBase) -> "Dataset":
         """Read ``to_text`` output: a header of column names, then one row
         of state labels per line; blank lines and lines starting with
-        ``#`` are skipped.  The text holds no regime or seed: they read
-        ``"?"`` and -1.  Each block of ``SAMPLE_ROWS`` rows is split
+        ``#`` are skipped.  Each block of ``SAMPLE_ROWS`` rows is split
         once and each column's labels mapped through its state dict.  An
         error names the first bad row and, in it, a wrong cell count
         before the first unknown cell."""
@@ -114,7 +111,7 @@ class Dataset:
                     block[:, j] = list(map(labels.__getitem__, cells[j::k]))
             except KeyError:
                 _first_bad_row(rows, start, columns, index)
-        return cls(columns, states, codes, "?", -1)
+        return cls(columns, states, codes)
 
 
 def _codes_dtype(states) -> np.dtype:
@@ -147,7 +144,7 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
     if not 0 <= seed < 2**64:
         raise InputError(f"seed {seed} outside 0..2**64-1")
     if regime != "obs":
-        diagram.validate_strategy(regime)
+        diagram.base.validate_strategy(regime)
     k = len(diagram.order)
     col = {v: j for j, v in enumerate(diagram.order)}
     widths = [len(diagram.states[v]) for v in diagram.order]
@@ -202,8 +199,7 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
         codes[start : start + m] = block[keep, :m].T
         del x  # free this block's draws before the next block's are drawn
 
-    name = regime if isinstance(regime, str) else regime.name
-    return Dataset(diagram.base.vars, states, codes, name, seed)
+    return Dataset(diagram.base.vars, states, codes)
 
 
 class EstimatedSource(PrefixSource):
@@ -243,7 +239,7 @@ class EstimatedSource(PrefixSource):
             cells *= card
             np.add(cells, codes[:, j], out=cells, dtype=np.intp, casting="unsafe")
         counts = np.bincount(cells, minlength=math.prod(cards)).reshape(cards)
-        super().__init__(base, counts.astype(float), "estimated", alpha)
+        super().__init__(base, counts.astype(float), alpha)
 
 
 def estimate_conditionals(dataset: Dataset, base: InfoBase, alpha: float = 0.5) -> EstimatedSource:

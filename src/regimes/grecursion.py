@@ -73,16 +73,16 @@ class HistoryValues(Mapping):
 class RecursionTable:
     """Values f(h) computed over the live frontier.
 
-    ``arrays`` holds one value array per stage boundary and ``values`` is a
-    read-only view of the same numbers keyed by history; compare tables by
-    ``values``.  Histories absent from ``values`` were pruned because they
-    are observationally impossible or off-strategy; their value is 0 by
-    convention.  A strategy-positive action state that is observationally
-    impossible is never pruned: the recursion raises ``PositivityError``
-    with that extended history instead of dropping its strategy mass.
+    ``arrays`` holds one value array per stage boundary of ``live.base``
+    and ``values`` is a read-only view of the same numbers keyed by
+    history; compare tables by ``values``.  Histories absent from
+    ``values`` were pruned because they are observationally impossible or
+    off-strategy; their value is 0 by convention.  A strategy-positive
+    action state that is observationally impossible is never pruned: the
+    recursion raises ``PositivityError`` with that extended history
+    instead of dropping its strategy mass.
     """
 
-    base: InfoBase
     live: SupportSet
     arrays: dict
 
@@ -188,12 +188,11 @@ def _backward(source, k, action_step, policies=None):
 
 def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
     """Run the backward recursion and keep every computed value."""
-    base = source.base
-    policies = _policy_arrays(base, strategy)
+    policies = _policy_arrays(source.base, strategy)
     live, arrays = _backward(
         source, k, lambda i, v: _average(policies[i - 1], v), policies
     )
-    return RecursionTable(base, live, arrays)
+    return RecursionTable(live, arrays)
 
 
 def g_recursion(source, strategy: Strategy, k) -> float:
@@ -229,9 +228,20 @@ def construct_p_i(diagram: InfluenceDiagram, strategy: Strategy, i: int) -> np.n
     """
     if not 0 <= i <= diagram.n:
         raise InputError(f"stage index {i} outside 0..{diagram.n}")
-    diagram.validate_strategy(strategy)
+    diagram.base.validate_strategy(strategy)
     regimes = ["obs"] * i + [strategy] * (diagram.n - i)
     return _joint(diagram, _action_factors(diagram, regimes))[0]
+
+
+def _action_order(diagram: InfluenceDiagram, action_order) -> tuple[str, ...]:
+    """``action_order`` as a tuple, the diagram's own order for None;
+    InputError unless it lists every action exactly once."""
+    if action_order is None:
+        return diagram.actions
+    order = tuple(action_order)
+    if sorted(order) != sorted(diagram.actions):
+        raise InputError("action order must be a permutation of the diagram's actions")
+    return order
 
 
 def build_dag_i(
@@ -240,9 +250,7 @@ def build_dag_i(
     """Mixed-regime diagram: actions before stage i keep their
     observational parents, actions after it their interventional parents,
     and the stage-i action receives the only arrow out of the regime node."""
-    actions = tuple(action_order) if action_order else diagram.actions
-    if set(actions) != set(diagram.actions):
-        raise InputError("action_order must be a permutation of the diagram's actions")
+    actions = _action_order(diagram, action_order)
     if not 0 <= i <= len(actions) + 1:
         raise InputError(f"stage index {i} outside 0..{len(actions) + 1}")
     assignments = {}
@@ -288,7 +296,7 @@ def verify_general_conditions(
     policies = _policy_arrays(base, strategy)
     p = {}
     for i in range(diagram.n):
-        p[i] = PrefixSource(base, _observed(diagram, construct_p_i(diagram, strategy, i)), f"p{i}")
+        p[i] = PrefixSource(base, _observed(diagram, construct_p_i(diagram, strategy, i)))
     # Stage n keeps every action observational: it is the observational source.
     obs = p[diagram.n] = ExactSource(diagram)
     gamma, witness = live_frontier(obs.support(), policies)

@@ -189,14 +189,6 @@ class Cpt(_Dense):
         own = tuple(states[p] for p in self.parents)
         self._densify(own, len(states[self.child]), f"cpt for {self.child}", ModelError)
 
-    def lift(self, parents: tuple[str, ...], states: Mapping[str, tuple[str, ...]]) -> "Cpt":
-        """Re-key a validated table to a parent superset; added parents do
-        not affect the rows."""
-        axes = parents + (self.child,)
-        own = factor_array(axes, self.child, self.parents, self.array)
-        array = np.broadcast_to(own, tuple(len(states[v]) for v in axes))
-        return Cpt(self.child, parents, Table(tuple(states[p] for p in parents), array))
-
 
 @dataclass(frozen=True)
 class Policy(_Dense):
@@ -336,7 +328,9 @@ class InfluenceDiagram:
     interventional mechanisms may use; when omitted they default to all
     domain parents and all non-hidden domain parents respectively, and
     the interventional set is folded into the observational one so that
-    int_parents <= obs_parents <= dag parents.
+    int_parents <= obs_parents <= dag parents.  Each cpt may condition on
+    any subset of those parents (``obs_parents`` for an action) and keeps
+    the parents it was written with; ``factor_array`` lays it out.
     """
 
     def __init__(
@@ -401,7 +395,6 @@ class InfluenceDiagram:
             self.obs_parents[a] = op
             self.int_parents[a] = ip
 
-        self.cpts: dict[str, Cpt] = {}
         for v in names:
             cpt = cpts.get(v)
             if cpt is None:
@@ -413,7 +406,7 @@ class InfluenceDiagram:
                     f"not among its parents"
                 )
             cpt.validate(self.states)
-            self.cpts[v] = cpt if set(cpt.parents) == set(want) else cpt.lift(want, self.states)
+        self.cpts = {v: cpts[v] for v in names}
 
         lblocks, current = [], []
         for v in names:
@@ -457,10 +450,6 @@ class InfluenceDiagram:
 
     def __repr__(self):
         return f"InfluenceDiagram({len(self.order)} variables, {len(self.actions)} actions)"
-
-    def validate_strategy(self, strategy: Strategy) -> None:
-        """The observable base's strategy check (``InfoBase.validate_strategy``)."""
-        self.base.validate_strategy(strategy)
 
 
 def _check_capacity(cards: Iterable[int]) -> None:
@@ -540,7 +529,7 @@ def joint_distribution(diagram: InfluenceDiagram, regime: Regime) -> np.ndarray:
     """Exact joint over all domain variables under one regime, one axis per
     variable of ``diagram.order``."""
     if regime != "obs":
-        diagram.validate_strategy(regime)
+        diagram.base.validate_strategy(regime)
     return _joint(diagram, _action_factors(diagram, [regime] * diagram.n))[0]
 
 
@@ -588,7 +577,7 @@ def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:
     """Exact expectation of k over the response under a regime."""
     weights = response_weights(diagram.base, k)
     if regime != "obs":
-        diagram.validate_strategy(regime)
+        diagram.base.validate_strategy(regime)
     return _consequences(diagram, _action_factors(diagram, [regime] * diagram.n), weights)[0]
 
 
@@ -603,11 +592,10 @@ class PrefixSource:
     every syntactically valid history counts as possible.
     """
 
-    def __init__(self, base: InfoBase, table: np.ndarray, label: str, alpha: float = 0.0):
+    def __init__(self, base: InfoBase, table: np.ndarray, alpha: float = 0.0):
         if not 0.0 <= alpha < math.inf:
             raise InputError(f"alpha must be finite and non-negative, not {alpha!r}")
         self.base = base
-        self.label = label
         self.alpha = float(alpha)
         full = table.ndim
         self._marginals = {
@@ -653,6 +641,4 @@ class ExactSource(PrefixSource):
     """Conditional source backed by the diagram's exact observational joint."""
 
     def __init__(self, diagram: InfluenceDiagram):
-        super().__init__(
-            diagram.base, _observed(diagram, joint_distribution(diagram, "obs")), "exact"
-        )
+        super().__init__(diagram.base, _observed(diagram, joint_distribution(diagram, "obs")))

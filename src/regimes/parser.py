@@ -249,6 +249,8 @@ class _Parser:
         if len(tokens) != 2:
             self.fail(lineno, "expected: strategy <name>")
         name = tokens[1]
+        if name == "obs":
+            self.fail(lineno, "strategy name 'obs' is reserved for the observational regime")
         if name in self.strategies:
             self.fail(lineno, f"duplicate strategy {name!r}")
         self.strategies[name] = {}
@@ -403,7 +405,7 @@ class _Parser:
         for name, policies in self.strategies.items():
             strategy = Strategy(name, dict(policies))
             try:
-                diagram.validate_strategy(strategy)
+                diagram.base.validate_strategy(strategy)
             except PolicyError as exc:
                 raise ParseError(str(exc), line=self.strategy_lines[name]) from None
             strategies[name] = strategy

@@ -64,16 +64,12 @@ class StageVerdict:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    check: str
-    stages: tuple[StageVerdict, ...]
+    stages: tuple[StageVerdict, ...]  # stage i at index i - 1
     extended_positivity: Mapping[str, bool] = field(default_factory=dict)
 
     @property
     def overall(self) -> bool:
         return all(s.passed for s in self.stages)
-
-    def stage(self, i: int) -> StageVerdict:
-        return next(s for s in self.stages if s.stage == i)
 
 
 def _separation(i: int, dag: Dag, a: Iterable[str], c: Iterable[str]) -> StageVerdict:
@@ -98,7 +94,7 @@ def check_simple_stability_graphical(diagram: InfluenceDiagram) -> StabilityRepo
         _separation(i, diagram.dag, base.vars[lo:hi], base.vars[:lo])
         for i, lo, hi, _ in base.stages
     )
-    return StabilityReport("simple_stability_graphical", tuple(stages))
+    return StabilityReport(tuple(stages))
 
 
 def check_simple_stability_numeric(
@@ -114,12 +110,10 @@ def check_simple_stability_numeric(
     and so cancel from every conditional of a block given the observed
     past.  Each strategy's source is dropped before the next is built."""
     base = diagram.base
-    obs = PrefixSource(base, _observed(diagram, joint_distribution(diagram, "obs")), "obs")
+    obs = PrefixSource(base, _observed(diagram, joint_distribution(diagram, "obs")))
     first = {}  # stage -> (row, witness) of its earliest divergence so far
     for strategy in strategies:
-        other = PrefixSource(
-            base, _observed(diagram, joint_distribution(diagram, strategy)), strategy.name
-        )
+        other = PrefixSource(base, _observed(diagram, joint_distribution(diagram, strategy)))
         for i, lo, hi, _ in base.stages:
             if lo == hi:
                 continue
@@ -130,7 +124,7 @@ def check_simple_stability_numeric(
             if bad[row] and (i not in first or row < first[i][0]):
                 event = np.unravel_index(row, defined.shape)
                 first[i] = row, DivergenceWitness(
-                    _labels(diagram, base.vars[:lo], row), obs.label, other.label,
+                    _labels(diagram, base.vars[:lo], row), "obs", strategy.name,
                     tuple(left[event]), tuple(right[event]),
                 )
         del other
@@ -138,7 +132,7 @@ def check_simple_stability_numeric(
         StageVerdict(i, False, first[i][1]) if i in first else StageVerdict(i, True)
         for i, *_ in base.stages
     )
-    return StabilityReport("simple_stability_numeric", tuple(stages))
+    return StabilityReport(tuple(stages))
 
 
 def check_sequential_randomization(diagram: InfluenceDiagram) -> bool:
@@ -207,7 +201,7 @@ def check_sequential_irrelevance_numeric(
         )
         stages.append(StageVerdict(i, False, witness))
     extras = {s.name: _covered(joint_distribution(diagram, s), joint) for s in strategies}
-    return StabilityReport("sequential_irrelevance_numeric", tuple(stages), extras)
+    return StabilityReport(tuple(stages), extras)
 
 
 def _check_int_strategy(diagram: InfluenceDiagram, strategy: Strategy | None) -> None:
@@ -215,7 +209,7 @@ def _check_int_strategy(diagram: InfluenceDiagram, strategy: Strategy | None) ->
     its action's declared int-parents."""
     if strategy is None:
         return
-    diagram.validate_strategy(strategy)
+    diagram.base.validate_strategy(strategy)
     for a, pol in strategy.policies.items():
         extra = set(pol.parents) - set(diagram.int_parents[a])
         if extra:
@@ -239,7 +233,7 @@ def check_graphsep(diagram: InfluenceDiagram, strategy: Strategy | None = None) 
         _separation(i, build_dag_i(diagram, i), (diagram.response,), base.vars[:m])
         for i, _, _, m in base.stages[: base.n]
     )
-    return StabilityReport("graphsep", tuple(stages))
+    return StabilityReport(tuple(stages))
 
 
 @dataclass(frozen=True)
@@ -253,7 +247,6 @@ class PositivityReport:
 def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> PositivityReport:
     """The four positivity variants for one strategy against the
     observational regime."""
-    diagram.validate_strategy(strategy)
     je, jo = joint_distribution(diagram, strategy), joint_distribution(diagram, "obs")
     obs = _observed(diagram, jo)
     # A prefix's mass sums its full histories' non-negative masses, so it is
@@ -272,7 +265,7 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
             parent_child = False
             break
 
-    general, _ = check_cond6(PrefixSource(diagram.base, obs, "obs").support(), strategy)
+    general, _ = check_cond6(PrefixSource(diagram.base, obs).support(), strategy)
 
     if (parent_child or extended) and not simple:
         raise AssertionError("parent-child and extended positivity must each imply simple")

@@ -299,7 +299,7 @@ def labels(support: SupportSet) -> frozenset:
 def support_labels(diagram: InfluenceDiagram, regime) -> frozenset:
     """The observable histories with positive probability under a regime."""
     table = _observed(diagram, joint_distribution(diagram, regime))
-    return labels(PrefixSource(diagram.base, table, "support").support())
+    return labels(PrefixSource(diagram.base, table).support())
 
 
 def support_propagation(
@@ -314,7 +314,7 @@ def support_propagation(
     out = {}
     for regime in ("obs", *strategies):
         if regime != "obs":
-            diagram.validate_strategy(regime)
+            diagram.base.validate_strategy(regime)
         mask = np.ones(diagram.cards(), dtype=bool)
         for v in diagram.order:
             # One AND per factor: a product of tiny entries could underflow to 0.

@@ -99,17 +99,17 @@ def test_04_two_stage_confounded_example():
 
     # (a) the graphical stability check fails exactly at the covariate stage
     report = check_simple_stability_graphical(diagram)
-    assert report.stage(1).passed
-    assert not report.stage(2).passed
-    assert report.stage(2).witness.path == ("L2", "U1", "sigma")
+    assert report.stages[0].passed
+    assert not report.stages[1].passed
+    assert report.stages[1].witness.path == ("L2", "U1", "sigma")
 
     # (b) the mixed-diagram check passes at both stages
     gs = check_graphsep(diagram)
-    assert gs.stage(1).passed and gs.stage(2).passed
+    assert gs.stages[0].passed and gs.stages[1].passed
 
     # (c) widening the interventional parents of A2 breaks stage 1
     wide, _ = f2(wide=True)
-    assert not check_graphsep(wide).stage(1).passed
+    assert not check_graphsep(wide).stages[0].passed
 
     # (d) the restricted strategy is identified on 20 table draws
     for j in range(20):
@@ -138,8 +138,8 @@ def test_04_two_stage_confounded_example():
 
 def test_05_two_orderings_example():
     diagram, _ = f3()
-    order, seq = search_admissible_ordering(diagram)
-    assert order == ("B", "A")
+    seq = search_admissible_ordering(diagram)
+    assert seq.order == ("B", "A")
     assert seq.sets == ((), ("L",))
     bad = compute_candidate_sequence(diagram, ("A", "B"))
     assert not bad.verdicts[0]
@@ -292,7 +292,7 @@ def test_08_optimization_against_enumeration():
             random_strategy(diagram, gen_base + j, deterministic=False) for j in range(1000)
         ]
         for challenger in challengers:
-            diagram.validate_strategy(challenger)
+            diagram.base.validate_strategy(challenger)
         # One oracle call for all 1,000: by its contract each score is
         # bitwise that of consequence_direct on the challenger alone.  Each
         # action's factors read different parents, so each is broadcast to

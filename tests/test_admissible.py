@@ -97,7 +97,7 @@ class TestImproveSequence:
         d, _ = f5()
         candidate = compute_candidate_sequence(d)
         assert candidate.sets == (("Z",), ("X",))
-        improved = improve_sequence(d, candidate=candidate)
+        improved = improve_sequence(d)
         assert improved.sets == ((), ("X",))
         assert improved.admissible
         # result stays inside the candidate's cumulative pools
@@ -107,12 +107,8 @@ class TestImproveSequence:
     def test_fixed_point_when_minimal(self):
         d, _ = f3()
         candidate = compute_candidate_sequence(d, ("B", "A"))
-        improved = improve_sequence(d, ("B", "A"), candidate)
+        improved = improve_sequence(d, ("B", "A"))
         assert improved.sets == candidate.sets
-
-    def test_without_candidate_computes_one(self):
-        d, _ = f5()
-        assert improve_sequence(d) == improve_sequence(d, candidate=compute_candidate_sequence(d))
 
     def test_preconditions_checked_as_by_the_other_calls(self):
         # An action that cannot reach the response is reported before a bad
@@ -128,15 +124,14 @@ class TestImproveSequence:
         d, _ = f4()  # hidden confounder: stage pool check fails, abort
         candidate = compute_candidate_sequence(d)
         assert not candidate.admissible
-        assert improve_sequence(d, candidate=candidate) is candidate
+        assert improve_sequence(d) == candidate
 
     def test_stage_diagrams_built_once(self, monkeypatch):
         # N stage diagrams plus the interventional one, none per greedy trial
         d, _ = f5()
-        candidate = compute_candidate_sequence(d)
         build, calls = adm.build_dag_i, []
         monkeypatch.setattr(adm, "build_dag_i", lambda *a: calls.append(a) or build(*a))
-        assert improve_sequence(d, candidate=candidate).sets == ((), ("X",))
+        assert improve_sequence(d).sets == ((), ("X",))
         assert len(calls) <= len(d.actions) + 1
 
     def test_improved_still_admissible(self):
@@ -148,7 +143,7 @@ class TestImproveSequence:
                 continue
             if not candidate.admissible:
                 continue
-            improved = improve_sequence(d, candidate=candidate)
+            improved = improve_sequence(d)
             recheck = check_admissible(d, improved.order, improved.sets)
             assert recheck.admissible
 
@@ -208,14 +203,14 @@ def test_orderings_are_the_filtered_permutations(n_actions):
 class TestSearchAndCompleteness:
     def test_f3_search_finds_second_ordering(self):
         d, _ = f3()
-        order, seq = search_admissible_ordering(d)
-        assert order == ("B", "A")
+        seq = search_admissible_ordering(d)
+        assert seq.order == ("B", "A")
         assert seq.sets == ((), ("L",))
 
     def test_f1_search_first_permutation(self):
         d, _ = f1()
-        order, seq = search_admissible_ordering(d)
-        assert order == ("A1", "A2")
+        seq = search_admissible_ordering(d)
+        assert seq.order == ("A1", "A2")
 
     def test_doubly_confounded_has_none(self):
         d, _ = f4(two_actions=True)

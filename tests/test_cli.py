@@ -215,6 +215,7 @@ class TestErrorsAndDeterminism:
             ("evaluate", "--model", "{f1}", "--k", "0=nan,1=1"),
             ("evaluate", "--model", "{f1}", "--k", "0"),
             ("evaluate", "--model", "{f1}", "--k", "2=1"),
+            ("evaluate", "--model", "{f1}", "--k", "0=1,0=5,1=0"),
             ("evaluate", "--model", "{f1}", "--target", "2"),
             ("estimate", "--model", "{f1}", "--data", "{rows}", "--alpha", "nan", "--strategy", "dyn"),
             ("estimate", "--model", "{f1}", "--data", "{rows}", "--alpha", "-1", "--strategy", "dyn"),
@@ -239,6 +240,32 @@ class TestErrorsAndDeterminism:
         code, out, err = run(*(a.format(**paths) for a in argv))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evaluate", "--strategy", "obs"),
+            ("grec", "--strategy", "obs"),
+            ("simulate", "--regime", "obs", "--n", "5", "--seed", "1", "--out", "{out}"),
+        ],
+    )
+    def test_strategy_named_obs_refused(self, tmp_path, argv):
+        # ``evaluate`` and ``simulate`` read ``obs`` as the observational
+        # regime and ``grec`` reads a strategy name, so the parser refuses
+        # the name rather than let two commands read it two ways.
+        text = Path(model("f1.id")).read_text().replace("strategy stat\n", "strategy obs\n")
+        path = tmp_path / "f1_obs.id"
+        path.write_text(text)
+        out_path = tmp_path / "rows.txt"
+        code, out, err = run(
+            argv[0], "--model", str(path), *(a.format(out=out_path) for a in argv[1:])
+        )
+        assert (code, out) == (2, "")
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if ln == "strategy obs")
+        assert err == (
+            f"error: line {line}: strategy name 'obs' is reserved for the observational regime\n"
+        )
+        assert not out_path.exists()
 
     def test_usage_error(self):
         assert run("grec", "--model", model("f1.id"))[0] == 2

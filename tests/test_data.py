@@ -226,7 +226,6 @@ class TestSample:
         got = sample(d, "obs", np.int64(10), np.uint64(3))
         want = sample(d, "obs", 10, 3)
         assert np.array_equal(got.codes, want.codes)
-        assert type(got.seed) is int and got.seed == 3
 
 
 class TestSamplerReference:
@@ -632,7 +631,7 @@ class TestCodesDtype:
         back = Dataset.from_text(ds.to_text(), d.base)
         assert ds.codes.dtype == back.codes.dtype == np.uint16
         assert back.codes.flags.c_contiguous and np.array_equal(back.codes, ds.codes)
-        wide = Dataset(ds.columns, ds.states, ds.codes.astype(np.int64), ds.regime, ds.seed)
+        wide = Dataset(ds.columns, ds.states, ds.codes.astype(np.int64))
         full = len(d.base.vars)
         want = estimate_conditionals(wide, d.base).marginal(full)
         for narrow in (ds, back):
@@ -703,11 +702,9 @@ class TestEstimation:
         # extra state, were read as codes of the base's states.
         d, _ = f1()
         ds = sample(d, "obs", 5000, 3)
-        flipped = Dataset(ds.columns, tuple(st[::-1] for st in ds.states), 1 - ds.codes,
-                          ds.regime, ds.seed)
+        flipped = Dataset(ds.columns, tuple(st[::-1] for st in ds.states), 1 - ds.codes)
         assert list(flipped.rows()) == list(ds.rows())
-        wider = Dataset(ds.columns, ds.states[:-1] + (ds.states[-1] + ("2",),), ds.codes,
-                        ds.regime, ds.seed)
+        wider = Dataset(ds.columns, ds.states[:-1] + (ds.states[-1] + ("2",),), ds.codes)
         for bad in (flipped, wider):
             with pytest.raises(InputError, match="states"):
                 estimate_conditionals(bad, d.base)
@@ -718,7 +715,7 @@ class TestEstimation:
         ds = sample(d, "obs", 50, 3)
         codes = ds.codes.astype(np.int64)  # a caller's signed array
         codes[7, 2] = code
-        bad = Dataset(ds.columns, ds.states, codes, ds.regime, ds.seed)
+        bad = Dataset(ds.columns, ds.states, codes)
         with pytest.raises(InputError, match="codes"):
             estimate_conditionals(bad, d.base)
 
@@ -728,7 +725,7 @@ class TestEstimation:
         d, _ = f1()
         codes = sample(d, "obs", 50, 3).codes.astype(dtype)
         codes[11, column] = -1
-        bad = Dataset(d.base.vars, tuple(d.states[v] for v in d.base.vars), codes, "obs", 3)
+        bad = Dataset(d.base.vars, tuple(d.states[v] for v in d.base.vars), codes)
         with pytest.raises(InputError, match="outside their columns' states"):
             estimate_conditionals(bad, d.base)
 
@@ -742,7 +739,7 @@ class TestEstimation:
         ds = sample(d, "obs", 200, 5)
         codes = ds.codes.copy()
         codes[17, column] = len(ds.states[column])
-        bad = Dataset(ds.columns, ds.states, codes, ds.regime, ds.seed)
+        bad = Dataset(ds.columns, ds.states, codes)
         with pytest.raises(InputError, match="outside their columns' states"):
             estimate_conditionals(bad, d.base)
 
@@ -756,7 +753,7 @@ class TestEstimation:
         codes = np.stack([gen.integers(0, c, size=3000) for c in cards], axis=1).astype(dtype)
         cells = np.ravel_multi_index(tuple(codes.T), cards)
         want = np.bincount(cells, minlength=int(np.prod(cards))).reshape(cards).astype(float)
-        got = EstimatedSource(Dataset(d.base.vars, states, codes, "obs", 0), d.base, 0.0)
+        got = EstimatedSource(Dataset(d.base.vars, states, codes), d.base, 0.0)
         assert got.marginal(len(cards)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["float", "bool", "one_column_short", "two_columns",
@@ -775,7 +772,7 @@ class TestEstimation:
             "three_dimensional": (ds.codes[None], r"got \(1, 50, 5\)"),
             "list": (ds.codes.tolist(), "numpy array, got list"),
         }[kind]
-        bad = Dataset(ds.columns, ds.states, codes, ds.regime, ds.seed)
+        bad = Dataset(ds.columns, ds.states, codes)
         with pytest.raises(InputError, match=message):
             estimate_conditionals(bad, d.base)
 
@@ -785,7 +782,7 @@ class TestEstimation:
         ds = sample(d, "obs", 500, 3)
         full = len(d.base.vars)
         want = estimate_conditionals(ds, d.base).marginal(full)
-        other = Dataset(ds.columns, ds.states, ds.codes.astype(dtype), ds.regime, ds.seed)
+        other = Dataset(ds.columns, ds.states, ds.codes.astype(dtype))
         assert np.array_equal(estimate_conditionals(other, d.base).marginal(full), want)
 
     def test_negative_alpha_rejected(self):

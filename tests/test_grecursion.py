@@ -58,7 +58,7 @@ def reference_values(table):
     """The label dict that ``RecursionTable.values`` once built on first use."""
     values = {}
     for m, mask in table.live.masks.items():
-        values.update(zip(table.base.histories(mask), table.arrays[m][mask].tolist()))
+        values.update(zip(table.live.base.histories(mask), table.arrays[m][mask].tolist()))
     return values
 
 
@@ -96,7 +96,7 @@ class TestValuesView:
         got = np.array([view[h] for h in view])
         assert got.tobytes() == np.array(list(want.values())).tobytes()
         assert view == want and dict(view.items()) == want
-        base = table.base
+        base = table.live.base
         pruned = [
             h for m in base.boundaries for h in base.histories(~table.live.masks[m])
         ]
@@ -455,10 +455,10 @@ class TestCheckGraphsep:
     def test_f2_narrow_passes_wide_fails(self):
         d, _ = f2()
         rep = check_graphsep(d)
-        assert rep.stage(1).passed and rep.stage(2).passed
+        assert rep.stages[0].passed and rep.stages[1].passed
         dw, _ = f2(wide=True)
         repw = check_graphsep(dw)
-        assert not repw.stage(1).passed
+        assert not repw.stages[0].passed
 
     def test_strategy_outside_int_parents_rejected(self):
         d, strats = f2()

@@ -63,7 +63,7 @@ def test_random_policies_match_the_per_row_helper(name, deterministic):
 def test_random_strategy_is_checked_and_named_by_seed():
     diagram = DIAGRAMS["complete2"]
     strategy = random_strategy(diagram, 12, deterministic=False)
-    diagram.validate_strategy(strategy)
+    diagram.base.validate_strategy(strategy)
     assert strategy.name == "rand12"
     for policy in strategy.policies.values():
         assert np.allclose(policy.array.sum(axis=-1), 1.0)

@@ -20,7 +20,7 @@ from helpers import (
 from recursion_reference import possible
 from regimes.data import EstimatedSource, sample
 from regimes.errors import CapacityError, InputError, ModelError, PolicyError
-from regimes.grecursion import construct_p_i
+from regimes.grecursion import construct_p_i, g_recursion
 from regimes.model import (
     Cpt,
     ExactSource,
@@ -150,8 +150,8 @@ class TestValidation:
             )
 
     def test_int_parents_folded_into_obs(self):
-        # declared obs-parents omit an int-parent; normalization adds it
-        # with no numeric effect
+        # Declared obs-parents omit an int-parent: normalization adds it to
+        # obs_parents, and the cpt keeps the parents it was written with.
         vs = [
             Variable("L", "obs", ("0", "1")),
             Variable("A", "act", ("0", "1")),
@@ -162,12 +162,16 @@ class TestValidation:
             "A": Cpt("A", (), {(): (0.7, 0.3)}),
             "Y": Cpt("Y", ("A",), {("0",): (0.5, 0.5), ("1",): (0.4, 0.6)}),
         }
+        edges = [("L", "A"), ("A", "Y"), ("sigma", "A")]
         d = InfluenceDiagram(
-            vs, [("L", "A"), ("A", "Y"), ("sigma", "A")], cpts,
-            obs_parents={"A": ()}, int_parents={"A": ("L",)},
+            vs, edges, cpts, obs_parents={"A": ()}, int_parents={"A": ("L",)},
         )
         assert d.obs_parents["A"] == ("L",)
-        assert d.cpts["A"].table[("0",)] == d.cpts["A"].table[("1",)] == (0.7, 0.3)
+        assert d.cpts["A"].parents == ()
+        wide = {**cpts, "A": Cpt("A", ("L",), {("0",): (0.7, 0.3), ("1",): (0.7, 0.3)})}
+        full = InfluenceDiagram(vs, edges, wide, int_parents={"A": ("L",)})
+        assert full.obs_parents["A"] == ("L",)
+        assert joint_distribution(d, "obs").tobytes() == joint_distribution(full, "obs").tobytes()
 
     def test_capacity_guard(self):
         states = tuple(str(i) for i in range(8))
@@ -179,6 +183,97 @@ class TestValidation:
         d = InfluenceDiagram(vs, [], cpts)
         with pytest.raises(CapacityError):
             joint_distribution(d, "obs")
+
+
+SUBSET_PARENTS = """\
+var L kind=obs states=0,1
+var A1 kind=act states=0,1
+var M kind=obs states=0,1,2
+var A2 kind=act states=0,1
+var Y kind=resp states=0,1
+order L A1 M A2 Y
+edge sigma A1
+edge sigma A2
+edge L A1
+edge L M
+edge A1 M
+edge L A2
+edge A1 A2
+edge M A2
+edge L Y
+edge A1 Y
+edge M Y
+edge A2 Y
+obs-parents A1 -
+int-parents A1 L
+cpt L | -
+row - : 0.3 0.7
+cpt A1 | -
+row - : 0.6 0.4
+cpt M | A1
+row 0 : 0.2 0.5 0.3
+row 1 : 0.6 0.1 0.3
+cpt A2 | M
+row 0 : 0.9 0.1
+row 1 : 0.35 0.65
+row 2 : 0.5 0.5
+cpt Y | A2,L
+row 0,0 : 0.8 0.2
+row 0,1 : 0.45 0.55
+row 1,0 : 0.1 0.9
+row 1,1 : 0.7 0.3
+strategy s
+assign A1 | L
+row 0 : 1
+row 1 : 0
+assign A2 | L,M
+prow 0,0 : 0.25 0.75
+row 0,1 : 1
+row 0,2 : 0
+row 1,0 : 0
+prow 1,1 : 0.5 0.5
+row 1,2 : 1
+"""
+
+
+def over_all_parents(diagram, names) -> InfluenceDiagram:
+    """``diagram`` with the cpts of ``names`` declared over every parent
+    they may read (obs-parents for an action), each row repeated over the
+    parents the cpt does not read."""
+    cpts = dict(diagram.cpts)
+    for v in names:
+        cpt = cpts[v]
+        full = diagram.obs_parents.get(v, diagram.domain_parents[v])
+        pos = [full.index(p) for p in cpt.parents]
+        configs = itertools.product(*(diagram.states[p] for p in full))
+        cpts[v] = Cpt(v, full, {c: cpt.table[tuple(c[j] for j in pos)] for c in configs})
+    return InfluenceDiagram(
+        diagram.variables, diagram.dag.edges, cpts, diagram.obs_parents, diagram.int_parents
+    )
+
+
+class TestSubsetParents:
+    """A cpt over a subset of its parents is the same mechanism as one over
+    all of them with repeated rows: every output is bitwise the same."""
+
+    @pytest.mark.parametrize("names", [("A1",), ("M",), ("A2",), ("Y",), ("A1", "M", "A2", "Y")])
+    def test_declared_subset_is_bitwise_the_broadcast_table(self, names):
+        doc = parse_model(SUBSET_PARENTS)
+        d, s = doc.diagram, doc.strategies["s"]
+        assert [d.cpts[v].parents for v in d.order] == [(), (), ("A1",), ("M",), ("A2", "L")]
+        wide = over_all_parents(d, names)
+        assert all(wide.cpts[v].parents != d.cpts[v].parents for v in names)
+        for regime in ("obs", s):
+            assert (
+                joint_distribution(d, regime).tobytes()
+                == joint_distribution(wide, regime).tobytes()
+            )
+            got, want = sample(d, regime, 20_000, 11), sample(wide, regime, 20_000, 11)
+            assert got.codes.dtype == want.codes.dtype
+            assert got.codes.tobytes() == want.codes.tobytes()
+            k = {"0": 0.25, "1": -1.5}
+            assert consequence_direct(d, regime, k) == consequence_direct(wide, regime, k)
+        assert g_recursion(ExactSource(d), s, k) == g_recursion(ExactSource(wide), s, k)
 
 
 class TestJointDistribution:
@@ -327,7 +422,7 @@ class TestSupport:
                          (d, random_strategy(d, seed, deterministic=True))]
         for d, regime in supports:
             table = _observed(d, joint_distribution(d, regime))
-            sup = PrefixSource(d.base, table, "support").support()
+            sup = PrefixSource(d.base, table).support()
             base, want = sup.base, labels(sup)
             held = functools.partial(indexed, sup)
             for m in range(len(base.vars) + 1):
@@ -460,12 +555,12 @@ def test_one_builder_is_bitwise_the_selector_joint(d, strategies):
     obs = selector_joint(d, lambda a: "obs")
     same(joint_distribution(d, "obs"), obs)
     same(_observed(d, joint_distribution(d, "obs")), observed(obs))
-    reference = PrefixSource(d.base, observed(obs), "reference")
+    reference = PrefixSource(d.base, observed(obs))
     for m in d.base.boundaries:
         same(ExactSource(d).marginal(m), reference.marginal(m))
     stage = {a: j for j, a in enumerate(d.actions, start=1)}
     for s in strategies:
-        d.validate_strategy(s)
+        d.base.validate_strategy(s)
         want = selector_joint(d, lambda a: s)
         same(joint_distribution(d, s), want)
         same(_observed(d, joint_distribution(d, s)), observed(want))

@@ -97,6 +97,7 @@ CASES = {
     # strategy and assign
     "strategy_token_count": edit("strategy s", "strategy s t"),
     "strategy_duplicate": BASE + "strategy s\n",
+    "strategy_named_obs": edit("strategy s", "strategy obs"),
     "assign_outside_strategy": edit("strategy s\n", ""),
     "assign_token_count": edit("assign A | L", "assign A L"),
     "assign_not_action": edit("assign A | L", "assign L | -"),

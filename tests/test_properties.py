@@ -135,9 +135,9 @@ def by_construction_conditions(diagram, strategy, tol=1e-9):
     artificial joints over histories live under the strategy and P_{i-1}:
     the checks ``verify_general_conditions`` leaves to ``construct_p_i``."""
     base = diagram.base
-    diagram.validate_strategy(strategy)
+    diagram.base.validate_strategy(strategy)
     p = [
-        PrefixSource(base, _observed(diagram, construct_p_i(diagram, strategy, i)), f"p{i}")
+        PrefixSource(base, _observed(diagram, construct_p_i(diagram, strategy, i)))
         for i in range(base.n + 1)
     ]
     obs = ExactSource(diagram)

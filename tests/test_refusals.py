@@ -49,12 +49,7 @@ def small(variables=None, edges=None, cpts=None, **annotations):
 def unknown_action():
     diagram, strategies = f1()
     policies = strategies["dyn"].policies
-    diagram.validate_strategy(Strategy("s", {**policies, "Z": policies["A1"]}))
-
-
-def other_candidate():
-    diagram, _ = f1()
-    improve_sequence(diagram, ("A1", "A2"), compute_candidate_sequence(diagram, ("A2", "A1")))
+    diagram.base.validate_strategy(Strategy("s", {**policies, "Z": policies["A1"]}))
 
 
 CASES = {
@@ -145,7 +140,7 @@ CASES = {
     ),
     "stage diagram for a partial order": (
         lambda: build_dag_i(f1()[0], 1, ("A1",)),
-        InputError, "action_order must be a permutation of the diagram's actions",
+        InputError, "action order must be a permutation of the diagram's actions",
     ),
     "stage diagram past the last stage": (
         lambda: build_dag_i(f1()[0], 4), InputError, "stage index 4 outside 0..3"
@@ -153,7 +148,7 @@ CASES = {
     # data.EstimatedSource
     "dataset over other columns": (
         lambda: EstimatedSource(
-            Dataset(("Y",), (B,), np.zeros((1, 1), np.uint8), "?", -1), f1()[0].base
+            Dataset(("Y",), (B,), np.zeros((1, 1), np.uint8)), f1()[0].base
         ),
         InputError, "dataset schema does not match the information base",
     ),
@@ -179,9 +174,6 @@ CASES = {
         lambda: check_admissible(f1()[0], None, [("A1",), ()]),
         InputError, "A1 is not an observable covariate",
     ),
-    "candidate for another order": (
-        other_candidate, InputError, "candidate was computed for a different action order"
-    ),
 }
 
 
@@ -190,3 +182,20 @@ def test_refused_with_its_message(case):
     call, error, message = case
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+ORDER_CHECKS = {
+    "build_dag_i": lambda d, order: build_dag_i(d, 1, order),
+    "compute_candidate_sequence": compute_candidate_sequence,
+    "improve_sequence": improve_sequence,
+    "check_admissible": lambda d, order: check_admissible(d, order, [(), ()]),
+}
+
+
+@pytest.mark.parametrize("order", [("A1", "A1", "A2"), ("A1", "A1"), ("A1",), ("A2", "A1", "Z")])
+@pytest.mark.parametrize("call", ORDER_CHECKS.values(), ids=ORDER_CHECKS.keys())
+def test_one_action_order_check(call, order):
+    # One check serves the stage diagrams and the admissibility calls: an
+    # order with the right set of actions but a repeat is refused by all.
+    with pytest.raises(InputError, match="action order must be a permutation"):
+        call(f1()[0], order)

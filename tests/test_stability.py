@@ -47,7 +47,7 @@ class TestGraphical:
     def test_f2_fails_at_covariate_stage_with_path(self):
         d, _ = f2()
         rep = check_simple_stability_graphical(d)
-        s2 = rep.stage(2)
+        s2 = rep.stages[1]
         assert not s2.passed
         assert isinstance(s2.witness, PathWitness)
         assert s2.witness.path == ("L2", "U1", "sigma")
@@ -71,7 +71,6 @@ def graphsep_witnesses(d) -> set:
     graph from the response to the regime node that avoids the observed
     past up to the stage action.  Returns the verdicts seen."""
     rep = check_graphsep(d)
-    assert rep.check == "graphsep"
     assert [s.stage for s in rep.stages] == list(range(1, d.n + 1))
     for s in rep.stages:
         assert isinstance(s, StageVerdict)
@@ -94,7 +93,7 @@ class TestGraphsepWitness:
         d, _ = f2(wide=True)
         assert graphsep_witnesses(d) == {True, False}
         rep = check_graphsep(d)
-        assert not rep.stage(1).passed and rep.stage(2).passed
+        assert not rep.stages[0].passed and rep.stages[1].passed
         assert not rep.overall
 
     def test_f2_narrow_passes_without_witness(self):
@@ -126,7 +125,7 @@ class TestNumeric:
     def test_f2_fails_at_covariate_stage(self):
         d, strats = f2()
         rep = check_simple_stability_numeric(d, [strats["e2"]])
-        assert not rep.stage(2).passed
+        assert not rep.stages[1].passed
 
     def test_no_strategies_is_vacuous(self):
         d, _ = f2()
@@ -148,7 +147,7 @@ def strategy_pair_gap(seed):
     elif seed // 3 % 3 == 2:
         d = zero_action_rows(d, seed)
     obs, left, right = (
-        PrefixSource(d.base, _observed(d, joint_distribution(d, r)), "r")
+        PrefixSource(d.base, _observed(d, joint_distribution(d, r)))
         for r in ("obs", random_strategy(d, 500 + seed), random_strategy(d, 900 + seed))
     )
     gap, obs_undefined = 0.0, 0

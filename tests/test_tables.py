@@ -47,7 +47,7 @@ def pairs(doc, back):
 def test_label_dict_and_parsed_tables_agree(seed, n_actions, confounded):
     diagram = random_extended_id(seed, n_actions=n_actions, hidden_to_action=confounded)
     strategy = random_strategy(diagram, seed)
-    diagram.validate_strategy(strategy)
+    diagram.base.validate_strategy(strategy)
     doc = ModelDocument(diagram, {strategy.name: strategy})
     text = format_model(doc)
     back = parse_model(text)
@@ -94,7 +94,7 @@ def test_bad_row_messages(table, message):
         two_variable(table)
     diagram, strategy = with_a2_policy(table)
     with pytest.raises(PolicyError, match=re.escape(f"policy for A2: {message}")):
-        diagram.validate_strategy(strategy)
+        diagram.base.validate_strategy(strategy)
 
 
 def per_row_problem(probs):
@@ -137,7 +137,7 @@ def test_missing_row_messages():
     with pytest.raises(PolicyError, match=re.escape(
         "policy for A2: missing rows [('1',)], unknown rows []"
     )):
-        diagram.validate_strategy(strategy)
+        diagram.base.validate_strategy(strategy)
 
 
 def per_row_reference(seed, diagram, strategies):
@@ -205,4 +205,4 @@ def test_a_parent_listed_twice_is_rejected():
     diagram, strategy = with_a2_policy({})
     strategy.policies["A2"] = Policy(("L2", "L2"), {})
     with pytest.raises(PolicyError, match="policy for A2 lists a parent twice"):
-        diagram.validate_strategy(strategy)
+        diagram.base.validate_strategy(strategy)
