@@ -32,7 +32,6 @@ from .model import (
 from .grecursion import (
     RecursionTable,
     build_dag_i,
-    construct_p_i,
     g_recursion,
     recursion_table,
     verify_general_conditions,
@@ -55,7 +54,7 @@ from .admissible import (
     search_admissible_ordering,
 )
 from .optimize import enumerate_strategies, optimal_strategy, strategy_count
-from .data import Dataset, EstimatedSource, estimate_conditionals, sample
+from .data import Dataset, estimate_conditionals, sample
 from .parser import ModelDocument, format_model, parse_model
 
 __all__ = [n for n in dir() if not n.startswith("_")]

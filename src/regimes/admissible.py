@@ -113,15 +113,16 @@ def check_admissible(
     stages = _checked_stages(diagram, action_order, strategy)
     if len(sets) != len(stages.order):
         raise InputError(f"need {len(stages.order)} covariate sets, got {len(sets)}")
+    sets = [tuple(s) for s in sets]
+    stray = [v for s in sets for v in s if v not in diagram.observables]
+    if stray:
+        raise InputError(f"{stray[0]} is not an observable covariate")
     norm = [diagram.sort(s) for s in sets]
     seen: set[str] = set()
-    observables = set(diagram.observables)
     for s in norm:
         for v in s:
             if v in seen:
                 raise InputError(f"variable {v} appears in two stage sets")
-            if v not in observables:
-                raise InputError(f"{v} is not an observable covariate")
             seen.add(v)
     cum: set[str] = set()
     verdicts = []

@@ -53,7 +53,7 @@ def _response_functional(doc: ModelDocument, args):
     parsed here: ``response_weights`` refuses unknown states and values
     that are not finite."""
     states = doc.diagram.states[doc.diagram.response]
-    if getattr(args, "k", None):
+    if args.k is not None:
         k = {}
         for part in args.k.split(","):
             if "=" not in part:
@@ -66,7 +66,7 @@ def _response_functional(doc: ModelDocument, args):
             except ValueError:
                 raise RegimesError(f"--k value {value!r} for {state} is not a number") from None
         return k
-    target = getattr(args, "target", None) or states[0]
+    target = states[0] if args.target is None else args.target
     if target not in states:
         raise RegimesError(f"{target!r} is not a state of {doc.diagram.response}")
     return {s: 1.0 if s == target else 0.0 for s in states}
@@ -137,7 +137,7 @@ def cmd_positivity(doc: ModelDocument, args) -> int:
 
 
 def cmd_graphsep(doc: ModelDocument, args) -> int:
-    strategy = doc.strategy(args.strategy) if args.strategy else None
+    strategy = doc.strategy(args.strategy) if args.strategy is not None else None
     report = stab.check_graphsep(doc.diagram, strategy)
     for s in report.stages:
         _emit(f"i_{s.stage}", s.passed)
@@ -160,8 +160,8 @@ def cmd_verify_general(doc: ModelDocument, args) -> int:
 
 def cmd_admissible(doc: ModelDocument, args) -> int:
     diagram = doc.diagram
-    strategy = doc.strategy(args.strategy) if args.strategy else None
-    if args.order:
+    strategy = doc.strategy(args.strategy) if args.strategy is not None else None
+    if args.order is not None:
         seq = adm.compute_candidate_sequence(diagram, args.order.split(","), strategy)
     else:
         seq = adm.search_admissible_ordering(diagram, strategy)
@@ -172,7 +172,7 @@ def cmd_admissible(doc: ModelDocument, args) -> int:
         seq = adm.improve_sequence(diagram, seq.order, strategy)
     _emit("ordering", ",".join(seq.order))
     _emit("sequence", ";".join(",".join(s) for s in seq.sets))
-    if args.order:
+    if args.order is not None:
         _emit("admissible", seq.admissible)
     return 0 if seq.admissible else CHECK_FAILED
 
@@ -214,7 +214,7 @@ def cmd_estimate(doc: ModelDocument, args) -> int:
     base = doc.diagram.base
     dataset = dat.Dataset.from_text(Path(args.data).read_text(encoding="utf-8"), base)
     source = dat.estimate_conditionals(dataset, base, args.alpha)
-    if args.strategy:
+    if args.strategy is not None:
         k = _response_functional(doc, args)
         value = grec.g_recursion(source, doc.strategy(args.strategy), k)
         _emit("consequence", value)

@@ -31,8 +31,8 @@ A dataset's codes are stored in the smallest unsigned dtype that holds
 every state index of its columns, ``np.min_scalar_type(w - 1)`` for the
 widest column's w states: uint8 up to 256 states, uint16 up to 65,536.
 ``sample`` and ``Dataset.from_text`` both follow this rule; the values
-are the same state indices in any dtype.  ``EstimatedSource`` accepts
-codes of any integer dtype.
+are the same state indices in any dtype.  ``estimate_conditionals``
+accepts codes of any integer dtype.
 
 Estimation is plain relative frequency with optional additive smoothing;
 with smoothing the estimated model is strictly positive, while at
@@ -202,46 +202,36 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
     return Dataset(diagram.base.vars, states, codes)
 
 
-class EstimatedSource(PrefixSource):
-    """Conditional source backed by smoothed relative frequencies.
-
-    Serves block conditionals for the backward recursion.  A history is
-    considered possible when some data row extends it; with alpha > 0 the
-    smoothed model is strictly positive, so every syntactically valid
-    history counts as possible.
-    """
-
-    def __init__(self, dataset: Dataset, base: InfoBase, alpha: float = 0.5):
-        if dataset.columns != base.vars:
-            raise InputError("dataset schema does not match the information base")
-        if dataset.states != tuple(base.states[v] for v in base.vars):
-            raise InputError("dataset states do not match the information base")
-        codes, cards = dataset.codes, tuple(len(s) for s in dataset.states)
-        if not isinstance(codes, np.ndarray):
-            raise InputError(f"dataset codes must be a numpy array, got {type(codes).__name__}")
-        if codes.ndim != 2 or codes.shape[1] != len(cards):
-            raise InputError(
-                f"dataset codes must have shape (n, {len(cards)}), one column per variable "
-                f"of the information base; got {codes.shape}"
-            )
-        if not np.issubdtype(codes.dtype, np.integer):
-            raise InputError(f"dataset codes must have an integer dtype, got {codes.dtype}")
-        # One pass over every code for its least and largest value; a column
-        # is read again only when it is no wider than the largest code.  Then
-        # the row-major cell of each row, adding the checked codes as intp.
-        top = codes.max(initial=0)
-        if codes.min(initial=0) < 0 or any(
-            codes[:, j].max() >= card for j, card in enumerate(cards) if card <= top
-        ):
-            raise InputError("dataset codes outside their columns' states")
-        cells = np.zeros(len(codes), dtype=np.intp)
-        for j, card in enumerate(cards):
-            cells *= card
-            np.add(cells, codes[:, j], out=cells, dtype=np.intp, casting="unsafe")
-        counts = np.bincount(cells, minlength=math.prod(cards)).reshape(cards)
-        super().__init__(base, counts.astype(float), alpha)
-
-
-def estimate_conditionals(dataset: Dataset, base: InfoBase, alpha: float = 0.5) -> EstimatedSource:
-    """Frequency-estimated recursion ingredients from observational rows."""
-    return EstimatedSource(dataset, base, alpha)
+def estimate_conditionals(dataset: Dataset, base: InfoBase, alpha: float = 0.5) -> PrefixSource:
+    """Frequency-estimated recursion ingredients from observational rows:
+    the source over the count of each full history, smoothed by ``alpha``.
+    A history is possible when some row extends it, or always when
+    ``alpha > 0``."""
+    if dataset.columns != base.vars:
+        raise InputError("dataset schema does not match the information base")
+    if dataset.states != tuple(base.states[v] for v in base.vars):
+        raise InputError("dataset states do not match the information base")
+    codes, cards = dataset.codes, tuple(len(s) for s in dataset.states)
+    if not isinstance(codes, np.ndarray):
+        raise InputError(f"dataset codes must be a numpy array, got {type(codes).__name__}")
+    if codes.ndim != 2 or codes.shape[1] != len(cards):
+        raise InputError(
+            f"dataset codes must have shape (n, {len(cards)}), one column per variable "
+            f"of the information base; got {codes.shape}"
+        )
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise InputError(f"dataset codes must have an integer dtype, got {codes.dtype}")
+    # One pass over every code for its least and largest value; a column
+    # is read again only when it is no wider than the largest code.  Then
+    # the row-major cell of each row, adding the checked codes as intp.
+    top = codes.max(initial=0)
+    if codes.min(initial=0) < 0 or any(
+        codes[:, j].max() >= card for j, card in enumerate(cards) if card <= top
+    ):
+        raise InputError("dataset codes outside their columns' states")
+    cells = np.zeros(len(codes), dtype=np.intp)
+    for j, card in enumerate(cards):
+        cells *= card
+        np.add(cells, codes[:, j], out=cells, dtype=np.intp, casting="unsafe")
+    counts = np.bincount(cells, minlength=math.prod(cards)).reshape(cards)
+    return PrefixSource(base, counts.astype(float), alpha)

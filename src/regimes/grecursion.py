@@ -10,11 +10,11 @@ joint and on frequency counts; the optimizer reuses it with the action
 average replaced by a max or min.  ``live_frontier`` computes the
 histories the engine visits, as one mask per boundary, and the positivity
 witness that the recursion, ``check_cond6`` and the numeric checks share.
-The module also builds the auxiliary mixed-regime diagrams and artificial
-joint distributions used to justify the recursion when plain stability
-fails, and checks them numerically, reading each artificial distribution
-through a source of the same type; their graphical check,
-``check_graphsep``, is in ``stability`` with the other stage-wise checks.
+The module also builds the auxiliary mixed-regime diagrams used to
+justify the recursion when plain stability fails, and checks the mixed
+regimes P_i numerically, reading each through an ``ExactSource`` of its
+joint; their graphical check, ``check_graphsep``, is in ``stability``
+with the other stage-wise checks.
 """
 
 from __future__ import annotations
@@ -31,12 +31,8 @@ from .model import (
     ExactSource,
     InfluenceDiagram,
     InfoBase,
-    PrefixSource,
     Strategy,
     SupportSet,
-    _action_factors,
-    _joint,
-    _observed,
     consequence_direct,
     factor_array,
     response_weights,
@@ -207,32 +203,6 @@ def check_cond6(obs_support: SupportSet, strategy: Strategy):
     return witness is None, witness
 
 
-def construct_p_i(diagram: InfluenceDiagram, strategy: Strategy, i: int) -> np.ndarray:
-    """Artificial joint on ``diagram.order``: the first i actions follow the
-    observational tables, the remaining ones follow the strategy.
-
-    Three of the conditions that license the recursion hold for these
-    joints by construction, so ``verify_general_conditions`` reports them
-    true without computing them:
-
-    - l-factors: P_{i-1} and the observational joint share every factor of
-      the variables before A_i, and the later factors sum out of the
-      marginal over them, so both give the same distribution of each
-      covariate block given the observed past before A_i;
-    - action factors: under P_{i-1} the action A_i follows its policy,
-      whose parents are earlier observables, so A_i given the observed
-      past is that policy's row;
-    - support biconditional: P_i and the observational joint share every
-      factor up to and including A_i, so they give the same marginal, and
-      the same support, over the base up to A_i.
-    """
-    if not 0 <= i <= diagram.n:
-        raise InputError(f"stage index {i} outside 0..{diagram.n}")
-    diagram.base.validate_strategy(strategy)
-    regimes = ["obs"] * i + [strategy] * (diagram.n - i)
-    return _joint(diagram, _action_factors(diagram, regimes))[0]
-
-
 def _action_order(diagram: InfluenceDiagram, action_order) -> tuple[str, ...]:
     """``action_order`` as a tuple, the diagram's own order for None;
     InputError unless it lists every action exactly once."""
@@ -266,14 +236,30 @@ def build_dag_i(
 
 @dataclass(frozen=True)
 class GeneralConditionsReport:
-    """Numeric verification of the conditions licensing the recursion."""
+    """Numeric verification of the conditions licensing the recursion.
+
+    The mixed regime P_i runs the first i actions on their observational
+    tables and the rest on the strategy.  Three of the conditions hold for
+    these joints by construction, so they are reported true without being
+    computed:
+
+    - l-factors: P_{i-1} and the observational joint share every factor of
+      the variables before A_i, and the later factors sum out of the
+      marginal over them, so both give the same distribution of each
+      covariate block given the observed past before A_i;
+    - action factors: under P_{i-1} the action A_i follows its policy,
+      whose parents are earlier observables, so A_i given the observed
+      past is that policy's row;
+    - support biconditional: P_i and the observational joint share every
+      factor up to and including A_i, so they give the same marginal, and
+      the same support, over the base up to A_i.
+    """
 
     y_bridge: bool
     y_bridge_failures: tuple  # (stage, history) of the first few mismatches
     positivity: bool  # strategy-positive extensions stay observationally possible
     consequence_delta: float | None  # max |recursion - oracle| when everything holds
-    # True by construction of the artificial joints (see ``construct_p_i``).
-    support_biconditional = l_factors = action_factors = True
+    support_biconditional = l_factors = action_factors = True  # by construction
 
     @property
     def overall(self) -> bool:
@@ -288,17 +274,15 @@ def verify_general_conditions(
     The response bridge compares, after each action, the response given
     the observed past under P_{i-1} and P_i, over histories live under
     both and under the strategy; the other three conditions hold by
-    construction (see ``construct_p_i``).  When every condition holds, the
-    recursion output is compared with the direct oracle for each response
-    state.
+    construction (see ``GeneralConditionsReport``).  When every condition
+    holds, the recursion output is compared with the direct oracle for
+    each response state.
     """
     base = diagram.base
     policies = _policy_arrays(base, strategy)
-    p = {}
-    for i in range(diagram.n):
-        p[i] = PrefixSource(base, _observed(diagram, construct_p_i(diagram, strategy, i)))
-    # Stage n keeps every action observational: it is the observational source.
-    obs = p[diagram.n] = ExactSource(diagram)
+    # P_n keeps every action observational: it is the observational source.
+    p = [ExactSource(diagram, ["obs"] * i + [strategy] * (base.n - i)) for i in range(base.n + 1)]
+    obs = p[-1]
     gamma, witness = live_frontier(obs.support(), policies)
 
     y_failures = []

@@ -3,12 +3,12 @@
 A diagram couples a DAG over typed domain variables (observables, hidden
 variables, actions, one response) with one conditional probability table
 per non-action variable and an observational table per action.  A
-``Strategy`` supplies the interventional action mechanism; selecting the
-string ``"obs"`` or a strategy as the regime fixes one exact joint
-distribution, from which marginals, supports and response expectations
-are computed by direct enumeration.  Every exact joint comes from
-``_joint``, mixed regimes and strategy batches included.  These exact
-quantities are the oracles that the recursive evaluator is tested against.
+``Strategy`` supplies the interventional action mechanism; the regime,
+``"obs"``, a strategy or a list of them with one per action (a mixed
+regime), fixes one exact joint distribution, from which marginals,
+supports and response expectations are computed by direct enumeration.
+Every exact joint comes from ``_joint``, strategy batches included.  These
+exact quantities are the oracles that the recursive evaluator is tested against.
 
 Every table is one array over (its parents..., child) behind a ``Table``
 label view: ``Cpt`` and ``Policy`` accept label dicts, convert and check
@@ -399,6 +399,8 @@ class InfluenceDiagram:
             cpt = cpts.get(v)
             if cpt is None:
                 raise ModelError(f"no cpt for variable {v}")
+            if cpt.child != v:
+                raise ModelError(f"the cpt filed under {v} is for {cpt.child!r}")
             want = self.obs_parents[v] if v in self.obs_parents else self.domain_parents[v]
             if set(cpt.parents) - set(want):
                 raise ModelError(
@@ -406,6 +408,9 @@ class InfluenceDiagram:
                     f"not among its parents"
                 )
             cpt.validate(self.states)
+        if len(cpts) > len(names):
+            stray = [v for v in cpts if v not in self.index]
+            raise ModelError(f"cpts filed under unknown variables {stray}")
         self.cpts = {v: cpts[v] for v in names}
 
         lblocks, current = [], []
@@ -516,21 +521,28 @@ def _joint(diagram: InfluenceDiagram, factors) -> np.ndarray:
     return probs
 
 
-def _action_factors(diagram: InfluenceDiagram, regimes) -> list[np.ndarray]:
-    """Each action's factor under its own regime (one per action, in
-    ``diagram.actions`` order) behind a strategy axis of length 1."""
+def _action_factors(diagram: InfluenceDiagram, regime) -> list[np.ndarray]:
+    """Each action's factor, in ``diagram.actions`` order, behind a strategy
+    axis of length 1: under ``regime``, or under its own entry of a list.
+    The one regime check; a single regime is checked once."""
+    mixed = isinstance(regime, list)
+    if mixed and len(regime) != diagram.n:
+        raise InputError(f"a mixed regime lists {len(regime)} regimes for {diagram.n} actions")
+    for r in regime if mixed else [regime]:
+        if r != "obs":
+            diagram.base.validate_strategy(r)
+    regimes = regime if mixed else [regime] * diagram.n
     return [
-        factor_array(diagram.order, a, *mechanism(diagram, regime, a))[None]
-        for a, regime in zip(diagram.actions, regimes)
+        factor_array(diagram.order, a, *mechanism(diagram, r, a))[None]
+        for a, r in zip(diagram.actions, regimes)
     ]
 
 
-def joint_distribution(diagram: InfluenceDiagram, regime: Regime) -> np.ndarray:
-    """Exact joint over all domain variables under one regime, one axis per
-    variable of ``diagram.order``."""
-    if regime != "obs":
-        diagram.base.validate_strategy(regime)
-    return _joint(diagram, _action_factors(diagram, [regime] * diagram.n))[0]
+def joint_distribution(diagram: InfluenceDiagram, regime: Regime | list) -> np.ndarray:
+    """Exact joint on ``diagram.order`` under a regime.  A list gives each
+    action its own: P_i, the first i actions observational and the rest on
+    a strategy, is ``["obs"] * i + [strategy] * (n - i)``."""
+    return _joint(diagram, _action_factors(diagram, regime))[0]
 
 
 def _observed(diagram: InfluenceDiagram, probs: np.ndarray) -> np.ndarray:
@@ -576,9 +588,7 @@ def _consequences(diagram: InfluenceDiagram, factors, weights: np.ndarray) -> li
 def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:
     """Exact expectation of k over the response under a regime."""
     weights = response_weights(diagram.base, k)
-    if regime != "obs":
-        diagram.base.validate_strategy(regime)
-    return _consequences(diagram, _action_factors(diagram, [regime] * diagram.n), weights)[0]
+    return _consequences(diagram, _action_factors(diagram, regime), weights)[0]
 
 
 class PrefixSource:
@@ -638,7 +648,7 @@ class PrefixSource:
 
 
 class ExactSource(PrefixSource):
-    """Conditional source backed by the diagram's exact observational joint."""
+    """Conditional source backed by the exact joint under a regime ("obs" by default)."""
 
-    def __init__(self, diagram: InfluenceDiagram):
-        super().__init__(diagram.base, _observed(diagram, joint_distribution(diagram, "obs")))
+    def __init__(self, diagram: InfluenceDiagram, regime: Regime | list = "obs"):
+        super().__init__(diagram.base, _observed(diagram, joint_distribution(diagram, regime)))

@@ -24,6 +24,7 @@ from .errors import InputError
 from .graph import Dag, connecting_path
 from .model import (
     SIGMA,
+    ExactSource,
     InfluenceDiagram,
     PrefixSource,
     Strategy,
@@ -110,10 +111,10 @@ def check_simple_stability_numeric(
     and so cancel from every conditional of a block given the observed
     past.  Each strategy's source is dropped before the next is built."""
     base = diagram.base
-    obs = PrefixSource(base, _observed(diagram, joint_distribution(diagram, "obs")))
+    obs = ExactSource(diagram)
     first = {}  # stage -> (row, witness) of its earliest divergence so far
     for strategy in strategies:
-        other = PrefixSource(base, _observed(diagram, joint_distribution(diagram, strategy)))
+        other = ExactSource(diagram, strategy)
         for i, lo, hi, _ in base.stages:
             if lo == hi:
                 continue

@@ -23,16 +23,14 @@ from regimes.grecursion import build_dag_i
 from regimes.model import (
     SIGMA,
     Cpt,
+    ExactSource,
     InfluenceDiagram,
     Policy,
-    PrefixSource,
     Strategy,
     SupportSet,
     Table,
     Variable,
-    _observed,
     factor_array,
-    joint_distribution,
     mechanism,
 )
 
@@ -298,8 +296,7 @@ def labels(support: SupportSet) -> frozenset:
 
 def support_labels(diagram: InfluenceDiagram, regime) -> frozenset:
     """The observable histories with positive probability under a regime."""
-    table = _observed(diagram, joint_distribution(diagram, regime))
-    return labels(PrefixSource(diagram.base, table).support())
+    return labels(ExactSource(diagram, regime).support())
 
 
 def support_propagation(

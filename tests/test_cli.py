@@ -225,6 +225,15 @@ class TestErrorsAndDeterminism:
             ("evaluate", "--model", "{nan}"),
             ("grec", "--model", "{f4_no_a1}", "--strategy", "pick1"),
             ("grec", "--model", "{f4_no_a1}", "--strategy", "e"),
+            # An empty value is a value, not a missing flag.
+            ("grec", "--model", "{f1}", "--strategy", "dyn", "--target", ""),
+            ("grec", "--model", "{f1}", "--strategy", "dyn", "--k", ""),
+            ("optimize", "--model", "{f1}", "--target", ""),
+            ("evaluate", "--model", "{f1}", "--strategy", ""),
+            ("admissible", "--model", "{f1}", "--order", ""),
+            ("admissible", "--model", "{f1}", "--strategy", ""),
+            ("graphsep", "--model", "{f1}", "--strategy", ""),
+            ("estimate", "--model", "{f1}", "--data", "{rows}", "--strategy", ""),
         ],
     )
     def test_bad_values_exit_2_with_one_error_line(self, tmp_path, argv):

@@ -13,7 +13,7 @@ from helpers import conditional, cpt_for, random_extended_id, random_strategy, r
 from recursion_reference import possible
 import regimes.data
 from regimes.cli import main
-from regimes.data import Dataset, EstimatedSource, estimate_conditionals, sample
+from regimes.data import Dataset, estimate_conditionals, sample
 from regimes.errors import InputError, PositivityError
 from regimes.grecursion import g_recursion
 from regimes.model import (
@@ -753,7 +753,7 @@ class TestEstimation:
         codes = np.stack([gen.integers(0, c, size=3000) for c in cards], axis=1).astype(dtype)
         cells = np.ravel_multi_index(tuple(codes.T), cards)
         want = np.bincount(cells, minlength=int(np.prod(cards))).reshape(cards).astype(float)
-        got = EstimatedSource(Dataset(d.base.vars, states, codes), d.base, 0.0)
+        got = estimate_conditionals(Dataset(d.base.vars, states, codes), d.base, 0.0)
         assert got.marginal(len(cards)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["float", "bool", "one_column_short", "two_columns",
@@ -789,7 +789,7 @@ class TestEstimation:
         d, _ = f1()
         ds = sample(d, "obs", 10, seed=0)
         with pytest.raises(InputError):
-            EstimatedSource(ds, d.base, alpha=-1.0)
+            estimate_conditionals(ds, d.base, alpha=-1.0)
 
 
 class TestConsistency:

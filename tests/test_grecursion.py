@@ -26,13 +26,12 @@ from helpers import (
     zero_covariate_rows,
 )
 from recursion_reference import reference_arrays
-from regimes.data import EstimatedSource, sample
+from regimes.data import estimate_conditionals, sample
 from regimes.errors import InputError, PolicyError, PositivityError
 from regimes.grecursion import (
     _policy_arrays,
     build_dag_i,
     check_cond6,
-    construct_p_i,
     g_recursion,
     live_frontier,
     recursion_table,
@@ -182,7 +181,7 @@ class TestScalarReference:
     @pytest.mark.parametrize("build", [f1, f2, f3, f4, f5], ids=lambda b: b.__name__)
     def test_estimated_sources_bitwise_the_scalar_walk(self, build, alpha):
         d, strats = build()
-        source = EstimatedSource(sample(d, "obs", 60, seed=3), d.base, alpha)
+        source = estimate_conditionals(sample(d, "obs", 60, seed=3), d.base, alpha)
         for strategy in strats.values():
             assert_same_recursion(source, strategy, ordinal_k(d.base))
 
@@ -392,19 +391,19 @@ class TestGammaSupport:
         assert ok and witness is None
 
 
-class TestConstructPi:
+class TestMixedRegimes:
     def test_endpoints(self):
         d, strats = f2()
         s = strats["e2"]
-        assert np.allclose(construct_p_i(d, s, 0), joint_distribution(d, s))
-        assert np.allclose(construct_p_i(d, s, d.n), joint_distribution(d, "obs"))
+        assert np.array_equal(joint_distribution(d, [s] * d.n), joint_distribution(d, s))
+        assert np.array_equal(joint_distribution(d, ["obs"] * d.n), joint_distribution(d, "obs"))
 
     def test_mixed_stage_factors(self):
         # at i=1 the (U1, A1) marginal is observational while A2 given
         # (A1, L2) follows the strategy policy
         d, strats = f2()
         s = strats["e2"]
-        p1 = construct_p_i(d, s, 1)
+        p1 = joint_distribution(d, ["obs", s])
         jo = joint_distribution(d, "obs")
         other = tuple(j for j, v in enumerate(d.order) if v not in ("U1", "A1"))
         assert np.allclose(p1.sum(axis=other), jo.sum(axis=other))
@@ -412,10 +411,11 @@ class TestConstructPi:
         want = s.policies["A2"].table[("1",)]
         assert abs(got[("0",)] - want[0]) < 1e-12
 
-    def test_index_bounds(self):
+    def test_each_entry_is_validated(self):
         d, strats = f2()
-        with pytest.raises(InputError):
-            construct_p_i(d, strats["e2"], 3)
+        bad = Strategy("partial", {"A1": strats["e2"].policies["A1"]})
+        with pytest.raises(PolicyError, match="no policy for action A2"):
+            joint_distribution(d, ["obs", bad])
 
 
 class TestMixedDiagrams:

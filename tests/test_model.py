@@ -18,9 +18,9 @@ from helpers import (
     zero_covariate_rows,
 )
 from recursion_reference import possible
-from regimes.data import EstimatedSource, sample
+from regimes.data import estimate_conditionals, sample
 from regimes.errors import CapacityError, InputError, ModelError, PolicyError
-from regimes.grecursion import construct_p_i, g_recursion
+from regimes.grecursion import g_recursion
 from regimes.model import (
     Cpt,
     ExactSource,
@@ -421,8 +421,7 @@ class TestSupport:
             supports += [(zero_covariate_rows(d, seed), "obs"),
                          (d, random_strategy(d, seed, deterministic=True))]
         for d, regime in supports:
-            table = _observed(d, joint_distribution(d, regime))
-            sup = PrefixSource(d.base, table).support()
+            sup = ExactSource(d, regime).support()
             base, want = sup.base, labels(sup)
             held = functools.partial(indexed, sup)
             for m in range(len(base.vars) + 1):
@@ -564,9 +563,16 @@ def test_one_builder_is_bitwise_the_selector_joint(d, strategies):
         want = selector_joint(d, lambda a: s)
         same(joint_distribution(d, s), want)
         same(_observed(d, joint_distribution(d, s)), observed(want))
+        reference = PrefixSource(d.base, observed(want))
+        for m in d.base.boundaries:
+            same(ExactSource(d, s).marginal(m), reference.marginal(m))
         for i in range(d.n + 1):
             want = selector_joint(d, lambda a: "obs" if stage[a] <= i else s)
-            same(construct_p_i(d, s, i), want)
+            mixed = ["obs"] * i + [s] * (d.n - i)
+            same(joint_distribution(d, mixed), want)
+            reference = PrefixSource(d.base, observed(want))
+            for m in d.base.boundaries:
+                same(ExactSource(d, mixed).marginal(m), reference.marginal(m))
 
 
 @pytest.mark.parametrize(
@@ -577,11 +583,12 @@ def test_one_builder_is_bitwise_the_selector_joint(d, strategies):
         lambda d: consequence_direct(d, "Obs", {"0": 0.0, "1": 1.0}),
         lambda d: sample(d, "Obs", 10, 0),
         lambda d: support_propagation(d, ["Obs"]),
-        lambda d: construct_p_i(d, "Obs", 0),
+        lambda d: joint_distribution(d, ["obs", "Obs"]),
+        lambda d: ExactSource(d, "Obs"),
     ],
     ids=[
         "joint_distribution", "support", "consequence_direct", "sample",
-        "support_propagation", "construct_p_i",
+        "support_propagation", "mixed_regime", "exact_source",
     ],
 )
 def test_regime_neither_obs_nor_strategy_rejected(call):
@@ -590,10 +597,22 @@ def test_regime_neither_obs_nor_strategy_rejected(call):
         call(d)
 
 
+@pytest.mark.parametrize("regime", [[], ["obs"], ["obs"] * 3], ids=["empty", "short", "long"])
+def test_mixed_regime_of_wrong_length_rejected(regime):
+    d, _ = f1()
+    for call in (
+        lambda: joint_distribution(d, regime),
+        lambda: consequence_direct(d, regime, {"0": 0.0, "1": 1.0}),
+        lambda: ExactSource(d, regime),
+    ):
+        with pytest.raises(InputError, match=f"lists {len(regime)} regimes for 2 actions"):
+            call()
+
+
 SOURCES = {
     "exact": ExactSource,
-    "estimated": lambda d: EstimatedSource(sample(d, "obs", 200, seed=0), d.base, alpha=0.0),
-    "smoothed": lambda d: EstimatedSource(sample(d, "obs", 200, seed=0), d.base, alpha=0.5),
+    "estimated": lambda d: estimate_conditionals(sample(d, "obs", 200, seed=0), d.base, 0.0),
+    "smoothed": lambda d: estimate_conditionals(sample(d, "obs", 200, seed=0), d.base, 0.5),
 }
 
 

@@ -28,7 +28,6 @@ from regimes.errors import PositivityError
 from regimes.grecursion import (
     _policy_arrays,
     check_cond6,
-    construct_p_i,
     live_frontier,
     recursion_table,
     verify_general_conditions,
@@ -36,9 +35,7 @@ from regimes.grecursion import (
 from regimes.model import (
     ExactSource,
     Policy,
-    PrefixSource,
     Strategy,
-    _observed,
     consequence_direct,
     factor_array,
 )
@@ -133,13 +130,9 @@ def naive_cond6(obs_support, strategy):
 def by_construction_conditions(diagram, strategy, tol=1e-9):
     """(support biconditional, l-factors, action factors), computed on the
     artificial joints over histories live under the strategy and P_{i-1}:
-    the checks ``verify_general_conditions`` leaves to ``construct_p_i``."""
+    the checks ``verify_general_conditions`` leaves to the construction."""
     base = diagram.base
-    diagram.base.validate_strategy(strategy)
-    p = [
-        PrefixSource(base, _observed(diagram, construct_p_i(diagram, strategy, i)))
-        for i in range(base.n + 1)
-    ]
+    p = [ExactSource(diagram, ["obs"] * i + [strategy] * (base.n - i)) for i in range(base.n + 1)]
     obs = ExactSource(diagram)
     gamma = live_frontier(obs.support(), _policy_arrays(base, strategy))[0]
 

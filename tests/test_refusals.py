@@ -9,7 +9,7 @@ import pytest
 
 from fixtures import f1
 from regimes.admissible import check_admissible, compute_candidate_sequence, improve_sequence
-from regimes.data import Dataset, EstimatedSource
+from regimes.data import Dataset, estimate_conditionals
 from regimes.errors import InputError, ModelError, PolicyError
 from regimes.graph import Dag
 from regimes.grecursion import build_dag_i, recursion_table
@@ -44,6 +44,13 @@ def small(variables=None, edges=None, cpts=None, **annotations):
     if cpts is None:
         cpts = {"L": uniform("L"), "A": uniform("A", "L"), "Y": uniform("Y", "L", "A")}
     return InfluenceDiagram(variables, edges, cpts, **annotations)
+
+
+def two_variable(**cpts):
+    """L -> Y, with ``cpts`` filed over the uniform tables."""
+    variables = [Variable("L", "obs", B), Variable("Y", "resp", B)]
+    cpts = {"L": uniform("L"), "Y": uniform("Y", "L"), **cpts}
+    return InfluenceDiagram(variables, [("L", "Y")], cpts)
 
 
 def unknown_action():
@@ -100,6 +107,18 @@ CASES = {
         lambda: small(cpts={"L": uniform("L"), "A": uniform("A", "L")}),
         ModelError, "no cpt for variable Y",
     ),
+    "cpt filed under another variable": (
+        lambda: two_variable(L=Cpt("Y", (), {(): (0.85, 0.15)})),
+        ModelError, "the cpt filed under L is for 'Y'",
+    ),
+    "cpt for an unknown variable": (
+        lambda: two_variable(L=Cpt("Q", (), {(): UNIFORM})),
+        ModelError, "the cpt filed under L is for 'Q'",
+    ),
+    "cpt filed under an unknown variable": (
+        lambda: two_variable(Z=Cpt("Z", (), {})),
+        ModelError, "cpts filed under unknown variables ['Z']",
+    ),
     "cpt on a non-parent": (
         lambda: small(edges=[("sigma", "A"), ("L", "A"), ("A", "Y")]),
         ModelError, "cpt for Y conditions on ['L'], not among its parents",
@@ -145,9 +164,9 @@ CASES = {
     "stage diagram past the last stage": (
         lambda: build_dag_i(f1()[0], 4), InputError, "stage index 4 outside 0..3"
     ),
-    # data.EstimatedSource
+    # data.estimate_conditionals
     "dataset over other columns": (
-        lambda: EstimatedSource(
+        lambda: estimate_conditionals(
             Dataset(("Y",), (B,), np.zeros((1, 1), np.uint8)), f1()[0].base
         ),
         InputError, "dataset schema does not match the information base",
@@ -173,6 +192,14 @@ CASES = {
     "covariate set holds an action": (
         lambda: check_admissible(f1()[0], None, [("A1",), ()]),
         InputError, "A1 is not an observable covariate",
+    ),
+    "covariate set names an unknown variable": (
+        lambda: check_admissible(f1()[0], None, [["Q"], []]),
+        InputError, "Q is not an observable covariate",
+    ),
+    "covariate sets given as bare names": (
+        lambda: check_admissible(f1()[0], None, ["L1", "L2"]),
+        InputError, "L is not an observable covariate",
     ),
 }
 

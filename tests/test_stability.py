@@ -20,9 +20,7 @@ from regimes.model import (
     ExactSource,
     InfluenceDiagram,
     Policy,
-    PrefixSource,
     Strategy,
-    _observed,
     joint_distribution,
 )
 from regimes.stability import (
@@ -147,7 +145,7 @@ def strategy_pair_gap(seed):
     elif seed // 3 % 3 == 2:
         d = zero_action_rows(d, seed)
     obs, left, right = (
-        PrefixSource(d.base, _observed(d, joint_distribution(d, r)))
+        ExactSource(d, r)
         for r in ("obs", random_strategy(d, 500 + seed), random_strategy(d, 900 + seed))
     )
     gap, obs_undefined = 0.0, 0
