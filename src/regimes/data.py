@@ -1,4 +1,6 @@
-"""Observational-data simulation and frequency estimation.
+"""Observational-data simulation under every regime ``joint_distribution``
+takes, mixed ones included (``sample`` reads the one regime check in
+``model``), and frequency estimation.
 
 Sampling contract (bit-exact across platforms): uniforms come from the
 Philox 4x64-10 counter-based generator keyed by the dataset seed.  The
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import InfluenceDiagram, InfoBase, PrefixSource, Regime, factor_array, mechanism
+from .model import InfluenceDiagram, InfoBase, PrefixSource, Regime, _action_tables, factor_array
 
 SAMPLE_ROWS = 2**13  # rows drawn, coded or read per block; never changes the output
 
@@ -131,10 +133,11 @@ def _first_bad_row(rows, start: int, columns, index) -> None:
                 raise InputError(f"row {r}: {cell!r} is not a state of {name}")
 
 
-def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Dataset:
+def sample(diagram: InfluenceDiagram, regime: Regime | list, n: int, seed: int) -> Dataset:
     """n independent draws from the joint under a regime, hidden columns
-    dropped.  Identical (seed, n) give bit-identical datasets; see the
-    module docstring for the contract."""
+    dropped; a mixed regime is read as ``joint_distribution`` reads it.
+    Identical (seed, n) give bit-identical datasets; see the module
+    docstring for the contract."""
     try:
         n, seed = operator.index(n), operator.index(seed)
     except TypeError:
@@ -143,14 +146,13 @@ def sample(diagram: InfluenceDiagram, regime: Regime, n: int, seed: int) -> Data
         raise InputError("need n >= 1")
     if not 0 <= seed < 2**64:
         raise InputError(f"seed {seed} outside 0..2**64-1")
-    if regime != "obs":
-        diagram.base.validate_strategy(regime)
+    tables = {**diagram.cpts, **dict(zip(diagram.actions, _action_tables(diagram, regime)))}
     k = len(diagram.order)
     col = {v: j for j, v in enumerate(diagram.order)}
     widths = [len(diagram.states[v]) for v in diagram.order]
     plans, chain = [], ()
     for v, width in zip(diagram.order, widths):
-        parents, array = mechanism(diagram, regime, v)
+        parents, array = tables[v].parents, tables[v].array
         axes = diagram.sort(parents) + (v,)
         cum = np.cumsum(factor_array(axes, v, parents, array).reshape(-1, width), axis=1)
         # One contiguous integer threshold row per counted cumulative column.

@@ -13,8 +13,9 @@ witness that the recursion, ``check_cond6`` and the numeric checks share.
 The module also builds the auxiliary mixed-regime diagrams used to
 justify the recursion when plain stability fails, and checks the mixed
 regimes P_i numerically, reading each through an ``ExactSource`` of its
-joint; their graphical check, ``check_graphsep``, is in ``stability``
-with the other stage-wise checks.
+joint and holding two at a time, the observational P_n and one other;
+their graphical check, ``check_graphsep``, is in ``stability`` with the
+other stage-wise checks.
 """
 
 from __future__ import annotations
@@ -280,21 +281,26 @@ def verify_general_conditions(
     """
     base = diagram.base
     policies = _policy_arrays(base, strategy)
-    # P_n keeps every action observational: it is the observational source.
-    p = [ExactSource(diagram, ["obs"] * i + [strategy] * (base.n - i)) for i in range(base.n + 1)]
-    obs = p[-1]
+    obs = ExactSource(diagram)
     gamma, witness = live_frontier(obs.support(), policies)
-
-    y_failures = []
     full, width = len(base.vars), len(base.states[base.response])
+
+    def response(p: ExactSource, m: int):
+        """P's support after m positions, and its response given each history
+        there, summed down to y as each history's row alone would be."""
+        rows = p.given(m, full)
+        return p.support().masks[m], rows.reshape(rows.shape[:-1] + (-1, width)).sum(axis=-2)
+
+    # P_n, every action observational, is obs.  Each other P_{i-1} is dropped
+    # before P_i is built, so two P_i are held at a time.
+    y_failures, p = [], ExactSource(diagram, [strategy] * base.n)
     for i in range(1, base.n + 1):
         m = base.after_a(i)
-        on = gamma.masks[m] & p[i - 1].support().masks[m] & p[i].support().masks[m]
-        # Response given h: the rest of the base given h, summed down to y
-        # as each history's row alone would be.
-        left, right = (
-            p[j].given(m, full).reshape(on.shape + (-1, width)).sum(axis=-2) for j in (i - 1, i)
-        )
+        on_left, left = response(p, m)
+        del p
+        p = obs if i == base.n else ExactSource(diagram, ["obs"] * i + [strategy] * (base.n - i))
+        on_right, right = response(p, m)
+        on = gamma.masks[m] & on_left & on_right
         bad = on & np.any(np.abs(left - right) > TOL, axis=-1)
         y_failures += [(i, h) for h in sorted(base.histories(bad))][: 3 - len(y_failures)]
 

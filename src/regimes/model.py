@@ -7,8 +7,9 @@ per non-action variable and an observational table per action.  A
 ``"obs"``, a strategy or a list of them with one per action (a mixed
 regime), fixes one exact joint distribution, from which marginals,
 supports and response expectations are computed by direct enumeration.
-Every exact joint comes from ``_joint``, strategy batches included.  These
-exact quantities are the oracles that the recursive evaluator is tested against.
+``_action_tables`` reads every regime and ``_joint`` builds every exact
+joint.  These exact quantities are the oracles that the recursive
+evaluator is tested against.
 
 Every table is one array over (its parents..., child) behind a ``Table``
 label view: ``Cpt`` and ``Policy`` accept label dicts, convert and check
@@ -464,17 +465,6 @@ def _check_capacity(cards: Iterable[int]) -> None:
         )
 
 
-def mechanism(diagram: InfluenceDiagram, regime: Regime, var: str):
-    """``(parents, array)`` of the table that generates ``var`` under a
-    regime: the strategy's policy for an action under a strategy, the
-    diagram's table otherwise."""
-    if diagram.kinds[var] == "act" and regime != "obs":
-        table = regime.policies[var]
-    else:
-        table = diagram.cpts[var]
-    return table.parents, table.array
-
-
 def factor_array(axes: tuple[str, ...], var: str, parents, array: np.ndarray) -> np.ndarray:
     """One mechanism's ``array`` over (``parents``..., ``var``) laid out on
     ``axes``: its own variables on their axes, size 1 on the others.  The
@@ -501,12 +491,10 @@ def _nonaction_product(diagram: InfluenceDiagram) -> np.ndarray:
     if cached is None:
         _check_capacity(diagram.cards())
         probs = np.ones(diagram.cards())
-        for v in diagram.order:
-            if diagram.kinds[v] == "act":
-                continue
-            probs *= factor_array(diagram.order, v, *mechanism(diagram, "obs", v))
-        diagram._nonaction_cache = probs
-        cached = probs
+        for v, cpt in diagram.cpts.items():
+            if diagram.kinds[v] != "act":
+                probs *= factor_array(diagram.order, v, cpt.parents, cpt.array)
+        diagram._nonaction_cache = cached = probs
     return cached
 
 
@@ -521,20 +509,28 @@ def _joint(diagram: InfluenceDiagram, factors) -> np.ndarray:
     return probs
 
 
-def _action_factors(diagram: InfluenceDiagram, regime) -> list[np.ndarray]:
-    """Each action's factor, in ``diagram.actions`` order, behind a strategy
-    axis of length 1: under ``regime``, or under its own entry of a list.
-    The one regime check; a single regime is checked once."""
+def _action_tables(diagram: InfluenceDiagram, regime) -> list:
+    """The ``Cpt`` or ``Policy`` behind each action, in ``diagram.actions``
+    order, under "obs", a strategy or a list with one of them per action.
+    The one regime check: each distinct strategy is validated once."""
     mixed = isinstance(regime, list)
     if mixed and len(regime) != diagram.n:
         raise InputError(f"a mixed regime lists {len(regime)} regimes for {diagram.n} actions")
-    for r in regime if mixed else [regime]:
+    for r in {id(r): r for r in regime}.values() if mixed else [regime]:
         if r != "obs":
             diagram.base.validate_strategy(r)
-    regimes = regime if mixed else [regime] * diagram.n
     return [
-        factor_array(diagram.order, a, *mechanism(diagram, r, a))[None]
-        for a, r in zip(diagram.actions, regimes)
+        diagram.cpts[a] if r == "obs" else r.policies[a]
+        for a, r in zip(diagram.actions, regime if mixed else [regime] * diagram.n)
+    ]
+
+
+def _action_factors(diagram: InfluenceDiagram, regime) -> list[np.ndarray]:
+    """Each of ``_action_tables``'s tables laid out on ``diagram.order``,
+    behind a strategy axis of length 1."""
+    return [
+        factor_array(diagram.order, a, table.parents, table.array)[None]
+        for a, table in zip(diagram.actions, _action_tables(diagram, regime))
     ]
 
 

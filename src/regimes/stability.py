@@ -28,8 +28,9 @@ from .model import (
     InfluenceDiagram,
     PrefixSource,
     Strategy,
+    _action_factors,
+    _joint,
     _observed,
-    factor_array,
     joint_distribution,
 )
 from .grecursion import TOL, build_dag_i, check_cond6
@@ -248,7 +249,8 @@ class PositivityReport:
 def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> PositivityReport:
     """The four positivity variants for one strategy against the
     observational regime."""
-    je, jo = joint_distribution(diagram, strategy), joint_distribution(diagram, "obs")
+    fe, fo = _action_factors(diagram, strategy), _action_factors(diagram, "obs")
+    je, jo = _joint(diagram, fe)[0], _joint(diagram, fo)[0]
     obs = _observed(diagram, jo)
     # A prefix's mass sums its full histories' non-negative masses, so it is
     # positive exactly when one of them is: the full histories decide simple
@@ -256,15 +258,8 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
     simple = _covered(_observed(diagram, je), obs)
     extended = _covered(je, jo)
 
-    parent_child = True
-    for a in diagram.actions:
-        pol, cpt = strategy.policies[a], diagram.cpts[a]
-        axes = diagram.sort(set(pol.parents) | set(cpt.parents)) + (a,)
-        pe = factor_array(axes, a, pol.parents, pol.array)
-        po = factor_array(axes, a, cpt.parents, cpt.array)
-        if np.any((pe > 0.0) & (po <= 0.0)):
-            parent_child = False
-            break
+    # Each action's two factors broadcast over the union of their parents.
+    parent_child = not any(np.any((pe > 0.0) & (po <= 0.0)) for pe, po in zip(fe, fo))
 
     general, _ = check_cond6(PrefixSource(diagram.base, obs).support(), strategy)
 

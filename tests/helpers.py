@@ -31,7 +31,6 @@ from regimes.model import (
     Table,
     Variable,
     factor_array,
-    mechanism,
 )
 
 B = ("0", "1")
@@ -297,6 +296,18 @@ def labels(support: SupportSet) -> frozenset:
 def support_labels(diagram: InfluenceDiagram, regime) -> frozenset:
     """The observable histories with positive probability under a regime."""
     return labels(ExactSource(diagram, regime).support())
+
+
+def mechanism(diagram: InfluenceDiagram, regime, var: str):
+    """``(parents, array)`` of the table that generates ``var`` under a
+    regime, read off the diagram and the strategy alone: an action's entry
+    of a mixed regime (a list) first, then the strategy's policy for an
+    action under a strategy, the diagram's table otherwise."""
+    if isinstance(regime, list) and var in diagram.actions:
+        regime = regime[diagram.actions.index(var)]
+    act = diagram.kinds[var] == "act" and regime != "obs"
+    table = regime.policies[var] if act else diagram.cpts[var]
+    return table.parents, table.array
 
 
 def support_propagation(

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fixtures import complete_stable, f1, f2, f4
-from helpers import conditional, cpt_for, random_extended_id, random_strategy, rng
+from fixtures import complete_stable, f1, f2, f3, f4, f5
+from helpers import conditional, cpt_for, mechanism, random_extended_id, random_strategy, rng
 from recursion_reference import possible
 import regimes.data
 from regimes.cli import main
@@ -23,7 +23,6 @@ from regimes.model import (
     consequence_direct,
     factor_array,
     joint_distribution,
-    mechanism,
 )
 from regimes.parser import ModelDocument, format_model, parse_model
 
@@ -153,6 +152,14 @@ def sampler_cases():
 SAMPLER_CASES = sampler_cases()
 
 
+def mixed_cases():
+    """(diagram, strategies) of f1-f5 and the ternary golden model."""
+    for build in (f1, f2, f3, f4, f5):
+        yield pytest.param(*build(), id=build.__name__)
+    doc = parse_model(TERNARY.read_text())
+    yield pytest.param(doc.diagram, doc.strategies, id="ternary")
+
+
 class TestSample:
     def test_point_mass_tables_give_unique_row(self):
         vs = [Variable("L", "obs", ("x", "y")), Variable("Y", "resp", ("0", "1"))]
@@ -237,6 +244,27 @@ class TestSamplerReference:
             want_dtype = codes_dtype([diagram.states[v] for v in diagram.base.vars])
             assert got.dtype == want_dtype and got.flags.c_contiguous
             assert np.array_equal(got, reference_sample(diagram, regime, n, seed))
+
+    @pytest.mark.parametrize("d, strategies", mixed_cases())
+    def test_mixed_regimes_bitwise_the_row_major_loop(self, d, strategies):
+        # Each action's entry of the list picks its table, as in
+        # joint_distribution: P_i and its mirror image, for every i.
+        for s in strategies.values():
+            whole = sample(d, s, 997, seed=5).codes
+            assert np.array_equal(sample(d, [s] * d.n, 997, seed=5).codes, whole)
+            for i in range(d.n + 1):
+                for regime in (["obs"] * i + [s] * (d.n - i), [s] * i + ["obs"] * (d.n - i)):
+                    got = sample(d, regime, 997, seed=5).codes
+                    assert np.array_equal(got, reference_sample(d, regime, 997, 5)), regime
+
+    def test_mixed_regime_of_the_wrong_length_rejected_as_by_the_joint(self):
+        d, strats = f1()
+        for regime in (["obs"], ["obs", strats["mix"], "obs"], []):
+            with pytest.raises(InputError) as want:
+                joint_distribution(d, regime)
+            with pytest.raises(InputError) as got:
+                sample(d, regime, 10, seed=1)
+            assert str(got.value) == str(want.value)
 
     def test_cumulative_column_equal_to_a_drawn_uniform(self):
         # Find the uniform first, then write the table around it: row 3's

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -551,6 +552,21 @@ class TestVerifyGeneral:
         assert not rep.y_bridge
         assert rep.y_bridge_failures[0][0] == 1
         assert rep.consequence_delta is None
+
+    def test_peak_memory_holds_two_mixed_sources(self):
+        # Each P_i source holds the prefix marginals of its joint.  Holding
+        # all n + 1 at once peaked near 19 times one source's marginals on
+        # this model; holding obs and one other P_i stays well within 7.
+        d, strats = complete_stable(7)
+        unit = sum(ExactSource(d).marginal(m).nbytes for m in d.base.boundaries)
+        verify_general_conditions(d, strats["mix"])  # fills the non-action cache
+        tracemalloc.start()
+        try:
+            verify_general_conditions(d, strats["mix"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * unit, peak / unit
 
     def test_y_bridge_failures_independent_of_hash_seed(self):
         # String hashes, and so set iteration order, change with PYTHONHASHSEED.

@@ -9,6 +9,7 @@ from fixtures import f1, f2, f3, f4, f5, static_strategy
 from helpers import (
     conditional,
     labels,
+    mechanism,
     prob,
     random_extended_id,
     random_strategy,
@@ -25,6 +26,7 @@ from regimes.model import (
     Cpt,
     ExactSource,
     InfluenceDiagram,
+    InfoBase,
     Policy,
     PrefixSource,
     Strategy,
@@ -33,7 +35,6 @@ from regimes.model import (
     consequence_direct,
     factor_array,
     joint_distribution,
-    mechanism,
 )
 from regimes.parser import parse_model
 
@@ -584,11 +585,15 @@ def test_one_builder_is_bitwise_the_selector_joint(d, strategies):
         lambda d: sample(d, "Obs", 10, 0),
         lambda d: support_propagation(d, ["Obs"]),
         lambda d: joint_distribution(d, ["obs", "Obs"]),
+        lambda d: sample(d, ["obs", "Obs"], 10, 0),
         lambda d: ExactSource(d, "Obs"),
+        lambda d: joint_distribution(single_response(), "Obs"),
+        lambda d: sample(single_response(), "Obs", 10, 0),
     ],
     ids=[
         "joint_distribution", "support", "consequence_direct", "sample",
-        "support_propagation", "mixed_regime", "exact_source",
+        "support_propagation", "mixed_regime", "mixed_sample", "exact_source",
+        "no_actions", "no_actions_sample",
     ],
 )
 def test_regime_neither_obs_nor_strategy_rejected(call):
@@ -604,9 +609,28 @@ def test_mixed_regime_of_wrong_length_rejected(regime):
         lambda: joint_distribution(d, regime),
         lambda: consequence_direct(d, regime, {"0": 0.0, "1": 1.0}),
         lambda: ExactSource(d, regime),
+        lambda: sample(d, regime, 10, 0),
     ):
         with pytest.raises(InputError, match=f"lists {len(regime)} regimes for 2 actions"):
             call()
+
+
+def test_each_distinct_strategy_of_a_regime_checked_once(monkeypatch):
+    d, strats = f1()
+    mix, dyn = strats["mix"], strats["dyn"]
+    checked, check = [], InfoBase.validate_strategy
+    monkeypatch.setattr(
+        InfoBase, "validate_strategy", lambda base, s: checked.append(s.name) or check(base, s)
+    )
+    for call, want in (
+        (lambda: joint_distribution(d, [mix, mix]), ["mix"]),
+        (lambda: sample(d, [mix, dyn], 10, 0), ["mix", "dyn"]),
+        (lambda: ExactSource(d, ["obs", mix]), ["mix"]),
+        (lambda: consequence_direct(d, dyn, {"0": 0.0, "1": 1.0}), ["dyn"]),
+    ):
+        checked.clear()
+        call()
+        assert checked == want
 
 
 SOURCES = {

@@ -21,6 +21,7 @@ from regimes.model import (
     InfluenceDiagram,
     Policy,
     Strategy,
+    factor_array,
     joint_distribution,
 )
 from regimes.stability import (
@@ -323,6 +324,19 @@ class TestPositivity:
         assert check_positivity(d, strats["e2"]).extended
 
 
+def union_axes_parent_child(d, s) -> bool:
+    """Parent-child positivity action by action: the policy and the
+    observational table laid out on the union of their parents."""
+    for a in d.actions:
+        pol, cpt = s.policies[a], d.cpts[a]
+        axes = d.sort(set(pol.parents) | set(cpt.parents)) + (a,)
+        pe = factor_array(axes, a, pol.parents, pol.array)
+        po = factor_array(axes, a, cpt.parents, cpt.array)
+        if np.any((pe > 0.0) & (po <= 0.0)):
+            return False
+    return True
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 10**6),
@@ -333,7 +347,8 @@ class TestPositivity:
 )
 def test_positivity_matches_its_definitions(seed, n_actions, confounded, zeroed, other_seed):
     """One strategy joint and one observational joint give the verdicts
-    that the support sets, the two full joints and ``check_cond6`` give."""
+    that the support sets, the two full joints, the action loop and
+    ``check_cond6`` give."""
     d = random_extended_id(seed, n_actions=n_actions, hidden_to_action=confounded)
     if zeroed != "covariates":
         d = zero_action_rows(d, other_seed)
@@ -344,19 +359,24 @@ def test_positivity_matches_its_definitions(seed, n_actions, confounded, zeroed,
     assert rep.simple == (support_labels(d, s) <= support_labels(d, "obs"))
     je, jo = joint_distribution(d, s), joint_distribution(d, "obs")
     assert rep.extended == bool(np.all((je <= 0.0) | (jo > 0.0)))
+    assert rep.parent_child == union_axes_parent_child(d, s)
     assert rep.general == check_cond6(ExactSource(d).support(), s)[0]
 
 
 def test_positivity_generator_reaches_both_verdicts():
-    """The property above sees simple and extended positivity both hold
-    and fail."""
-    seen = set()
+    """The property above sees simple, extended and parent-child
+    positivity each hold and fail, with policies that read other parents
+    than the observational tables."""
+    seen, other_parents = set(), 0
     for seed in range(30):
         d = zero_action_rows(random_extended_id(seed, hidden_to_action=seed % 2 == 1), seed)
-        rep = check_positivity(d, random_strategy(d, seed))
-        seen.add((rep.simple, rep.extended))
-    assert {simple for simple, _ in seen} == {True, False}
-    assert {extended for _, extended in seen} == {True, False}
+        s = random_strategy(d, seed)
+        rep = check_positivity(d, s)
+        seen.add((rep.simple, rep.extended, rep.parent_child))
+        other_parents += any(s.policies[a].parents != d.cpts[a].parents for a in d.actions)
+    for j in range(3):
+        assert {verdicts[j] for verdicts in seen} == {True, False}
+    assert other_parents >= 15
 
 
 class TestSupportPropagation:
