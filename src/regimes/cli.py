@@ -129,10 +129,8 @@ def cmd_seqirrel(doc: ModelDocument, args) -> int:
 
 def cmd_positivity(doc: ModelDocument, args) -> int:
     report = stab.check_positivity(doc.diagram, doc.strategy(args.strategy))
-    _emit("simple", report.simple)
-    _emit("extended", report.extended)
-    _emit("parent_child", report.parent_child)
-    _emit("general", report.general)
+    for key in ("simple", "extended", "parent_child", "general"):
+        _emit(key, getattr(report, key))
     return 0 if report.simple else CHECK_FAILED
 
 
@@ -147,11 +145,8 @@ def cmd_graphsep(doc: ModelDocument, args) -> int:
 
 def cmd_verify_general(doc: ModelDocument, args) -> int:
     report = grec.verify_general_conditions(doc.diagram, doc.strategy(args.strategy))
-    _emit("support_biconditional", report.support_biconditional)
-    _emit("l_factors", report.l_factors)
-    _emit("action_factors", report.action_factors)
-    _emit("y_bridge", report.y_bridge)
-    _emit("positivity", report.positivity)
+    for key in ("support_biconditional", "l_factors", "action_factors", "y_bridge", "positivity"):
+        _emit(key, getattr(report, key))
     _emit("all", report.overall)
     if report.consequence_delta is not None:
         _emit("consequence_delta", report.consequence_delta)

@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import InfluenceDiagram, InfoBase, PrefixSource, Regime, _action_tables, factor_array
+from .model import InfluenceDiagram, InfoBase, PrefixSource, Regime, factor_array
+from .model import _action_tables, _check_capacity
 
 SAMPLE_ROWS = 2**13  # rows drawn, coded or read per block; never changes the output
 
@@ -223,6 +224,7 @@ def estimate_conditionals(dataset: Dataset, base: InfoBase, alpha: float = 0.5) 
         )
     if not np.issubdtype(codes.dtype, np.integer):
         raise InputError(f"dataset codes must have an integer dtype, got {codes.dtype}")
+    _check_capacity(cards)  # before the count table, or the cells, is allocated
     # One pass over every code for its least and largest value; a column
     # is read again only when it is no wider than the largest code.  Then
     # the row-major cell of each row, adding the checked codes as intp.

@@ -34,7 +34,8 @@ from .model import (
     InfoBase,
     Strategy,
     SupportSet,
-    consequence_direct,
+    _action_factors,
+    _response_rows,
     factor_array,
     response_weights,
 )
@@ -280,19 +281,18 @@ def verify_general_conditions(
     each response state.
     """
     base = diagram.base
-    policies = _policy_arrays(base, strategy)
     obs = ExactSource(diagram)
-    gamma, witness = live_frontier(obs.support(), policies)
+    gamma, witness = live_frontier(obs.support(), _policy_arrays(base, strategy))
     full, width = len(base.vars), len(base.states[base.response])
 
     def response(p: ExactSource, m: int):
         """P's support after m positions, and its response given each history
         there, summed down to y as each history's row alone would be."""
         rows = p.given(m, full)
-        return p.support().masks[m], rows.reshape(rows.shape[:-1] + (-1, width)).sum(axis=-2)
+        return p.marginal(m) > 0.0, rows.reshape(rows.shape[:-1] + (-1, width)).sum(axis=-2)
 
-    # P_n, every action observational, is obs.  Each other P_{i-1} is dropped
-    # before P_i is built, so two P_i are held at a time.
+    # P_n is obs.  Each other P_{i-1} is dropped before P_i is built, so two
+    # are held at a time, each summed only at the boundaries it is read at.
     y_failures, p = [], ExactSource(diagram, [strategy] * base.n)
     for i in range(1, base.n + 1):
         m = base.after_a(i)
@@ -300,18 +300,18 @@ def verify_general_conditions(
         del p
         p = obs if i == base.n else ExactSource(diagram, ["obs"] * i + [strategy] * (base.n - i))
         on_right, right = response(p, m)
-        on = gamma.masks[m] & on_left & on_right
-        bad = on & np.any(np.abs(left - right) > TOL, axis=-1)
+        bad = gamma.masks[m] & on_left & on_right & np.any(np.abs(left - right) > TOL, axis=-1)
         y_failures += [(i, h) for h in sorted(base.histories(bad))][: 3 - len(y_failures)]
+        del on_left, left, on_right, right, bad  # before the next P_i or the oracle
 
     y_ok, delta = not y_failures, None
     if y_ok and witness is None:
+        # One joint: an entry is bitwise ``consequence_direct`` of its indicator k.
+        oracle = _response_rows(diagram, _action_factors(diagram, strategy))[0].tolist()
         delta = 0.0
-        for y_state in base.states[base.response]:
+        for y_state, direct in zip(base.states[base.response], oracle):
             k = {s: 1.0 if s == y_state else 0.0 for s in base.states[base.response]}
-            lhs = g_recursion(obs, strategy, k)
-            rhs = consequence_direct(diagram, strategy, k)
-            delta = max(delta, abs(lhs - rhs))
+            delta = max(delta, abs(g_recursion(obs, strategy, k) - direct))
         if not delta <= TOL:
             raise AssertionError(f"recursion disagrees with the oracle by {delta}")
 

@@ -572,19 +572,32 @@ def response_weights(base: InfoBase, k: Mapping[str, float]) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _consequences(diagram: InfluenceDiagram, factors, weights: np.ndarray) -> list[float]:
-    """Expected response ``weights`` under each strategy of a batch, from action factors
-    on ``diagram.order`` behind a strategy axis.  Each joint is summed as if alone and
-    weighted by its own 1-D dot (a batched matmul rounds differently), so batch size
-    never changes a value."""
+def _response_rows(diagram: InfluenceDiagram, factors) -> np.ndarray:
+    """The response's distribution under each strategy of a batch, from action
+    factors on ``diagram.order`` behind a strategy axis: each joint summed as if alone."""
     probs = _joint(diagram, factors)
-    return [float(row @ weights) for row in probs.sum(axis=tuple(range(1, probs.ndim - 1)))]
+    return probs.sum(axis=tuple(range(1, probs.ndim - 1)))
+
+
+def _consequences(diagram: InfluenceDiagram, factors, weights: np.ndarray) -> list[float]:
+    """Expected response ``weights`` under each strategy of a batch: each row's own 1-D
+    dot (a batched matmul rounds differently), so batch size never changes a value."""
+    return [float(row @ weights) for row in _response_rows(diagram, factors)]
 
 
 def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:
     """Exact expectation of k over the response under a regime."""
     weights = response_weights(diagram.base, k)
     return _consequences(diagram, _action_factors(diagram, regime), weights)[0]
+
+
+def _conditional(rows: np.ndarray, alpha: float = 0.0) -> np.ndarray:
+    """Each row (the last axis) divided by its sum, after adding ``alpha`` to
+    every entry when it is positive; else the rows of empty events are zero."""
+    total = rows.sum(axis=-1, keepdims=True)
+    if alpha > 0.0:
+        return (rows + alpha) / (total + alpha * rows.shape[-1])
+    return np.divide(rows, total, out=np.zeros(rows.shape), where=total > 0.0)
 
 
 class PrefixSource:
@@ -601,44 +614,32 @@ class PrefixSource:
     def __init__(self, base: InfoBase, table: np.ndarray, alpha: float = 0.0):
         if not 0.0 <= alpha < math.inf:
             raise InputError(f"alpha must be finite and non-negative, not {alpha!r}")
-        self.base = base
-        self.alpha = float(alpha)
-        full = table.ndim
-        self._marginals = {
-            m: table.sum(axis=tuple(range(m, full))) if m < full else table
-            for m in base.boundaries
-        }
-        self._given = {}
-        self._support = None
+        self.base, self.alpha, self._table = base, float(alpha), table
+        self._marginals, self._given, self._support = {table.ndim: table}, {}, None
 
     def marginal(self, m: int) -> np.ndarray:
-        """The table summed over every position from m on."""
+        """The table summed over every position from m on; built when first read."""
+        if m not in self._marginals:
+            self._marginals[m] = self._table.sum(axis=tuple(range(m, self._table.ndim)))
         return self._marginals[m]
 
     def given(self, lo: int, hi: int) -> np.ndarray:
         """Distribution of positions ``lo..hi-1`` given each prefix of length
         ``lo``: one row per prefix, flattened in row-major state order; the
         rows of empty events are zero.  Cached, so read-only."""
-        key = (lo, hi)
-        if key not in self._given:
-            rows = self._marginals[hi].reshape(self._marginals[lo].shape + (-1,))
-            total = rows.sum(axis=-1, keepdims=True)
-            if self.alpha > 0.0:
-                self._given[key] = (rows + self.alpha) / (total + self.alpha * rows.shape[-1])
-            else:
-                self._given[key] = np.divide(
-                    rows, total, out=np.zeros(rows.shape), where=total > 0.0
-                )
-            self._given[key].flags.writeable = False
-        return self._given[key]
+        if (lo, hi) not in self._given:
+            rows = self.marginal(hi).reshape(self._table.shape[:lo] + (-1,))
+            self._given[lo, hi] = cond = _conditional(rows, self.alpha)
+            cond.flags.writeable = False
+        return self._given[lo, hi]
 
     def support(self) -> SupportSet:
         """Boundary prefixes that count as possible: those with positive
         mass in the table, or every one when smoothed."""
         if self._support is None:
             self._support = SupportSet(self.base, {
-                m: np.full(arr.shape, True) if self.alpha > 0.0 else arr > 0.0
-                for m, arr in self._marginals.items()
+                m: np.ones(self._table.shape[:m], bool) if self.alpha else self.marginal(m) > 0.0
+                for m in self.base.boundaries
             })
         return self._support
 

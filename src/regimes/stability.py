@@ -29,6 +29,7 @@ from .model import (
     PrefixSource,
     Strategy,
     _action_factors,
+    _conditional,
     _joint,
     _observed,
     joint_distribution,
@@ -183,9 +184,7 @@ def check_sequential_irrelevance_numeric(
         )
         # The block given (past, hidden past), compared in each past row
         # with the first defined hidden configuration of that row.
-        mass = arr.sum(axis=-1, keepdims=True)
-        cond = np.divide(arr, mass, out=np.zeros(arr.shape), where=mass > 0.0)
-        defined = mass[..., 0] > 0.0
+        cond, defined = _conditional(arr), arr.sum(axis=-1) > 0.0
         first = np.argmax(defined, axis=1)
         far = np.any(np.abs(cond - cond[np.arange(len(arr)), first][:, None]) > TOL, axis=-1)
         hits = np.argwhere(defined & far)

@@ -159,6 +159,17 @@ def random_policies(gen, base, deterministic: bool | None) -> dict[str, Policy]:
     return policies
 
 
+def wide_binary_document(observables: int) -> str:
+    """A model document of this many binary observables, the last the
+    response, each a root with a uniform row, and no action."""
+    names = [f"L{i}" for i in range(1, observables)] + ["Y"]
+    lines = [f"var {v} kind={'resp' if v == 'Y' else 'obs'} states=0,1" for v in names]
+    lines.append("order " + " ".join(names))
+    for v in names:
+        lines += [f"cpt {v} | -", "row - : 0.5 0.5"]
+    return "\n".join(lines) + "\n"
+
+
 def f4_without_action_one():
     """f4 with both observational A1 rows set to (1, 0): A1=1 never occurs."""
     d, strats = f4()

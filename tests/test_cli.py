@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import f4_without_action_one
+from helpers import f4_without_action_one, wide_binary_document
 from regimes import grecursion
 from regimes.cli import build_parser, main
 from regimes.parser import ModelDocument, format_model
@@ -178,6 +178,17 @@ class TestSimulateEstimate:
             "evaluate", "--model", model("f1.id"), "--strategy", "dyn"
         )
         assert abs(est - float(kv(exact_out)["consequence"])) < 0.05
+
+    def test_estimate_over_the_cap_exits_2(self, tmp_path):
+        # Counting 48 binary columns needs 2^48 cells: a usage error like
+        # every other numeric command over the joint cap, not a MemoryError.
+        doc, data = tmp_path / "wide.id", tmp_path / "rows.txt"
+        doc.write_text(wide_binary_document(48), encoding="utf-8")
+        header = " ".join(f"L{i}" for i in range(1, 48)) + " Y"
+        data.write_text(header + "\n" + " ".join("0" * 48) + "\n", encoding="utf-8")
+        code, out, err = run("estimate", "--model", str(doc), "--data", str(data))
+        assert (code, out) == (2, "")
+        assert err == "error: joint table would need 281474976710656 cells (cap 4194304)\n"
 
     def test_estimate_dump_tables(self, tmp_path):
         out_file = tmp_path / "rows.txt"

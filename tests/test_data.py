@@ -9,12 +9,20 @@ import numpy as np
 import pytest
 
 from fixtures import complete_stable, f1, f2, f3, f4, f5
-from helpers import conditional, cpt_for, mechanism, random_extended_id, random_strategy, rng
+from helpers import (
+    conditional,
+    cpt_for,
+    mechanism,
+    random_extended_id,
+    random_strategy,
+    rng,
+    wide_binary_document,
+)
 from recursion_reference import possible
 import regimes.data
 from regimes.cli import main
 from regimes.data import Dataset, estimate_conditionals, sample
-from regimes.errors import InputError, PositivityError
+from regimes.errors import CapacityError, InputError, PositivityError
 from regimes.grecursion import g_recursion
 from regimes.model import (
     Cpt,
@@ -667,6 +675,22 @@ class TestCodesDtype:
 
 
 class TestEstimation:
+    def test_count_table_over_the_cap_is_refused_before_allocation(self):
+        # 48 binary columns would need 2^48 count cells.  The joint cap
+        # refuses them before the per-row cells (512 KiB here) or the counts
+        # are allocated.
+        base = parse_model(wide_binary_document(48)).diagram.base
+        codes = np.zeros((1 << 16, len(base.vars)), dtype=np.uint8)
+        ds = Dataset(base.vars, tuple(base.states[v] for v in base.vars), codes)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"would need 281474976710656 cells"):
+                estimate_conditionals(ds, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
     def test_exact_proportions_recover_conditionals(self):
         # a dataset replicating the joint's exact proportions reproduces
         # the true conditionals at alpha=0

@@ -23,10 +23,12 @@ from helpers import (
     random_strategy,
     rng,
     support_labels,
+    wide_binary_document,
     zero_action_rows,
     zero_covariate_rows,
 )
 from recursion_reference import reference_arrays
+from regimes import model
 from regimes.data import estimate_conditionals, sample
 from regimes.errors import InputError, PolicyError, PositivityError
 from regimes.grecursion import (
@@ -553,8 +555,58 @@ class TestVerifyGeneral:
         assert rep.y_bridge_failures[0][0] == 1
         assert rep.consequence_delta is None
 
+    @pytest.mark.parametrize(
+        "case, name", [(lambda: complete_stable(3), "mix"), (f2, "e2")], ids=["complete3", "f2"]
+    )
+    def test_one_joint_per_regime_and_one_for_the_oracle(self, case, name, monkeypatch):
+        # The observational joint, P_0..P_{n-1} and one strategy joint whose
+        # response marginal is the oracle of every response state: no joint is
+        # rebuilt per state.  f2 has hidden variables.
+        d, strats = case()
+        built, joint = [], model._joint
+        monkeypatch.setattr(model, "_joint", lambda *args: built.append(1) or joint(*args))
+        rep = verify_general_conditions(d, strats[name])
+        assert rep.consequence_delta is not None
+        assert len(built) <= d.n + 2, len(built)
+
+    def test_diagram_without_actions(self):
+        # No stage to bridge: the check goes straight to the oracle.
+        d = parse_model(wide_binary_document(3)).diagram
+        rep = verify_general_conditions(d, Strategy("none", {}))
+        assert rep.overall and rep.y_bridge_failures == () and rep.consequence_delta == 0.0
+
+    def test_delta_is_bitwise_the_per_state_gap_to_the_direct_oracle(self):
+        # consequence_delta reads every state's oracle from one joint, yet it
+        # equals, bit for bit, the largest gap between the recursion and
+        # consequence_direct on each indicator k.
+        cases = []
+        for make in (f1, f2, f3, f4, f5):
+            d, strats = make()
+            cases += [(d, s) for s in strats.values()]
+        doc = parse_model((Path(__file__).parent / "golden" / "ternary.id").read_text())
+        cases += [(doc.diagram, s) for s in doc.strategies.values()]
+        for seed in range(20):  # confounded: a hidden parent of an action and of Y
+            d = random_extended_id(seed, hidden_to_action=True)
+            cases.append((d, random_strategy(d, seed)))
+        for seed in range(6):  # hidden parents of actions only
+            d = random_extended_id(seed, n_actions=3, hidden_only_into_actions=True)
+            cases.append((d, random_strategy(d, seed)))
+        compared = 0
+        for d, s in cases:
+            delta = verify_general_conditions(d, s).consequence_delta
+            if delta is None:
+                continue
+            states, want = d.states[d.response], 0.0
+            for y in states:
+                k = {t: 1.0 if t == y else 0.0 for t in states}
+                gap = abs(g_recursion(ExactSource(d), s, k) - consequence_direct(d, s, k))
+                want = max(want, gap)
+            assert type(delta) is float and delta.hex() == want.hex()
+            compared += 1
+        assert compared == 16
+
     def test_peak_memory_holds_two_mixed_sources(self):
-        # Each P_i source holds the prefix marginals of its joint.  Holding
+        # Each P_i source holds its table and the marginals read.  Holding
         # all n + 1 at once peaked near 19 times one source's marginals on
         # this model; holding obs and one other P_i stays well within 7.
         d, strats = complete_stable(7)

@@ -31,6 +31,7 @@ from regimes.model import (
     PrefixSource,
     Strategy,
     Variable,
+    _conditional,
     _observed,
     consequence_direct,
     factor_array,
@@ -574,6 +575,28 @@ def test_one_builder_is_bitwise_the_selector_joint(d, strategies):
             reference = PrefixSource(d.base, observed(want))
             for m in d.base.boundaries:
                 same(ExactSource(d, mixed).marginal(m), reference.marginal(m))
+
+
+@pytest.mark.parametrize("d, strategies", builder_cases())
+def test_marginals_read_last_first_are_the_eager_sums(d, strategies):
+    # A source sums a boundary when it is first read.  Read from the full
+    # histories down, each marginal is still bitwise the sum of the whole
+    # table that an eager build made, smoothed or not.
+    full = len(d.base.vars)
+    for regime in ["obs", *strategies]:
+        table = _observed(d, joint_distribution(d, regime))
+        for source in (ExactSource(d, regime), PrefixSource(d.base, table, 0.5)):
+            for m in reversed(d.base.boundaries):
+                want = table.sum(axis=tuple(range(m, full))) if m < full else table
+                got = source.marginal(m)
+                assert np.shape(got) == np.shape(want) and got.tobytes() == want.tobytes()
+
+
+def test_conditional_divides_each_row_by_its_sum():
+    rows = np.array([[1.0, 3.0], [0.0, 0.0], [0.5, 0.25]])
+    assert _conditional(rows).tolist() == [[0.25, 0.75], [0.0, 0.0], [0.5 / 0.75, 0.25 / 0.75]]
+    smoothed = [[1.5 / 5.0, 3.5 / 5.0], [0.5, 0.5], [1.0 / 1.75, 0.75 / 1.75]]
+    assert _conditional(rows, 0.5).tolist() == smoothed
 
 
 @pytest.mark.parametrize(
