@@ -24,7 +24,6 @@ from .model import (
     InfoBase,
     Policy,
     Strategy,
-    SupportSet,
     Variable,
     consequence_direct,
     joint_distribution,

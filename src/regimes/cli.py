@@ -216,7 +216,7 @@ def cmd_estimate(doc: ModelDocument, args) -> int:
         return 0
     # Each stage's ``given`` rows and support mask, in row-major order of
     # the past; labels are made here only, for the printed keys.
-    masks = source.support().masks
+    masks = source.support()
     for i, lo, hi, _ in base.stages:
         rows = source.given(lo, hi)
         configs = itertools.product(*(base.states[v] for v in base.vars[:lo]))

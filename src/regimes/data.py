@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .model import InfluenceDiagram, InfoBase, PrefixSource, Regime, factor_array
 from .model import _action_tables, _check_capacity
 
@@ -174,7 +174,10 @@ def sample(diagram: InfluenceDiagram, regime: Regime | list, n: int, seed: int) 
 
     keep = [j for j, v in enumerate(diagram.order) if diagram.kinds[v] != "hid"]
     states = tuple(diagram.states[v] for v in diagram.base.vars)
-    codes = np.empty((n, len(keep)), dtype=_codes_dtype(states))
+    try:
+        codes = np.empty((n, len(keep)), dtype=_codes_dtype(states))
+    except MemoryError:
+        raise CapacityError(f"n = {n} rows do not fit in memory") from None
     block = np.empty((k, min(n, SAMPLE_ROWS)), dtype=np.min_scalar_type(max(widths) - 1))
     gen = np.random.Philox(key=np.uint64(seed))
     for start in range(0, n, SAMPLE_ROWS):

@@ -8,14 +8,14 @@ the ``given`` arrays of a ``PrefixSource``, the prefix marginals of one
 table over the observable base, so the same engine runs on the exact
 joint and on frequency counts; the optimizer reuses it with the action
 average replaced by a max or min.  ``live_frontier`` computes the
-histories the engine visits, as one mask per boundary, and the positivity
-witness that the recursion, ``check_cond6`` and the numeric checks share.
-The module also builds the auxiliary mixed-regime diagrams used to
-justify the recursion when plain stability fails, and checks the mixed
-regimes P_i numerically, reading each through an ``ExactSource`` of its
-joint and holding two at a time, the observational P_n and one other;
-their graphical check, ``check_graphsep``, is in ``stability`` with the
-other stage-wise checks.
+histories the engine visits, as one mask per boundary like a source's
+``support()``, and the positivity witness that the recursion and the
+numeric checks share.  The module also builds the auxiliary mixed-regime
+diagrams used to justify the recursion when plain stability fails, and
+checks the mixed regimes P_i numerically, reading each as a bare table
+over the base and holding two at a time, the observational P_n and one
+other; their graphical check, ``check_graphsep``, is in ``stability``
+with the other stage-wise checks.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ from .model import (
     InfluenceDiagram,
     InfoBase,
     Strategy,
-    SupportSet,
     _action_factors,
+    _conditional,
+    _observed,
     _response_rows,
     factor_array,
+    joint_distribution,
     response_weights,
 )
 
@@ -44,36 +46,38 @@ TOL = 1e-9  # absolute tolerance of every numeric check
 
 
 class HistoryValues(Mapping):
-    """Read-only label view of per-boundary value arrays on a support:
-    ``view[h]`` is the value of history ``h`` (KeyError off the support),
-    and iteration runs over the boundaries in ascending order, each in
-    row-major order."""
+    """Read-only label view of per-boundary value arrays on boundary masks:
+    ``view[h]`` is the value of the label tuple ``h`` (KeyError for any key
+    off the masks), and iteration runs over the boundaries in ascending
+    order, each in row-major order."""
 
-    def __init__(self, live: SupportSet, arrays: dict):
-        self.live = live
-        self.arrays = arrays
+    def __init__(self, base: InfoBase, live: dict, arrays: dict):
+        self.base, self.live, self.arrays = base, live, arrays
 
     def __getitem__(self, h) -> float:
-        if not isinstance(h, tuple):
+        if not isinstance(h, tuple) or len(h) not in self.live:
             raise KeyError(h)
-        idx = self.live.index(h)
+        states = [self.base.states[v] for v in self.base.vars[: len(h)]]
+        idx = tuple(st.index(s) for st, s in zip(states, h) if s in st)
+        if len(idx) < len(h) or not self.live[len(h)][idx]:
+            raise KeyError(h)
         return float(self.arrays[len(h)][idx])
 
     def __iter__(self):
-        for mask in self.live.masks.values():
-            yield from self.live.base.histories(mask)
+        for mask in self.live.values():
+            yield from self.base.histories(mask)
 
     def __len__(self) -> int:
-        return len(self.live)
+        return sum(int(mask.sum()) for mask in self.live.values())
 
 
 @dataclass(eq=False)
 class RecursionTable:
     """Values f(h) computed over the live frontier.
 
-    ``arrays`` holds one value array per stage boundary of ``live.base``
-    and ``values`` is a read-only view of the same numbers keyed by
-    history; compare tables by ``values``.  Histories absent from
+    ``live`` and ``arrays`` hold one mask and one value array per stage
+    boundary of ``base``; ``values`` is a read-only view of the same numbers
+    keyed by history; compare tables by ``values``.  Histories absent from
     ``values`` were pruned because they are observationally impossible or
     off-strategy; their value is 0 by convention.  A strategy-positive
     action state that is observationally impossible is never pruned: the
@@ -81,12 +85,13 @@ class RecursionTable:
     instead of dropping its strategy mass.
     """
 
-    live: SupportSet
+    base: InfoBase
+    live: dict
     arrays: dict
 
     @property
     def values(self) -> HistoryValues:
-        return HistoryValues(self.live, self.arrays)
+        return HistoryValues(self.base, self.live, self.arrays)
 
     @property
     def root(self) -> float:
@@ -104,21 +109,21 @@ def _policy_arrays(base: InfoBase, strategy: Strategy) -> list[np.ndarray]:
     return arrays
 
 
-def live_frontier(support: SupportSet, policies: list[np.ndarray] | None = None):
+def live_frontier(source, policies: list[np.ndarray] | None = None):
     """The live frontier and the first positivity witness.
 
-    The frontier keeps the histories of ``support`` whose every action the
-    strategy allows (``policies`` as built by ``_policy_arrays``; None
-    allows every action), as one mask per stage boundary.  The witness is
-    the first strategy-positive action extension of a live history that
-    lies outside ``support``: earliest stage first, then histories in
+    The frontier keeps the histories of ``source.support()`` whose every
+    action the strategy allows (``policies`` as built by ``_policy_arrays``;
+    None allows every action), as one mask per stage boundary.  The witness
+    is the first strategy-positive action extension of a live history that
+    lies outside the support: earliest stage first, then histories in
     label order and action states in declared order.  It is None when
     there is no such extension.
     """
-    base = support.base
+    base, support = source.base, source.support()
     masks, witness, prev = {}, None, None
     for m in base.boundaries:
-        mask = support.masks[m]
+        mask = support[m]
         if prev is not None:
             parent = masks[prev][(...,) + (None,) * (m - prev)]
             if policies is not None and m in base.stage_of:
@@ -136,7 +141,7 @@ def live_frontier(support: SupportSet, policies: list[np.ndarray] | None = None)
                 mask = mask & parent
         masks[m] = mask
         prev = m
-    return SupportSet(base, masks), witness
+    return masks, witness
 
 
 def _average(weights: np.ndarray, values: np.ndarray):
@@ -167,13 +172,13 @@ def _backward(source, k, action_step, policies=None):
     again, which is exactly what masking it would store.
     """
     base = source.base
-    live, witness = live_frontier(source.support(), policies)
+    live, witness = live_frontier(source, policies)
     if witness is not None:
         raise PositivityError(witness)
-    if not live.masks[0]:
+    if not live[0]:
         raise PositivityError(())
     full = len(base.vars)
-    values = {full: np.where(live.masks[full], response_weights(base, k), 0.0)}
+    values = {full: np.where(live[full], response_weights(base, k), 0.0)}
     v = values[full]
     for i, lo, hi, _ in reversed(base.stages):
         if i <= base.n:
@@ -190,19 +195,12 @@ def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
     live, arrays = _backward(
         source, k, lambda i, v: _average(policies[i - 1], v), policies
     )
-    return RecursionTable(live, arrays)
+    return RecursionTable(source.base, live, arrays)
 
 
 def g_recursion(source, strategy: Strategy, k) -> float:
     """Consequence of the strategy from observational ingredients."""
     return recursion_table(source, strategy, k).root
-
-
-def check_cond6(obs_support: SupportSet, strategy: Strategy):
-    """Whether every strategy-positive extension of a live history is
-    observationally possible.  Returns (verdict, first offending history)."""
-    witness = live_frontier(obs_support, _policy_arrays(obs_support.base, strategy))[1]
-    return witness is None, witness
 
 
 def _action_order(diagram: InfluenceDiagram, action_order) -> tuple[str, ...]:
@@ -282,25 +280,32 @@ def verify_general_conditions(
     """
     base = diagram.base
     obs = ExactSource(diagram)
-    gamma, witness = live_frontier(obs.support(), _policy_arrays(base, strategy))
-    full, width = len(base.vars), len(base.states[base.response])
+    gamma, witness = live_frontier(obs, _policy_arrays(base, strategy))
+    full = len(base.vars)
 
-    def response(p: ExactSource, m: int):
+    def mixed(i: int) -> np.ndarray:
+        """P_i as a bare table over the base; P_n is obs."""
+        if i == base.n:
+            return obs.marginal(full)
+        regime = ["obs"] * i + [strategy] * (base.n - i)
+        return _observed(diagram, joint_distribution(diagram, regime))
+
+    def response(p: np.ndarray, m: int):
         """P's support after m positions, and its response given each history
-        there, summed down to y as each history's row alone would be."""
-        rows = p.given(m, full)
-        return p.marginal(m) > 0.0, rows.reshape(rows.shape[:-1] + (-1, width)).sum(axis=-2)
+        there; ``einsum`` sums the axes between several times faster than ``sum``."""
+        rows = np.einsum(p, range(full), [*range(m), full - 1])
+        return rows.sum(axis=-1) > 0.0, _conditional(rows)
 
-    # P_n is obs.  Each other P_{i-1} is dropped before P_i is built, so two
-    # are held at a time, each summed only at the boundaries it is read at.
-    y_failures, p = [], ExactSource(diagram, [strategy] * base.n)
+    # Each P_{i-1} is dropped before P_i is built, so two tables are held at
+    # a time, obs and one other, each summed only at the boundaries read.
+    y_failures, p = [], mixed(0)
     for i in range(1, base.n + 1):
         m = base.after_a(i)
         on_left, left = response(p, m)
         del p
-        p = obs if i == base.n else ExactSource(diagram, ["obs"] * i + [strategy] * (base.n - i))
+        p = mixed(i)
         on_right, right = response(p, m)
-        bad = gamma.masks[m] & on_left & on_right & np.any(np.abs(left - right) > TOL, axis=-1)
+        bad = gamma[m] & on_left & on_right & np.any(np.abs(left - right) > TOL, axis=-1)
         y_failures += [(i, h) for h in sorted(base.histories(bad))][: 3 - len(y_failures)]
         del on_left, left, on_right, right, bad  # before the next P_i or the oracle
 

@@ -254,16 +254,6 @@ class InfoBase:
     def after_a(self, i: int) -> int:
         return self.stages[i - 1][3]
 
-    def codes(self, h: PartialHistory) -> tuple[int, ...]:
-        """State indices of a boundary history; InputError names a bad
-        length or label."""
-        if len(h) not in self.boundaries:
-            raise InputError(f"history length {len(h)} does not end on a stage boundary")
-        for var, label in zip(self.vars, h):
-            if label not in self.states[var]:
-                raise InputError(f"{label!r} is not a state of {var}")
-        return tuple(self.states[v].index(s) for v, s in zip(self.vars, h))
-
     def histories(self, mask: np.ndarray) -> list[PartialHistory]:
         """Labels of the true cells of a boundary mask, in row-major order."""
         idx = np.argwhere(mask)
@@ -293,29 +283,6 @@ class InfoBase:
                     raise PolicyError(f"policy for {a} reads {p}, which does not precede it")
             own = tuple(self.states[p] for p in pol.parents)
             pol._densify(own, len(self.states[a]), f"policy for {a}", PolicyError)
-
-
-@dataclass(frozen=True, eq=False)
-class SupportSet:
-    """Partial histories with positive probability under one regime, held
-    as one boolean mask per stage boundary of the base."""
-
-    base: InfoBase
-    masks: Mapping[int, np.ndarray]
-
-    def index(self, h: PartialHistory) -> tuple[int, ...]:
-        """State indices of a history in the support; KeyError for one
-        outside it, with a bad label or off the stage boundaries."""
-        try:
-            idx = self.base.codes(h)
-        except InputError:
-            raise KeyError(h) from None
-        if not self.masks[len(h)][idx]:
-            raise KeyError(h)
-        return idx
-
-    def __len__(self):
-        return sum(int(mask.sum()) for mask in self.masks.values())
 
 
 class InfluenceDiagram:
@@ -633,14 +600,15 @@ class PrefixSource:
             cond.flags.writeable = False
         return self._given[lo, hi]
 
-    def support(self) -> SupportSet:
-        """Boundary prefixes that count as possible: those with positive
-        mass in the table, or every one when smoothed."""
+    def support(self) -> dict[int, np.ndarray]:
+        """The prefixes that count as possible, as one boolean mask per stage
+        boundary of the base: those with positive mass in the table, or
+        every one when smoothed.  Cached, so the masks are read-only views."""
         if self._support is None:
-            self._support = SupportSet(self.base, {
-                m: np.ones(self._table.shape[:m], bool) if self.alpha else self.marginal(m) > 0.0
+            self._support = {
+                m: np.broadcast_to(self.alpha > 0 or self.marginal(m) > 0.0, self._table.shape[:m])
                 for m in self.base.boundaries
-            })
+            }
         return self._support
 
 

@@ -31,7 +31,7 @@ def optimal_strategy(source, k, sense: str = "max") -> tuple[Strategy, float]:
     """
     _check_sense(sense)
     base = source.base
-    support = source.support().masks
+    support = source.support()
     choices = {}
 
     def best_action(i: int, values: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from .model import (
     _observed,
     joint_distribution,
 )
-from .grecursion import TOL, build_dag_i, check_cond6
+from .grecursion import TOL, _policy_arrays, build_dag_i, live_frontier
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def check_simple_stability_numeric(
             if lo == hi:
                 continue
             left, right = obs.given(lo, hi), other.given(lo, hi)
-            defined = obs.support().masks[lo] & other.support().masks[lo]
+            defined = obs.support()[lo] & other.support()[lo]
             bad = (defined & np.any(np.abs(left - right) > TOL, axis=-1)).reshape(-1)
             row = int(np.argmax(bad))
             if bad[row] and (i not in first or row < first[i][0]):
@@ -260,7 +260,8 @@ def check_positivity(diagram: InfluenceDiagram, strategy: Strategy) -> Positivit
     # Each action's two factors broadcast over the union of their parents.
     parent_child = not any(np.any((pe > 0.0) & (po <= 0.0)) for pe, po in zip(fe, fo))
 
-    general, _ = check_cond6(PrefixSource(diagram.base, obs).support(), strategy)
+    policies = _policy_arrays(diagram.base, strategy)
+    general = live_frontier(PrefixSource(diagram.base, obs), policies)[1] is None
 
     if (parent_child or extended) and not simple:
         raise AssertionError("parent-child and extended positivity must each imply simple")

@@ -27,7 +27,6 @@ from regimes.model import (
     InfluenceDiagram,
     Policy,
     Strategy,
-    SupportSet,
     Table,
     Variable,
     factor_array,
@@ -298,15 +297,15 @@ def conditional(
     return out
 
 
-def labels(support: SupportSet) -> frozenset:
-    """Every history of a support set, as a tuple of state labels."""
-    base = support.base
-    return frozenset(h for mask in support.masks.values() for h in base.histories(mask))
+def labels(base, masks: Mapping[int, np.ndarray]) -> frozenset:
+    """Every history true in a dict of boundary masks on ``base`` (a
+    source's ``support()``, a live frontier), as a tuple of state labels."""
+    return frozenset(h for mask in masks.values() for h in base.histories(mask))
 
 
 def support_labels(diagram: InfluenceDiagram, regime) -> frozenset:
     """The observable histories with positive probability under a regime."""
-    return labels(ExactSource(diagram, regime).support())
+    return labels(diagram.base, ExactSource(diagram, regime).support())
 
 
 def mechanism(diagram: InfluenceDiagram, regime, var: str):

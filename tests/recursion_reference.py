@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from regimes.errors import PositivityError
+from regimes.errors import InputError, PositivityError
 
 
 def _histories(base, m: int):
@@ -36,11 +36,23 @@ def _action_prob(base, strategy, h, i: int) -> float:
     return row[base.states[action].index(h[base.after_a(i) - 1])]
 
 
+def codes(base, h) -> tuple[int, ...]:
+    """The state index of each label of a boundary history; InputError for
+    a label that is not a state of its variable or a length that is not a
+    stage boundary."""
+    if len(h) not in base.boundaries:
+        raise InputError(f"history length {len(h)} does not end on a stage boundary")
+    for var, label in zip(base.vars, h):
+        if label not in base.states[var]:
+            raise InputError(f"{label!r} is not a state of {var}")
+    return tuple(base.states[v].index(s) for v, s in zip(base.vars, h))
+
+
 def possible(source, h) -> bool:
     """Whether a boundary history has positive mass (or is smoothed) in the
-    source; InputError for a bad label or length (``InfoBase.codes``)."""
-    idx = source.base.codes(h)
-    return bool(source.support().masks[len(h)][idx])
+    source; InputError for a bad label or length (``codes``)."""
+    idx = codes(source.base, h)
+    return bool(source.support()[len(h)][idx])
 
 
 def _live(source, strategy, h) -> bool:
@@ -96,7 +108,7 @@ def reference_arrays(source, strategy, k) -> dict[int, np.ndarray]:
         for h in _histories(base, lo):
             total = 0.0
             if _live(source, strategy, h):
-                row = source.given(lo, hi)[base.codes(h)].tolist()
+                row = source.given(lo, hi)[codes(base, h)].tolist()
                 for c, ext in zip(row, block):
                     total = total + c * value[h + ext]
             value[h] = total

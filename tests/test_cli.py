@@ -245,6 +245,9 @@ class TestErrorsAndDeterminism:
             ("admissible", "--model", "{f1}", "--strategy", ""),
             ("graphsep", "--model", "{f1}", "--strategy", ""),
             ("estimate", "--model", "{f1}", "--data", "{rows}", "--strategy", ""),
+            # More rows than memory holds: a usage error, and no file written.
+            ("simulate", "--model", "{f1}", "--regime", "obs", "--n", "1000000000000000",
+             "--seed", "1", "--out", "{out}"),
         ],
     )
     def test_bad_values_exit_2_with_one_error_line(self, tmp_path, argv):
@@ -258,7 +261,7 @@ class TestErrorsAndDeterminism:
         paths["f4_no_a1"] = tmp_path / "f4_no_a1.id"
         paths["f4_no_a1"].write_text(format_model(ModelDocument(*f4_without_action_one())))
         code, out, err = run(*(a.format(**paths) for a in argv))
-        assert code == 2 and out == ""
+        assert code == 2 and out == "" and not paths["out"].exists()
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(

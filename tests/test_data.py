@@ -228,6 +228,13 @@ class TestSample:
         with pytest.raises(InputError):
             sample(d, "obs", 0, seed=1)
 
+    def test_rows_beyond_memory_are_a_capacity_error(self):
+        # 10^15 rows of five one-byte codes would need 5 PB, more than any
+        # address space: the codes allocation fails at once, before any draw.
+        d, _ = f1()
+        with pytest.raises(CapacityError, match="n = 1000000000000000 rows"):
+            sample(d, "obs", 10**15, seed=1)
+
     @pytest.mark.parametrize("n, seed", [(10, 1.5), (10.0, 1), ("3", 1), (10, "3")])
     def test_non_integer_n_or_seed_rejected(self, n, seed):
         # A float seed was truncated (1.5 gave seed 1's rows and recorded

@@ -34,7 +34,6 @@ from regimes.errors import InputError, PolicyError, PositivityError
 from regimes.grecursion import (
     _policy_arrays,
     build_dag_i,
-    check_cond6,
     g_recursion,
     live_frontier,
     recursion_table,
@@ -51,7 +50,7 @@ from regimes.model import (
     joint_distribution,
 )
 from regimes.parser import parse_model
-from regimes.stability import check_graphsep
+from regimes.stability import check_graphsep, check_positivity
 
 K01 = {"0": 0.0, "1": 1.0}
 
@@ -59,8 +58,8 @@ K01 = {"0": 0.0, "1": 1.0}
 def reference_values(table):
     """The label dict that ``RecursionTable.values`` once built on first use."""
     values = {}
-    for m, mask in table.live.masks.items():
-        values.update(zip(table.live.base.histories(mask), table.arrays[m][mask].tolist()))
+    for m, mask in table.live.items():
+        values.update(zip(table.base.histories(mask), table.arrays[m][mask].tolist()))
     return values
 
 
@@ -98,10 +97,8 @@ class TestValuesView:
         got = np.array([view[h] for h in view])
         assert got.tobytes() == np.array(list(want.values())).tobytes()
         assert view == want and dict(view.items()) == want
-        base = table.live.base
-        pruned = [
-            h for m in base.boundaries for h in base.histories(~table.live.masks[m])
-        ]
+        base = table.base
+        pruned = [h for m in base.boundaries for h in base.histories(~table.live[m])]
         full = len(base.vars)
         bad = [
             ("?",) * full,  # bad labels
@@ -119,7 +116,7 @@ class TestValuesView:
         cases = {name: (src, s) for name, src, s in values_view_cases()}
         src, s = cases["complete2_hard"]
         live = recursion_table(src, s, K01).live
-        assert not all(mask.all() for mask in live.masks.values())
+        assert not all(mask.all() for mask in live.values())
         base = cases["ternary_fixed"][0].base
         assert len(base.boundaries) < len(base.vars) + 1
 
@@ -177,7 +174,7 @@ class TestScalarReference:
             if name.startswith("zero_action_rows"):
                 raised.add(assert_same_recursion(source, strategy, K01) is not None)
             else:
-                impossible.add(not all(m.all() for m in source.support().masks.values()))
+                impossible.add(not all(m.all() for m in source.support().values()))
         assert raised == {True, False} and True in impossible
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -271,12 +268,17 @@ class TestGRecursion:
         assert rep.overall and rep.consequence_delta <= 1e-9
 
 
+def positivity_witness(d, strategy):
+    """The ``live_frontier`` witness of a strategy on the observational support."""
+    return live_frontier(ExactSource(d), _policy_arrays(d.base, strategy))[1]
+
+
 class TestPositivityFailure:
     @pytest.mark.parametrize("name", ["pick1", "e"])
     def test_unsupported_strategy_mass_raises(self, name):
         d, strats = f4_without_action_one()
-        ok, witness = check_cond6(ExactSource(d).support(), strats[name])
-        assert not ok and witness == ("1",)
+        witness = positivity_witness(d, strats[name])
+        assert witness == ("1",)
         with pytest.raises(PositivityError) as err:
             g_recursion(ExactSource(d), strats[name], K01)
         assert err.value.history == witness
@@ -293,8 +295,8 @@ class TestOnePositivityWitness:
             table[config] = (1.0, 0.0)
             cpts[var] = Cpt(var, d.cpts[var].parents, table)
         d = InfluenceDiagram(d.variables, d.dag.edges, cpts, d.obs_parents, d.int_parents)
-        ok, witness = check_cond6(ExactSource(d).support(), strats["stat"])
-        assert not ok and witness == ("1", "1")
+        witness = positivity_witness(d, strats["stat"])
+        assert witness == ("1", "1")
         with pytest.raises(PositivityError) as err:
             g_recursion(ExactSource(d), strats["stat"], K01)
         assert err.value.history == witness
@@ -347,9 +349,9 @@ A2_ANY = Policy((), {(): (0.5, 0.5)})
     "call",
     [
         lambda d, s: recursion_table(ExactSource(d), s, K01),
-        lambda d, s: check_cond6(ExactSource(d).support(), s),
+        lambda d, s: check_positivity(d, s),
     ],
-    ids=["recursion_table", "check_cond6"],
+    ids=["recursion_table", "check_positivity"],
 )
 def test_invalid_strategy_rejected(call, strategy):
     d, _ = f1()
@@ -359,7 +361,7 @@ def test_invalid_strategy_rejected(call, strategy):
 
 def gamma(d, strategy) -> frozenset:
     """The live recursion frontier over the observational support."""
-    return labels(live_frontier(ExactSource(d).support(), _policy_arrays(d.base, strategy))[0])
+    return labels(d.base, live_frontier(ExactSource(d), _policy_arrays(d.base, strategy))[0])
 
 
 class TestGammaSupport:
@@ -390,8 +392,7 @@ class TestGammaSupport:
 
     def test_cond6_holds_with_positive_tables(self):
         d, strats = f2()
-        ok, witness = check_cond6(ExactSource(d).support(), strats["e2"])
-        assert ok and witness is None
+        assert positivity_witness(d, strats["e2"]) is None
 
 
 class TestMixedRegimes:
@@ -606,9 +607,11 @@ class TestVerifyGeneral:
         assert compared == 16
 
     def test_peak_memory_holds_two_mixed_sources(self):
-        # Each P_i source holds its table and the marginals read.  Holding
-        # all n + 1 at once peaked near 19 times one source's marginals on
-        # this model; holding obs and one other P_i stays well within 7.
+        # The observational source holds its table and the marginals read;
+        # every other P_i is a bare table, summed to (past, y) rows at the
+        # two boundaries it is compared at.  Holding all n + 1 as sources
+        # peaked near 19 times one source's marginals on this model;
+        # holding obs and one other P_i stays well within 7.
         d, strats = complete_stable(7)
         unit = sum(ExactSource(d).marginal(m).nbytes for m in d.base.boundaries)
         verify_general_conditions(d, strats["mix"])  # fills the non-action cache

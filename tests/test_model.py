@@ -21,7 +21,7 @@ from helpers import (
 from recursion_reference import possible
 from regimes.data import estimate_conditionals, sample
 from regimes.errors import CapacityError, InputError, ModelError, PolicyError
-from regimes.grecursion import g_recursion
+from regimes.grecursion import RecursionTable, g_recursion
 from regimes.model import (
     Cpt,
     ExactSource,
@@ -371,10 +371,10 @@ class TestConditional:
             conditional(d, joint_distribution(d, "obs"), (), {"Y": "nope"})
 
 
-def indexed(sup, h) -> bool:
-    """Whether ``sup.index`` accepts ``h`` rather than raising KeyError."""
+def indexed(values, h) -> bool:
+    """Whether ``values[h]`` returns rather than raising KeyError."""
     try:
-        sup.index(h)
+        values[h]
     except KeyError:
         return False
     return True
@@ -410,8 +410,9 @@ class TestSupport:
         assert ("1",) not in sup and ("0",) in sup
 
     def test_membership_agrees_with_the_label_set(self):
-        """``SupportSet.index`` raises KeyError exactly for the histories
-        outside the support's label set."""
+        """``RecursionTable.values`` raises KeyError exactly for the keys off
+        its live masks, here a regime's support: a wrong length, an unknown
+        label or a key that is not a tuple.  Its length is the masks' count."""
         supports = []
         for build in (f1, f2, f3, f4, f5):
             d, strats = build()
@@ -423,17 +424,21 @@ class TestSupport:
             supports += [(zero_covariate_rows(d, seed), "obs"),
                          (d, random_strategy(d, seed, deterministic=True))]
         for d, regime in supports:
-            sup = ExactSource(d, regime).support()
-            base, want = sup.base, labels(sup)
-            held = functools.partial(indexed, sup)
+            src = ExactSource(d, regime)
+            base, sup = d.base, src.support()
+            values = RecursionTable(base, sup, {m: src.marginal(m) for m in sup}).values
+            want = labels(base, sup)
+            assert len(values) == sum(int(mask.sum()) for mask in sup.values()) == len(want)
+            held = functools.partial(indexed, values)
             for m in range(len(base.vars) + 1):
                 for h in itertools.product(*(base.states[v] for v in base.vars[:m])):
                     assert held(h) == (h in want), h
-                    assert held(list(h)) == (h in want), h
+                    assert not held(list(h)), h
             longest = max(want, key=len)
             assert held(()) and held(longest)
             assert not held(longest + (longest[-1],))  # no boundary that long
             assert not held(("?",)) and not held(longest[:-1] + ("?",))
+            assert not held("".join(longest)) and not held(None)
 
 
 class TestConsequenceDirect:
@@ -516,7 +521,7 @@ class TestExactSource:
 
     def test_support_matches_module_level(self):
         d, _ = f2()
-        assert labels(ExactSource(d).support()) == support_labels(d, "obs")
+        assert labels(d.base, ExactSource(d).support()) == support_labels(d, "obs")
 
 
 def selector_joint(diagram, selector) -> np.ndarray:
@@ -679,25 +684,30 @@ def test_over_long_history_rejected(make):
 
 @pytest.mark.parametrize("make", SOURCES.values(), ids=SOURCES.keys())
 def test_given_rows_are_read_only(make):
-    """``given`` is cached, so no caller may write into its rows."""
+    """``given`` and ``support`` are cached, so no caller may write into
+    their rows or masks."""
     d, _ = f1()
     src = make(d)
     with pytest.raises(ValueError, match="read-only"):
         src.given(0, 1)[:] = -1.0
     assert src.given(0, 1).min() >= 0.0
+    for mask in src.support().values():
+        with pytest.raises(ValueError, match="read-only"):
+            mask[...] = False
+    assert src.support()[0]
 
 
 def test_smoothed_support_holds_every_history():
     d, _ = f1()
-    sup = SOURCES["smoothed"](d).support()
+    sup = labels(d.base, SOURCES["smoothed"](d).support())
     assert len(sup) == sum(2**m for m in d.base.boundaries)
-    assert ("1", "1", "1", "1", "1") in labels(sup)
+    assert ("1", "1", "1", "1", "1") in sup
 
 
 def test_support_sets_compare_by_content():
     d, strats = f1()
     stat = static_strategy("s", {"A1": "1", "A2": "0"}, d.states)
-    assert support_labels(d, "obs") == labels(ExactSource(d).support())
+    assert support_labels(d, "obs") == labels(d.base, ExactSource(d).support())
     assert support_labels(d, stat) != support_labels(d, "obs")
 
 

@@ -27,7 +27,6 @@ from helpers import (
 from regimes.errors import PositivityError
 from regimes.grecursion import (
     _policy_arrays,
-    check_cond6,
     live_frontier,
     recursion_table,
     verify_general_conditions,
@@ -75,7 +74,7 @@ def test_recursion_matches_oracle_when_licensed(seed, n_actions, confounded, str
     diagram = random_extended_id(seed, n_actions=n_actions, hidden_to_action=confounded)
     strategy = int_parent_strategy(diagram, strategy_seed)
     assume(check_graphsep(diagram, strategy).overall)
-    assume(check_cond6(ExactSource(diagram).support(), strategy)[0])
+    assume(live_frontier(ExactSource(diagram), _policy_arrays(diagram.base, strategy))[1] is None)
     root = recursion_table(ExactSource(diagram), strategy, K01).root
     assert abs(root - consequence_direct(diagram, strategy, K01)) <= 1e-9
 
@@ -89,12 +88,11 @@ def test_optimizer_matches_enumeration(seed, n_actions, sense):
     assert abs(value - best) <= 1e-9
 
 
-def naive_gamma(obs_support, strategy):
+def naive_gamma(base, obs_support, strategy):
     """Per-history definition: observationally possible histories whose
     every action the strategy gives positive probability."""
-    base = obs_support.base
     live = set()
-    for h in labels(obs_support):
+    for h in labels(base, obs_support):
         ok = True
         for i, action in enumerate(base.actions, start=1):
             cut = base.after_a(i)
@@ -110,12 +108,12 @@ def naive_gamma(obs_support, strategy):
     return live
 
 
-def naive_cond6(obs_support, strategy):
+def naive_cond6(base, obs_support, strategy):
     """Per-history definition: the first strategy-positive extension of a
     live history (support order, then declared action order) that is
     observationally impossible."""
-    base, possible = obs_support.base, labels(obs_support)
-    live = naive_gamma(obs_support, strategy)
+    possible = labels(base, obs_support)
+    live = naive_gamma(base, obs_support, strategy)
     for h in sorted(live, key=lambda h: (len(h), h)):
         for i, action in enumerate(base.actions, start=1):
             if len(h) == base.after_l(i):
@@ -134,20 +132,20 @@ def by_construction_conditions(diagram, strategy, tol=1e-9):
     base = diagram.base
     p = [ExactSource(diagram, ["obs"] * i + [strategy] * (base.n - i)) for i in range(base.n + 1)]
     obs = ExactSource(diagram)
-    gamma = live_frontier(obs.support(), _policy_arrays(base, strategy))[0]
+    gamma = live_frontier(obs, _policy_arrays(base, strategy))[0]
 
     def differs(left, right):
         return np.any(np.abs(left - right) > tol, axis=-1)
 
     support_ok = l_ok = a_ok = True
     for i, lo, hi, _ in base.stages:
-        on = gamma.masks[lo] & p[i - 1].support().masks[lo]
+        on = gamma[lo] & p[i - 1].support()[lo]
         l_ok &= not (on & differs(p[i - 1].given(lo, hi), obs.given(lo, hi))).any()
     for i in range(1, base.n + 1):
         lo, m, pol = base.after_l(i), base.after_a(i), strategy.policies[base.action(i)]
         support_ok &= np.array_equal(p[i].marginal(m) > 0.0, obs.marginal(m) > 0.0)
         policy = factor_array(base.vars[:m], base.action(i), pol.parents, pol.array)
-        on = gamma.masks[lo] & p[i - 1].support().masks[lo]
+        on = gamma[lo] & p[i - 1].support()[lo]
         a_ok &= not (on & differs(p[i - 1].given(lo, m), policy)).any()
     return support_ok, l_ok, a_ok
 
@@ -164,11 +162,11 @@ def test_live_masks_match_per_history_definitions(seed, n_actions, confounded, o
         random_extended_id(seed, n_actions=n_actions, hidden_to_action=confounded), other_seed
     )
     strategy = random_strategy(diagram, other_seed)
-    obs = ExactSource(diagram).support()
-    gamma = live_frontier(obs, _policy_arrays(diagram.base, strategy))[0]
-    assert labels(gamma) == naive_gamma(obs, strategy)
-    ok, witness = check_cond6(obs, strategy)
-    assert (ok, witness) == naive_cond6(obs, strategy)
+    base, obs = diagram.base, ExactSource(diagram)
+    gamma, witness = live_frontier(obs, _policy_arrays(base, strategy))
+    ok = witness is None
+    assert labels(base, gamma) == naive_gamma(base, obs.support(), strategy)
+    assert (ok, witness) == naive_cond6(base, obs.support(), strategy)
     if not ok:
         with pytest.raises(PositivityError) as err:
             recursion_table(ExactSource(diagram), strategy, K01)
@@ -185,6 +183,6 @@ def test_zeroed_action_rows_break_positivity():
     verdicts = set()
     for seed in range(30):
         diagram = zero_action_rows(random_extended_id(seed, n_actions=2), seed)
-        obs = ExactSource(diagram).support()
-        verdicts.add(check_cond6(obs, random_strategy(diagram, seed))[0])
+        policies = _policy_arrays(diagram.base, random_strategy(diagram, seed))
+        verdicts.add(live_frontier(ExactSource(diagram), policies)[1] is None)
     assert verdicts == {True, False}

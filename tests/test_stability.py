@@ -14,7 +14,7 @@ from helpers import (
     zero_covariate_rows,
 )
 from moral_reference import moral_ancestral
-from regimes.grecursion import build_dag_i, check_cond6
+from regimes.grecursion import _policy_arrays, build_dag_i, live_frontier
 from regimes.model import (
     Cpt,
     ExactSource,
@@ -151,10 +151,10 @@ def strategy_pair_gap(seed):
     )
     gap, obs_undefined = 0.0, 0
     for _, lo, hi, _ in d.base.stages:
-        both = left.support().masks[lo] & right.support().masks[lo]
+        both = left.support()[lo] & right.support()[lo]
         diff = np.abs(left.given(lo, hi) - right.given(lo, hi)).max(axis=-1)
         gap = max(gap, float(np.max(diff, where=both, initial=0.0)))
-        obs_undefined += int(np.count_nonzero(both & ~obs.support().masks[lo]))
+        obs_undefined += int(np.count_nonzero(both & ~obs.support()[lo]))
     return gap, obs_undefined
 
 
@@ -348,7 +348,7 @@ def union_axes_parent_child(d, s) -> bool:
 def test_positivity_matches_its_definitions(seed, n_actions, confounded, zeroed, other_seed):
     """One strategy joint and one observational joint give the verdicts
     that the support sets, the two full joints, the action loop and
-    ``check_cond6`` give."""
+    the ``live_frontier`` witness give."""
     d = random_extended_id(seed, n_actions=n_actions, hidden_to_action=confounded)
     if zeroed != "covariates":
         d = zero_action_rows(d, other_seed)
@@ -360,7 +360,7 @@ def test_positivity_matches_its_definitions(seed, n_actions, confounded, zeroed,
     je, jo = joint_distribution(d, s), joint_distribution(d, "obs")
     assert rep.extended == bool(np.all((je <= 0.0) | (jo > 0.0)))
     assert rep.parent_child == union_axes_parent_child(d, s)
-    assert rep.general == check_cond6(ExactSource(d).support(), s)[0]
+    assert rep.general == (live_frontier(ExactSource(d), _policy_arrays(d.base, s))[1] is None)
 
 
 def test_positivity_generator_reaches_both_verdicts():
