@@ -99,6 +99,8 @@ def _emit_stages(report) -> None:
 
 
 def cmd_stability(doc: ModelDocument, args) -> int:
+    if args.strategy and not args.numeric:
+        raise RegimesError("--strategy needs --numeric")
     if args.numeric:
         strategies = [doc.strategy(s) for s in args.strategy]
         report = stab.check_simple_stability_numeric(doc.diagram, strategies)
@@ -206,6 +208,8 @@ def cmd_simulate(doc: ModelDocument, args) -> int:
 
 
 def cmd_estimate(doc: ModelDocument, args) -> int:
+    if args.strategy is None and (args.k, args.target) != (None, None):
+        raise RegimesError("--k and --target need --strategy")
     base = doc.diagram.base
     dataset = dat.Dataset.from_text(Path(args.data).read_text(encoding="utf-8"), base)
     source = dat.estimate_conditionals(dataset, base, args.alpha)
@@ -229,8 +233,9 @@ def cmd_estimate(doc: ModelDocument, args) -> int:
 
 
 def _add_k_flags(sub):
-    sub.add_argument("--target", help="response state whose probability is the consequence")
-    sub.add_argument("--k", help="full response functional as state=value,...")
+    flags = sub.add_mutually_exclusive_group()
+    flags.add_argument("--target", help="response state whose probability is the consequence")
+    flags.add_argument("--k", help="full response functional as state=value,...")
 
 
 @functools.cache

@@ -176,7 +176,7 @@ def sample(diagram: InfluenceDiagram, regime: Regime | list, n: int, seed: int) 
     states = tuple(diagram.states[v] for v in diagram.base.vars)
     try:
         codes = np.empty((n, len(keep)), dtype=_codes_dtype(states))
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy raises ValueError for a shape it cannot hold
         raise CapacityError(f"n = {n} rows do not fit in memory") from None
     block = np.empty((k, min(n, SAMPLE_ROWS)), dtype=np.min_scalar_type(max(widths) - 1))
     gen = np.random.Philox(key=np.uint64(seed))

@@ -116,9 +116,9 @@ def live_frontier(source, policies: list[np.ndarray] | None = None):
     action the strategy allows (``policies`` as built by ``_policy_arrays``;
     None allows every action), as one mask per stage boundary.  The witness
     is the first strategy-positive action extension of a live history that
-    lies outside the support: earliest stage first, then histories in
-    label order and action states in declared order.  It is None when
-    there is no such extension.
+    lies outside the support: earliest stage first, then the first such
+    cell in row-major order of declared states, the only one labelled.
+    It is None when there is no such extension.
     """
     base, support = source.base, source.support()
     masks, witness, prev = {}, None, None
@@ -131,11 +131,7 @@ def live_frontier(source, policies: list[np.ndarray] | None = None):
                 live = mask & parent
                 # Strategy-positive extensions that are observationally impossible.
                 if witness is None and np.count_nonzero(live) < np.count_nonzero(parent):
-                    states = base.states[base.vars[m - 1]]
-                    witness = min(
-                        base.histories(parent > mask),
-                        key=lambda h: (h[:-1], states.index(h[-1])),
-                    )
+                    witness = base.histories(parent > mask, 1)[0]
                 mask = live
             else:
                 mask = mask & parent
@@ -256,7 +252,7 @@ class GeneralConditionsReport:
     """
 
     y_bridge: bool
-    y_bridge_failures: tuple  # (stage, history) of the first few mismatches
+    y_bridge_failures: tuple  # first 3 (stage, history) mismatches: stage, then row-major
     positivity: bool  # strategy-positive extensions stay observationally possible
     consequence_delta: float | None  # max |recursion - oracle| when everything holds
     support_biconditional = l_factors = action_factors = True  # by construction
@@ -306,7 +302,7 @@ def verify_general_conditions(
         p = mixed(i)
         on_right, right = response(p, m)
         bad = gamma[m] & on_left & on_right & np.any(np.abs(left - right) > TOL, axis=-1)
-        y_failures += [(i, h) for h in sorted(base.histories(bad))][: 3 - len(y_failures)]
+        y_failures += [(i, h) for h in base.histories(bad, 3 - len(y_failures))]
         del on_left, left, on_right, right, bad  # before the next P_i or the oracle
 
     y_ok, delta = not y_failures, None

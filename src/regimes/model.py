@@ -213,25 +213,23 @@ PartialHistory = tuple  # labels of a boundary prefix of the observable base
 class InfoBase:
     """Stage structure of the observable information base.
 
-    ``vars`` flattens the base in order; ``lblocks`` holds the N+1 groups
-    of observables (the last one is the response alone) and ``actions``
-    the N action names that interleave them.
+    ``vars`` flattens the base in order and ``actions`` names the N actions
+    that cut it into N+1 blocks, the last ending with the response.  Every
+    witness is the first offending cell of a mask in row-major order.
     """
 
     vars: tuple[str, ...]
     states: Mapping[str, tuple[str, ...]]
-    lblocks: tuple[tuple[str, ...], ...]
     actions: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.vars)})
         # The recursion's plan: (i, before_l, after_l, after_a) per stage, with
         # after_a None for the response block, and the stage each after_a ends.
-        stages, m = [], 0
-        for i, block in enumerate(self.lblocks, start=1):
-            lo, hi = m, m + len(block)
-            m = hi + 1 if i <= len(self.actions) else hi
-            stages.append((i, lo, hi, m if i <= len(self.actions) else None))
+        stages, lo = [], 0
+        for i, hi in enumerate([*map(self._pos.get, self.actions), len(self.vars)], start=1):
+            stages.append((i, lo, hi, hi + 1 if i <= len(self.actions) else None))
+            lo = hi + 1
         object.__setattr__(self, "stages", tuple(stages))
         object.__setattr__(self, "stage_of", {s[3]: s[0] for s in stages if s[3] is not None})
         bounds = {0, *(s[2] for s in stages), *self.stage_of}
@@ -254,14 +252,15 @@ class InfoBase:
     def after_a(self, i: int) -> int:
         return self.stages[i - 1][3]
 
-    def histories(self, mask: np.ndarray) -> list[PartialHistory]:
-        """Labels of the true cells of a boundary mask, in row-major order."""
-        idx = np.argwhere(mask)
-        columns = [
-            np.array(self.states[v], dtype=object)[idx[:, j]]
-            for j, v in enumerate(self.vars[: mask.ndim])
-        ]
-        return list(zip(*columns)) if columns else [()] * len(idx)
+    def histories(self, mask: np.ndarray, limit: int | None = None) -> list[PartialHistory]:
+        """Labels of the true cells of a boundary mask in row-major order of
+        declared states, only the first ``limit`` of them (all for None):
+        no other cell is labelled."""
+        if not mask.ndim:
+            return [()][:limit] if mask else []
+        idx = np.unravel_index(np.flatnonzero(mask)[:limit], mask.shape)
+        columns = [np.array(self.states[v], dtype=object)[j] for v, j in zip(self.vars, idx)]
+        return list(zip(*columns))
 
     def validate_strategy(self, strategy: Strategy) -> None:
         """Raise InputError unless given a Strategy, PolicyError unless it is
@@ -381,16 +380,8 @@ class InfluenceDiagram:
             raise ModelError(f"cpts filed under unknown variables {stray}")
         self.cpts = {v: cpts[v] for v in names}
 
-        lblocks, current = [], []
-        for v in names:
-            if self.kinds[v] == "act":
-                lblocks.append(tuple(current))
-                current = []
-            elif self.kinds[v] in ("obs", "resp"):
-                current.append(v)
-        lblocks.append(tuple(current))
         seen = tuple(v for v in names if self.kinds[v] != "hid")
-        self.base = InfoBase(seen, self.states, tuple(lblocks), self.actions)
+        self.base = InfoBase(seen, self.states, self.actions)
 
     def _sorted_subset(self, got, dom, what) -> tuple[str, ...]:
         got = tuple(got)
@@ -581,6 +572,8 @@ class PrefixSource:
     def __init__(self, base: InfoBase, table: np.ndarray, alpha: float = 0.0):
         if not 0.0 <= alpha < math.inf:
             raise InputError(f"alpha must be finite and non-negative, not {alpha!r}")
+        if alpha and not math.isfinite(alpha * table.size + table.sum()):
+            raise InputError(f"alpha {alpha!r} overflows the smoothed row totals")
         self.base, self.alpha, self._table = base, float(alpha), table
         self._marginals, self._given, self._support = {table.ndim: table}, {}, None
 

@@ -212,6 +212,29 @@ def _point_mass_rows(diagram: InfluenceDiagram, seed: int, variables) -> Influen
     )
 
 
+def reversed_states(
+    diagram: InfluenceDiagram, strategy: Strategy
+) -> tuple[InfluenceDiagram, Strategy]:
+    """The same model and strategy with every variable's states declared in
+    reverse and every table's child axis flipped to match (rows are keyed
+    by labels, so the parent axes follow the declared states): each
+    probability is unchanged, but row-major order now runs against label
+    order wherever a variable has two or more states."""
+
+    def flipped(table):
+        return {config: tuple(row)[::-1] for config, row in table.items()}
+
+    variables = [Variable(v.name, v.kind, v.states[::-1]) for v in diagram.variables]
+    cpts = {v: Cpt(v, c.parents, flipped(c.table)) for v, c in diagram.cpts.items()}
+    policies = {a: Policy(p.parents, flipped(p.table)) for a, p in strategy.policies.items()}
+    return (
+        InfluenceDiagram(
+            variables, diagram.dag.edges, cpts, diagram.obs_parents, diagram.int_parents
+        ),
+        Strategy(strategy.name, policies),
+    )
+
+
 def build_dag_i_prime(
     diagram: InfluenceDiagram, i: int, action_order: tuple[str, ...] | None = None
 ) -> Dag:
@@ -235,8 +258,7 @@ def graphsep_by_action(diagram: InfluenceDiagram) -> tuple[tuple[int, bool], ...
     base = diagram.base
     stages = []
     for i in range(1, diagram.n + 1):
-        cond = [v for j in range(i) for v in base.lblocks[j]]
-        cond += [base.action(j) for j in range(1, i)]
+        cond = base.vars[: base.stages[i - 1][2]]  # every observable before the action
         d = build_dag_i_prime(diagram, i)
         stages.append((i, separated(d, {diagram.response}, {base.action(i)}, cond)))
     return tuple(stages)

@@ -9,10 +9,11 @@ source's own conditionals (one row of ``given``, read by the history's
 state indices) and the policies' own rows (``Policy.table``), so the
 stage-array engine must match it bit for bit.
 
-``reference_witness`` finds the positivity witness by brute force: every
-strategy-positive action extension of a live history that the source
-deems impossible, the least by stage, then history labels, then the
-action's declared state order.
+``reference_witness`` finds the positivity witness by brute force: of
+the strategy-positive action extensions of live histories that the
+source deems impossible (``positivity_holes``), the least by stage, then
+by state indices in declared order, the action's last: the first in
+row-major order, whatever order the labels sort in.
 """
 
 from __future__ import annotations
@@ -64,21 +65,28 @@ def _live(source, strategy, h) -> bool:
     )
 
 
-def reference_witness(source, strategy):
+def positivity_holes(source, strategy) -> list[tuple]:
+    """Every strategy-positive action extension of a live history that the
+    source deems impossible, at the earliest stage that has one (empty
+    when there is none), as label tuples."""
     base = source.base
     for i in range(1, base.n + 1):
-        states = base.states[base.action(i)]
-        bad = [
-            (h, j)
+        holes = [
+            h + (s,)
             for h in _histories(base, base.after_l(i))
             if _live(source, strategy, h)
-            for j, s in enumerate(states)
+            for s in base.states[base.action(i)]
             if _action_prob(base, strategy, h + (s,), i) > 0.0 and not possible(source, h + (s,))
         ]
-        if bad:
-            h, j = min(bad)
-            return h + (states[j],)
-    return None
+        if holes:
+            return holes
+    return []
+
+
+def reference_witness(source, strategy):
+    """The hole with the least state indices, or None."""
+    holes = positivity_holes(source, strategy)
+    return min(holes, key=lambda h: codes(source.base, h)) if holes else None
 
 
 def reference_arrays(source, strategy, k) -> dict[int, np.ndarray]:

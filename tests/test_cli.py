@@ -116,6 +116,42 @@ class TestChecks:
         assert code == 1 and kv(out)["y_bridge"] == "false"
 
 
+L_STATES_DESCENDING = """\
+var L kind=obs states=1,0
+var A kind=act states=0,1
+var Y kind=resp states=0,1
+order L A Y
+edge sigma A
+edge L A
+edge L Y
+edge A Y
+cpt L | -
+row - : 0.5 0.5
+cpt A | L
+row 1 : 1 0
+row 0 : 1 0
+cpt Y | L,A
+row 1,0 : 0.5 0.5
+row 1,1 : 0.5 0.5
+row 0,0 : 0.5 0.5
+row 0,1 : 0.5 0.5
+strategy one
+assign A | -
+row - : 1
+"""
+
+
+def test_grec_names_the_first_hole_in_declared_state_order(tmp_path):
+    # A is never 1 observationally and the strategy always picks 1, so both
+    # (L, 1) histories are holes; L declares 1 before 0, so ('1', '1') is
+    # the first in row-major order, though ('0', '1') has the least labels.
+    path = tmp_path / "l_descending.id"
+    path.write_text(L_STATES_DESCENDING)
+    code, out, err = run("grec", "--model", str(path), "--strategy", "one")
+    assert (code, out) == (2, "")
+    assert err == "error: undefined observational conditional at history ('1', '1')\n"
+
+
 class TestAdmissibleCommand:
     def test_f3_search(self):
         code, out, _ = run("admissible", "--model", model("f3.id"))
@@ -248,6 +284,14 @@ class TestErrorsAndDeterminism:
             # More rows than memory holds: a usage error, and no file written.
             ("simulate", "--model", "{f1}", "--regime", "obs", "--n", "1000000000000000",
              "--seed", "1", "--out", "{out}"),
+            # Shapes numpy refuses with ValueError rather than MemoryError.
+            ("simulate", "--model", "{f1}", "--regime", "obs", "--n", "4611686018427387904",
+             "--seed", "1", "--out", "{out}"),
+            ("simulate", "--model", "{f1}", "--regime", "obs", "--n", "99999999999999999999",
+             "--seed", "1", "--out", "{out}"),
+            # An alpha whose smoothed row totals overflow to inf.
+            ("estimate", "--model", "{f1}", "--data", "{rows}", "--alpha", "1e308", "--strategy", "dyn"),
+            ("estimate", "--model", "{f1}", "--data", "{rows}", "--alpha", "1e308"),
         ],
     )
     def test_bad_values_exit_2_with_one_error_line(self, tmp_path, argv):
@@ -289,6 +333,35 @@ class TestErrorsAndDeterminism:
             f"error: line {line}: strategy name 'obs' is reserved for the observational regime\n"
         )
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *(
+                ((cmd, "--model", "{f1}", *extra, "--target", "1", "--k", "0=0,1=1"),
+                 "argument --k: not allowed with argument --target")
+                for cmd, extra in [
+                    ("evaluate", ()),
+                    ("grec", ("--strategy", "dyn")),
+                    ("optimize", ()),
+                    ("estimate", ("--data", "{rows}", "--strategy", "dyn")),
+                ]
+            ),
+            (("stability", "--model", "{f1}", "--strategy", "nope"), "--strategy needs --numeric"),
+            (("estimate", "--model", "{f1}", "--data", "{rows}", "--k", "0=0,1=1"),
+             "--k and --target need --strategy"),
+            (("estimate", "--model", "{f1}", "--data", "{rows}", "--target", "zzz"),
+             "--k and --target need --strategy"),
+        ],
+    )
+    def test_a_flag_that_would_be_dropped_exits_2(self, tmp_path, argv, message):
+        # Each of these once printed a result and ignored one flag.
+        rows = tmp_path / "rows.txt"
+        run("simulate", "--model", model("f1.id"), "--regime", "obs", "--n", "50",
+            "--seed", "1", "--out", str(rows))
+        code, out, err = run(*(a.format(f1=model("f1.id"), rows=rows) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"error: {message}")
 
     def test_usage_error(self):
         assert run("grec", "--model", model("f1.id"))[0] == 2

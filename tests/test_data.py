@@ -235,6 +235,14 @@ class TestSample:
         with pytest.raises(CapacityError, match="n = 1000000000000000 rows"):
             sample(d, "obs", 10**15, seed=1)
 
+    @pytest.mark.parametrize("n", [2**62, 10**20])
+    def test_rows_beyond_any_array_shape_are_a_capacity_error(self, n):
+        # numpy refuses these shapes with ValueError, not MemoryError: 2^62
+        # rows of five bytes overflow the byte count, 10^20 overflows an index.
+        d, _ = f1()
+        with pytest.raises(CapacityError, match=f"n = {n} rows"):
+            sample(d, "obs", n, seed=1)
+
     @pytest.mark.parametrize("n, seed", [(10, 1.5), (10.0, 1), ("3", 1), (10, "3")])
     def test_non_integer_n_or_seed_rejected(self, n, seed):
         # A float seed was truncated (1.5 gave seed 1's rows and recorded
@@ -849,6 +857,17 @@ class TestEstimation:
         ds = sample(d, "obs", 10, seed=0)
         with pytest.raises(InputError):
             estimate_conditionals(ds, d.base, alpha=-1.0)
+
+    def test_alpha_that_overflows_a_row_total_rejected(self):
+        # At alpha = 1e308 a smoothed row total, count + alpha * width,
+        # overflowed to inf and every smoothed row read 0.  At 1e300 every
+        # row is uniform to the last bit, so the consequence is 0.5.
+        d, strats = f1()
+        ds = sample(d, "obs", 10, seed=0)
+        with pytest.raises(InputError, match="alpha"):
+            estimate_conditionals(ds, d.base, alpha=1e308)
+        source = estimate_conditionals(ds, d.base, alpha=1e300)
+        assert g_recursion(source, strats["dyn"], K01) == 0.5
 
 
 class TestConsistency:

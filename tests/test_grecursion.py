@@ -21,13 +21,14 @@ from helpers import (
     prob,
     random_extended_id,
     random_strategy,
+    reversed_states,
     rng,
     support_labels,
     wide_binary_document,
     zero_action_rows,
     zero_covariate_rows,
 )
-from recursion_reference import reference_arrays
+from recursion_reference import codes, positivity_holes, reference_arrays, reference_witness
 from regimes import model
 from regimes.data import estimate_conditionals, sample
 from regimes.errors import InputError, PolicyError, PositivityError
@@ -61,6 +62,11 @@ def reference_values(table):
     for m, mask in table.live.items():
         values.update(zip(table.base.histories(mask), table.arrays[m][mask].tolist()))
     return values
+
+
+def row_major(base, failures):
+    """``(stage, history)`` pairs sorted by stage, then state indices."""
+    return sorted(failures, key=lambda f: (f[0], codes(base, f[1])))
 
 
 def ordinal_k(base):
@@ -143,14 +149,18 @@ def assert_same_recursion(source, strategy, k):
     return None
 
 
-def zeroed_rows_cases():
+def zeroed_rows_cases(reverse: bool = False):
     """(name, source, strategy): random diagrams with point-mass rows, the
-    observational actions' or the covariates', and random strategies."""
+    observational actions' or the covariates', and random strategies; with
+    ``reverse``, each with its states declared in reverse (``reversed_states``)."""
     cases = []
     for zero in (zero_action_rows, zero_covariate_rows):
         for seed in range(12):
             d = zero(random_extended_id(seed, hidden_to_action=bool(seed % 2)), seed)
-            cases.append((f"{zero.__name__}{seed}", ExactSource(d), random_strategy(d, seed)))
+            s = random_strategy(d, seed)
+            if reverse:
+                d, s = reversed_states(d, s)
+            cases.append((f"{'reversed_' * reverse}{zero.__name__}{seed}", ExactSource(d), s))
     return cases
 
 
@@ -163,10 +173,23 @@ class TestScalarReference:
         _, source, strategy = case
         assert assert_same_recursion(source, strategy, ordinal_k(source.base)) is None
 
-    @pytest.mark.parametrize("case", zeroed_rows_cases(), ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "case", zeroed_rows_cases() + zeroed_rows_cases(reverse=True), ids=lambda c: c[0]
+    )
     def test_positivity_witness_is_the_brute_force_one(self, case):
         _, source, strategy = case
         assert_same_recursion(source, strategy, K01)
+
+    def test_reversed_states_move_some_witness_off_the_least_labels(self):
+        # Row-major order of declared states is label order on the plain
+        # cases; on the reversed ones it must pick another hole at least
+        # once, or the comparison above could not tell the two rules apart.
+        moved = []
+        for name, source, strategy in zeroed_rows_cases(reverse=True):
+            holes = positivity_holes(source, strategy)
+            if holes and reference_witness(source, strategy) != min(holes):
+                moved.append(name)
+        assert moved
 
     def test_zeroed_rows_reach_witnesses_values_and_impossible_histories(self):
         raised, impossible = set(), set()
@@ -260,7 +283,8 @@ class TestGRecursion:
         }
         cpts = {n: cpt_for(gen, n, dag_parents[n], states) for n in names}
         d = InfluenceDiagram(vs, edges, cpts)
-        assert d.base.lblocks == (("W", "X"), ("L2",), ("Y",))
+        blocks = [d.base.vars[lo:hi] for _, lo, hi, _ in d.base.stages]
+        assert blocks == [("W", "X"), ("L2",), ("Y",)]
         src = ExactSource(d)
         s = random_strategy(d, 5)
         assert abs(g_recursion(src, s, K01) - consequence_direct(d, s, K01)) < 1e-9
@@ -285,6 +309,26 @@ class TestPositivityFailure:
 
 
 class TestOnePositivityWitness:
+    def test_witness_labels_one_cell(self):
+        # complete_stable(9) with A9 never 1 observationally: every live
+        # history with A9 = 1 is a hole, 2^17 of them, and only the first
+        # in row-major order is labelled.  Labelling them all to take a
+        # label min peaked at about 60 MiB here.
+        d, strats = complete_stable(9)
+        cpts = dict(d.cpts)
+        cpts["A9"] = Cpt("A9", d.cpts["A9"].parents, {c: (1.0, 0.0) for c in d.cpts["A9"].table})
+        d = InfluenceDiagram(d.variables, d.dag.edges, cpts, d.obs_parents, d.int_parents)
+        source, policies = ExactSource(d), _policy_arrays(d.base, strats["mix"])
+        source.support()  # the marginals, built on first read
+        tracemalloc.start()
+        try:
+            witness = live_frontier(source, policies)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness == ("0",) * 17 + ("1",)
+        assert peak <= 16 * 2**20, peak / 2**20
+
     def test_recursion_raises_the_cond6_witness(self):
         # f1 with A1 never 1 after L1=1 and A2 never 1 after (L1, A1, L2) = (0, 1, 0):
         # the static strategy reaches both holes, the stage-1 one comes first.
@@ -642,7 +686,19 @@ class TestVerifyGeneral:
         ]
         assert outputs[0] == outputs[1]
         witnesses = ast.literal_eval(outputs[0])
-        assert len(witnesses) == 3 and list(witnesses) == sorted(witnesses)
+        base = random_extended_id(0, n_actions=3, hidden_to_action=True).base
+        assert len(witnesses) == 3 and list(witnesses) == row_major(base, witnesses)
+
+    def test_y_bridge_failures_come_in_row_major_order(self):
+        # The model of the test above with its states declared in reverse:
+        # the same failures are judged, and the first three in row-major
+        # order of the declared states are not the least by labels.
+        d = random_extended_id(0, n_actions=3, hidden_to_action=True)
+        failures = verify_general_conditions(d, random_strategy(d, 0)).y_bridge_failures
+        d, s = reversed_states(d, random_strategy(d, 0))
+        moved = verify_general_conditions(d, s).y_bridge_failures
+        assert len(moved) == 3 and list(moved) == row_major(d.base, moved)
+        assert list(moved) != sorted(moved) and moved != failures
 
     def test_y_marginal_identified_but_not_full_joint(self):
         # the mixed route identifies the response marginal; intermediate
