@@ -538,9 +538,12 @@ def _response_rows(diagram: InfluenceDiagram, factors) -> np.ndarray:
 
 
 def _consequences(diagram: InfluenceDiagram, factors, weights: np.ndarray) -> list[float]:
-    """Expected response ``weights`` under each strategy of a batch: each row's own 1-D
-    dot (a batched matmul rounds differently), so batch size never changes a value."""
-    return [float(row @ weights) for row in _response_rows(diagram, factors)]
+    """Expected response ``weights`` under each strategy of a batch.  Each row is a
+    (1, w) @ (w,) product of one stacked matmul, which numpy computes with the 1-D dot
+    that ``row @ weights`` uses, so batch size never changes a value (a 2-D
+    ``rows @ weights`` or ``einsum`` rounds differently)."""
+    rows = _response_rows(diagram, factors)
+    return np.matmul(rows[:, None, :], weights)[:, 0].tolist()
 
 
 def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:

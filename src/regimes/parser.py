@@ -30,9 +30,12 @@ When a document has several errors, the first in document order is the
 one reported.
 
 A run of row lines is read by one loop: each row's key is looked up in
-its block's dict of row-key text, its values become floats as read, and
-the model's distribution check, ``row_problems``, runs on the run's
-values at once, before any later error is reported.
+its block's dict of row-key text and its values become floats as read.
+The run's rows wait, with their line numbers, in one buffer per row width
+for the whole document; the model's distribution check, ``row_problems``,
+runs once per width on that buffer before it would hold more than
+``RUN_ROWS`` rows, at the end of the text, and before any other error is
+reported; the earliest bad line across widths is the one reported.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .model import (
 
 _ROW_WORDS = ("row", "prow")
 LINE_BLOCK = 2**16  # characters split into lines at a time
-RUN_ROWS = 4096  # rows of a run checked and written at a time; bounds the floats held
+RUN_ROWS = 4096  # rows read or held unchecked at most; bounds the floats held
 
 
 @dataclass
@@ -107,27 +110,30 @@ def _row_keys(states: tuple[tuple[str, ...], ...]) -> dict[str, int]:
 class _Block:
     """An open ``cpt`` block (``strategy`` is None) or ``assign`` block:
     ``keys`` maps row-key text to the row-major index of its parent
-    configuration, ``seen`` marks the configurations given so far, and
+    configuration, ``seen`` marks the configurations given so far,
+    ``array`` (None until the first rows are stored) holds the table, and
     ``onehot`` (assign blocks only) maps an action state to its
     deterministic row."""
 
-    def __init__(self, name: str, parents: tuple[str, ...], variables, lineno: int, strategy):
+    def __init__(self, name: str, parents: tuple[str, ...], states, child, lineno: int, strategy):
         self.name, self.parents, self.lineno, self.strategy = name, parents, lineno, strategy
         self.what = f"assign for {name} in strategy {strategy}" if strategy else f"cpt for {name}"
-        self.states = tuple(variables[p].states for p in parents)
-        child = variables[name].states
+        self.states = states
         self.width = len(child)
-        shape = tuple(map(len, self.states))
-        # A table never has more cells than the joint, whose cap applies here.
-        if math.prod(shape) * self.width > MAX_JOINT_CELLS:
-            raise ParseError(f"table for {name} exceeds {MAX_JOINT_CELLS} cells", line=lineno)
-        self.array = np.zeros(shape + (self.width,))
-        self.rows = self.array.reshape(-1, self.width)
-        self.seen = bytearray(len(self.rows))
-        self.keys = _row_keys(self.states)
+        self.shape = tuple(map(len, states)) + (self.width,)
+        self.array = None
+        self.keys = _row_keys(states)
+        self.seen = bytearray(len(self.keys))
         self.onehot = None if strategy is None else {
             s: tuple(float(j == k) for k in range(self.width)) for j, s in enumerate(child)
         }
+
+    def rows(self) -> np.ndarray:
+        """The table as one row per parent configuration, zero-filled on
+        first use."""
+        if self.array is None:
+            self.array = np.zeros(self.shape)
+        return self.array.reshape(-1, self.width)
 
 
 class _Parser:
@@ -144,8 +150,13 @@ class _Parser:
         self.strategy_lines: dict[str, int] = {}
         self._strategy: str | None = None
         self._block: _Block | None = None
+        # Stored rows not yet checked: width -> (row arrays, line numbers).
+        self._unchecked: dict[int, tuple[list[np.ndarray], list[int]]] = {}
+        self._held = 0
 
     def fail(self, line: int, message: str):
+        """Raise ``message`` at ``line``, unless a stored row before it is bad."""
+        self._check_rows()
         raise ParseError(message, line=line)
 
     def parse(self) -> ModelDocument:
@@ -161,6 +172,7 @@ class _Parser:
                 self.fail(lineno, f"unknown directive {tokens[0]!r}")
             handler(tokens, lineno)
         self._close()
+        self._check_rows()
         return self._build()
 
     def _known(self, names, lineno):
@@ -271,9 +283,14 @@ class _Parser:
         self._open(tokens, lineno, self._strategy)
 
     def _open(self, tokens, lineno, strategy):
-        parents = _split_list(tokens[3])
+        name, parents = tokens[1], _split_list(tokens[3])
         self._known(parents, lineno)
-        self._block = _Block(tokens[1], parents, self.variables, lineno, strategy)
+        states = tuple(self.variables[p].states for p in parents)
+        child = self.variables[name].states
+        # A table never has more cells than the joint, whose cap applies here.
+        if math.prod(map(len, states)) * len(child) > MAX_JOINT_CELLS:
+            self.fail(lineno, f"table for {name} exceeds {MAX_JOINT_CELLS} cells")
+        self._block = _Block(name, parents, states, child, lineno, strategy)
 
     def _read_rows(self, lineno, tokens, lines):
         """Read the run of ``row``/``prow`` lines that starts with ``tokens``
@@ -283,8 +300,8 @@ class _Parser:
 
         A row whose key the block's dict misses or has seen, or whose
         values are not floats of the block's width, stops the run; its
-        error is worded by ``_row_error`` only after the rows before it
-        pass their distribution check in ``_store``."""
+        error is worded by ``_row_error``, which reports it only after the
+        rows before it pass their distribution check in ``_check_rows``."""
         block = self._block
         if block is None:
             self._row_error(tokens, lineno)
@@ -327,20 +344,39 @@ class _Parser:
         return lineno, tokens
 
     def _store(self, block, at, rows, values):
-        """Check the run's rows with ``row_problems``, all at once, and
-        write them into the block; report the first that fails."""
+        """Write the run's rows into the block and hold them, with their
+        line numbers, for ``_check_rows``.  A first run that gives every
+        row in row-major order becomes the block's array as it is."""
         if not rows:
             return
         probs = np.array(values).reshape(len(rows), block.width)
-        found = row_problems(probs)
-        if found:
-            self.fail(at[found[0]], f"row {found[1]}")
-        block.rows[rows] = probs
+        if block.array is None and len(rows) == len(block.seen) and rows == list(range(len(rows))):
+            block.array = probs.reshape(block.shape)
+        else:
+            block.rows()[rows] = probs
+        if self._held + len(rows) > RUN_ROWS:
+            self._check_rows()
+        arrays, lines = self._unchecked.setdefault(block.width, ([], []))
+        arrays.append(probs)
+        lines += at
+        self._held += len(rows)
+
+    def _check_rows(self):
+        """Check the held rows with ``row_problems``, once per width, and
+        report the earliest line that fails."""
+        unchecked, self._unchecked, self._held = self._unchecked, {}, 0
+        first = None
+        for arrays, lines in unchecked.values():
+            found = row_problems(np.concatenate(arrays) if len(arrays) > 1 else arrays[0])
+            if found and (first is None or lines[found[0]] < first[0]):
+                first = lines[found[0]], f"row {found[1]}"
+        if first:
+            raise ParseError(first[1], line=first[0])
 
     def _row_error(self, tokens, lineno):
         """Report why a row line cannot be read: no open block, or a key, a
         value or a width the run reader refused.  A row of the block's
-        width whose values parse was read, and ``_store`` checked it."""
+        width whose values parse was read, and ``_check_rows`` checks it."""
         block = self._block
         if tokens[0] == "prow" and (block is None or block.strategy is None):
             self.fail(lineno, "prow outside an assign block")

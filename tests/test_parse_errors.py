@@ -58,13 +58,16 @@ def edit(old: str, new: str) -> str:
     return BASE.replace(old, new, 1)
 
 
+# Y's table over three parents of 200 states each is over the cell cap.
+TOO_LARGE = edit(
+    "var L kind=obs states=a,b,c\n",
+    "".join(f"var M{i} kind=obs states={BIG}\n" for i in range(3))
+    + "var L kind=obs states=a,b,c\n",
+).replace("order L", "order M0 M1 M2 L").replace("cpt Y | L,A", "cpt Y | M0,M1,M2")
+
 CASES = {
     # table headers and blocks
-    "table_too_large": edit(
-        "var L kind=obs states=a,b,c\n",
-        "".join(f"var M{i} kind=obs states={BIG}\n" for i in range(3))
-        + "var L kind=obs states=a,b,c\n",
-    ).replace("order L", "order M0 M1 M2 L").replace("cpt Y | L,A", "cpt Y | M0,M1,M2"),
+    "table_too_large": TOO_LARGE,
     "unknown_directive": BASE + "flub x\n",
     # var
     "var_token_count": edit("var A kind=act states=0,1", "var A kind=act"),
@@ -124,6 +127,19 @@ CASES = {
     ),
     "run_bad_row_then_bad_directive": edit("row c,1 : 0.5 0.5\n", "row c,1 : 0.5 0.7\nflub x\n"),
     "run_bad_row_at_end": edit("row c : 1\n", "prow c : 0.5 0.6\n"),
+    # rows of every block wait for one check: a bad row still comes before
+    # a later block's error, and the earliest bad row is reported whatever
+    # the widths (here L's width 3 is held first, A's bad row is width 2)
+    "run_bad_row_then_table_too_large": TOO_LARGE.replace(
+        "row - : 0.2 0.3 0.5", "row - : 0.2 0.3 0.6"
+    ),
+    "run_bad_row_then_missing_rows": edit("row - : 0.2 0.3 0.5", "row - : 0.2 0.3 0.6").replace(
+        "row c,1 : 0.5 0.5\n", ""
+    ),
+    "run_bad_rows_of_two_widths": edit("var A ", "var M kind=obs states=x,y,z\nvar A ")
+    .replace("order L A Y", "order L A Y M")
+    .replace("row b : 0.5 0.5", "row b : 0.5 0.6")
+    + "cpt M | -\nrow - : 0.2 0.3 0.6\n",
     "row_nan_entry": edit("row a : 0.5 0.5", "row a : nan 0.5"),
     "row_underscore_digits": edit("row a : 0.5 0.5", "row a : 1_0 0"),
     "row_dash_state_key_one_parent": edit("states=a,b,c", "states=a,-,c")

@@ -84,20 +84,20 @@ class PerRowParser(_Parser):
             self.fail(lineno, "row outside a cpt or assign block")
         i = self._key_index(tokens, lineno)
         if block.strategy is None:
-            block.rows[i] = self._probs(tokens[3:], lineno, block.width)
+            block.rows()[i] = self._probs(tokens[3:], lineno, block.width)
             return
         if len(tokens) != 4:
             self.fail(lineno, "deterministic row takes a single action state")
         states = self.variables[block.name].states
         if tokens[3] not in states:
             self.fail(lineno, f"{tokens[3]!r} is not a state of {block.name}")
-        block.rows[i, states.index(tokens[3])] = 1.0
+        block.rows()[i, states.index(tokens[3])] = 1.0
 
     def _on_prow(self, tokens, lineno):
         block = self._block
         if block is None or block.strategy is None:
             self.fail(lineno, "prow outside an assign block")
-        block.rows[self._key_index(tokens, lineno)] = self._probs(tokens[3:], lineno, block.width)
+        block.rows()[self._key_index(tokens, lineno)] = self._probs(tokens[3:], lineno, block.width)
 
 
 def outcome(parser_class, text):
@@ -184,15 +184,36 @@ def test_corpus_errors_match_the_per_row_reader(case):
     assert outcome(_Parser, CASES[case]) == outcome(PerRowParser, CASES[case])
 
 
-def corrupt(text: str, seed: int) -> str:
+def spread_rows(lines, rows, gen) -> list[int]:
+    """Two or three rows of probabilities of ``lines``, of two widths at least."""
+    by_width = {}
+    for i in rows:
+        width = len(lines[i].split()) - 3
+        if width > 1:
+            by_width.setdefault(width, []).append(i)
+    widths = gen.choice(sorted(by_width), size=2, replace=False)
+    picks = [int(gen.choice(by_width[w])) for w in widths]
+    rest = [i for w in widths for i in by_width[w] if i not in picks]
+    if rest and gen.random() < 0.5:
+        picks.append(int(gen.choice(rest)))
+    return picks
+
+
+def corrupt(text: str, seed: int, spread: bool = False) -> str:
     """``text`` with one to three row lines broken, each in one of the ways
-    a row can be wrong."""
+    a row can be wrong.  With ``spread``, two or three rows over blocks of
+    two widths are broken, each into values that read but are no
+    distribution, so only the rows' check finds them."""
     gen = rng(seed)
     lines = text.splitlines()
     rows = [i for i, line in enumerate(lines) if line.startswith(("row ", "prow "))]
-    for i in gen.choice(rows, size=min(len(rows), 1 + int(gen.integers(3))), replace=False):
+    if spread:
+        picks = spread_rows(lines, rows, gen)
+    else:
+        picks = gen.choice(rows, size=min(len(rows), 1 + int(gen.integers(3))), replace=False)
+    for i in picks:
         word, key, colon, *values = lines[i].split()
-        kind = int(gen.integers(11))
+        kind = int(gen.choice((5, 6, 9))) if spread else int(gen.integers(11))
         if kind == 0:
             key = key + ",x"  # too many parent states
         elif kind == 1:
@@ -237,6 +258,16 @@ def test_first_error_matches_the_per_row_reader(name, doc):
     assert "error" in results
 
 
+def test_first_bad_row_across_widths_matches_the_per_row_reader():
+    # ternary.id has tables of widths 2 and 3, interleaved.
+    text = TERNARY.read_text()
+    for seed in range(80):
+        broken = scramble(corrupt(text, seed, spread=True), seed)
+        got, want = outcome(_Parser, broken), outcome(PerRowParser, broken)
+        assert want[0] == "error"
+        assert got == want, broken
+
+
 def test_underscores_read_as_python_floats():
     text = (
         "var Y kind=resp states=0,1\norder Y\ncpt Y | -\nrow - : 0.2_5 0.7_5\n"
@@ -268,10 +299,10 @@ def test_lines_match_splitlines_on_a_model():
 
 
 def test_parse_memory_is_bounded_by_the_text():
-    # The parser holds a block's row keys and a bounded run of floats, not
-    # the text's lines or a block's tokens: its traced peak stays within a
-    # small multiple of the text (about 2.5 here; holding every token of
-    # the largest block would add about 2.5 more).
+    # The parser holds a block's row keys and a bounded run and buffer of
+    # floats, not the text's lines or a block's tokens: its traced peak
+    # stays within a small multiple of the text (about 2.75 here; holding
+    # every token of the largest block would add about 2.5 more).
     text = format_model(ModelDocument(*complete_stable(6)))
     tracemalloc.start()
     try:
