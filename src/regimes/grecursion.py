@@ -143,19 +143,7 @@ def live_frontier(source, policies: list[np.ndarray] | None = None):
 def _average(weights: np.ndarray, values: np.ndarray):
     """Sum over the last axis of ``weights * values``, one state at a time
     in declared order from 0.0, so every history adds its terms in the
-    same order as a scalar loop would.
-
-    Arrays of one shape are multiplied in one call.  Weights that broadcast
-    (a policy over fewer axes) are multiplied one state at a time, where
-    numpy reads them in one stride-0 loop: a whole broadcast product would
-    loop over the short state axis once per history, several times slower
-    on a large stage."""
-    if weights.shape == values.shape:
-        products = weights * values
-        total = 0.0 + products[..., 0]
-        for j in range(1, products.shape[-1]):
-            total += products[..., j]
-        return total
+    same order as a scalar loop would."""
     total = 0.0 + weights[..., 0] * values[..., 0]
     for j in range(1, weights.shape[-1]):
         total += weights[..., j] * values[..., j]

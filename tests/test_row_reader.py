@@ -258,14 +258,32 @@ def test_first_error_matches_the_per_row_reader(name, doc):
     assert "error" in results
 
 
-def test_first_bad_row_across_widths_matches_the_per_row_reader():
+def assert_bad_rows_across_widths_match(seeds):
     # ternary.id has tables of widths 2 and 3, interleaved.
     text = TERNARY.read_text()
-    for seed in range(80):
+    for seed in seeds:
         broken = scramble(corrupt(text, seed, spread=True), seed)
         got, want = outcome(_Parser, broken), outcome(PerRowParser, broken)
         assert want[0] == "error"
         assert got == want, broken
+
+
+def test_first_bad_row_across_widths_matches_the_per_row_reader():
+    assert_bad_rows_across_widths_match(range(80))
+
+
+@pytest.mark.parametrize("run_rows", [1, 2, 3, 7])
+def test_errors_match_the_per_row_reader_when_held_rows_fill(run_rows, monkeypatch):
+    # With a few rows held at a time, the held rows are checked whenever a
+    # run would overfill them, mid-document and across blocks of both
+    # widths, not only before another error or at the end of the text.
+    monkeypatch.setattr("regimes.parser.RUN_ROWS", run_rows)
+    for text in CASES.values():
+        assert outcome(_Parser, text) == outcome(PerRowParser, text)
+    assert_bad_rows_across_widths_match(range(40))
+    for name, doc in DOCUMENTS[5:8]:
+        text = scramble(format_model(doc), run_rows)
+        assert_bitwise_equal(parse_model(text), PerRowParser(text).parse())
 
 
 def test_underscores_read_as_python_floats():
