@@ -37,6 +37,8 @@ from .model import (
     _conditional,
     _observed,
     _response_rows,
+    _row_sums,
+    _row_test,
     factor_array,
     joint_distribution,
     response_weights,
@@ -290,7 +292,7 @@ def verify_general_conditions(
         """P's support after m positions, and its response given each history
         there; ``einsum`` sums the axes between several times faster than ``sum``."""
         rows = np.einsum(p, range(full), [*range(m), full - 1])
-        return rows.sum(axis=-1) > 0.0, _conditional(rows)
+        return _row_sums(rows) > 0.0, _conditional(rows)
 
     # Each P_{i-1} is dropped before P_i is built, so two tables are held at
     # a time, obs and one other, each summed only at the boundaries read.
@@ -301,7 +303,7 @@ def verify_general_conditions(
         del p
         p = mixed(i)
         on_right, right = response(p, m)
-        bad = gamma[m] & on_left & on_right & np.any(np.abs(left - right) > TOL, axis=-1)
+        bad = gamma[m] & on_left & on_right & _row_test(np.abs(left - right) > TOL)
         y_failures += [(i, h) for h in base.histories(bad, 3 - len(y_failures))]
         del on_left, left, on_right, right, bad  # before the next P_i or the oracle
 

@@ -34,6 +34,7 @@ SIGMA = "sigma"
 KINDS = ("obs", "hid", "act", "resp")
 ROW_SUM_TOL = 1e-9
 MAX_JOINT_CELLS = 1 << 22
+SHORT_ROW = 8  # numpy sums a row of fewer cells left to right, a longer one pairwise
 
 _RESERVED_CHARS = set(",:|#=;")
 
@@ -67,13 +68,42 @@ class Variable:
             raise ModelError(f"duplicate state label on variable {self.name}")
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """The sum of each row (the last axis), bitwise ``rows.sum(axis=-1)``.
+    On a row of fewer than ``SHORT_ROW`` cells numpy adds left to right from
+    0.0, but runs one inner loop per row; adding whole columns in that order
+    gives the same bits many times faster (``0.0 +`` makes a row of negative
+    zeros sum to 0.0, as ``sum`` does).  Longer rows go to ``sum``, which
+    adds them pairwise."""
+    if rows.shape[-1] >= SHORT_ROW:
+        return rows.sum(axis=-1)
+    total = 0.0 + rows[..., 0]
+    for j in range(1, rows.shape[-1]):
+        total += rows[..., j]
+    return total
+
+
+def _row_test(mask: np.ndarray, every: bool = False) -> np.ndarray:
+    """Whether any entry (every entry, with ``every``) of each row of a
+    boolean array is true: ``np.any`` (``np.all``) over the last axis,
+    column by column below ``SHORT_ROW`` cells as ``_row_sums`` adds."""
+    if mask.shape[-1] >= SHORT_ROW:
+        return mask.all(axis=-1) if every else mask.any(axis=-1)
+    combine = np.logical_and if every else np.logical_or
+    out = mask[..., 0].copy()
+    for j in range(1, mask.shape[-1]):
+        combine(out, mask[..., j], out=out)
+    return out
+
+
 def row_problems(probs: np.ndarray) -> tuple[int, str] | None:
     """The first row of a 2-D float array that is not a distribution, as
     ``(index, reason)``, or None.  The comparisons are written so that NaN
-    fails them.  Each row is summed left to right from its first entry, so
-    any batch of rows gets the same verdicts; ``0.0 +`` makes a row of
-    negative zeros sum to 0.0, as ``sum`` does."""
-    inside = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+    fails them.  Each row is summed left to right from its first entry at
+    any width (not pairwise, as ``_row_sums`` does from 8 cells), so any
+    batch of rows gets the same verdicts; ``0.0 +`` makes a row of negative
+    zeros sum to 0.0, as ``sum`` does."""
+    inside = _row_test((probs >= 0.0) & (probs <= 1.0), every=True)
     total = 0.0 + probs[:, 0]
     for c in range(1, probs.shape[1]):
         total += probs[:, c]
@@ -532,16 +562,23 @@ def response_weights(base: InfoBase, k: Mapping[str, float]) -> np.ndarray:
 
 def _response_rows(diagram: InfluenceDiagram, factors) -> np.ndarray:
     """The response's distribution under each strategy of a batch, from action
-    factors on ``diagram.order`` behind a strategy axis: each joint summed as if alone."""
+    factors on ``diagram.order`` behind a strategy axis: each joint summed as if
+    alone.  ``einsum`` adds the cells of each (strategy, response) pair in
+    row-major order of the axes between, as ``sum`` over those axes does, but
+    without running one inner loop per response row.  A response of one state
+    is the exception: its cells are contiguous, and there ``sum`` adds them
+    pairwise and ``einsum`` in its own unrolled order, so that mass may differ
+    from ``sum``'s in the last bit."""
     probs = _joint(diagram, factors)
-    return probs.sum(axis=tuple(range(1, probs.ndim - 1)))
+    return np.einsum(probs, range(probs.ndim), [0, probs.ndim - 1])
 
 
 def _consequences(diagram: InfluenceDiagram, factors, weights: np.ndarray) -> list[float]:
     """Expected response ``weights`` under each strategy of a batch.  Each row is a
     (1, w) @ (w,) product of one stacked matmul, which numpy computes with the 1-D dot
-    that ``row @ weights`` uses, so batch size never changes a value (a 2-D
-    ``rows @ weights`` or ``einsum`` rounds differently)."""
+    that ``row @ weights`` uses, so batch size never changes a value: weighting the
+    rows with a 2-D ``rows @ weights`` or an ``einsum`` rounds differently (the
+    response rows themselves come from ``einsum``, see ``_response_rows``)."""
     rows = _response_rows(diagram, factors)
     return np.matmul(rows[:, None, :], weights)[:, 0].tolist()
 
@@ -554,8 +591,9 @@ def consequence_direct(diagram: InfluenceDiagram, regime: Regime, k) -> float:
 
 def _conditional(rows: np.ndarray, alpha: float = 0.0) -> np.ndarray:
     """Each row (the last axis) divided by its sum, after adding ``alpha`` to
-    every entry when it is positive; else the rows of empty events are zero."""
-    total = rows.sum(axis=-1, keepdims=True)
+    every entry when it is positive; else the rows of empty events are zero.
+    The sum is ``_row_sums``, bitwise ``rows.sum(axis=-1)``."""
+    total = _row_sums(rows)[..., None]
     if alpha > 0.0:
         return (rows + alpha) / (total + alpha * rows.shape[-1])
     return np.divide(rows, total, out=np.zeros(rows.shape), where=total > 0.0)
@@ -581,9 +619,14 @@ class PrefixSource:
         self._marginals, self._given, self._support = {table.ndim: table}, {}, None
 
     def marginal(self, m: int) -> np.ndarray:
-        """The table summed over every position from m on; built when first read."""
+        """The table summed over every position from m on; built when first read.
+        Those positions are flattened into one row per prefix and summed by
+        ``_row_sums``: left to right from 0.0 when a row has fewer than
+        ``SHORT_ROW`` cells, else pairwise, bitwise the eager
+        ``table.sum(axis=tuple(range(m, ndim)))``."""
         if m not in self._marginals:
-            self._marginals[m] = self._table.sum(axis=tuple(range(m, self._table.ndim)))
+            table = self._table
+            self._marginals[m] = _row_sums(table.reshape(table.shape[:m] + (-1,)))
         return self._marginals[m]
 
     def given(self, lo: int, hi: int) -> np.ndarray:

@@ -26,12 +26,17 @@ from .model import (
     SIGMA,
     ExactSource,
     InfluenceDiagram,
+    InfoBase,
+    Policy,
     PrefixSource,
     Strategy,
+    Table,
     _action_factors,
     _conditional,
     _joint,
     _observed,
+    _row_sums,
+    _row_test,
     joint_distribution,
 )
 from .grecursion import TOL, _policy_arrays, build_dag_i, live_frontier
@@ -100,6 +105,17 @@ def check_simple_stability_graphical(diagram: InfluenceDiagram) -> StabilityRepo
     return StabilityReport(tuple(stages))
 
 
+def _uniform_strategy(base: InfoBase) -> Strategy:
+    """The strategy named ``uniform`` that takes every action's states with
+    equal probability whatever the observed past: the uniform full-history
+    strategy, whose rows are all equal, so its policies read no parent."""
+    policies = {}
+    for a in base.actions:
+        width = len(base.states[a])
+        policies[a] = Policy((), Table((), np.full(width, 1.0 / width)))
+    return Strategy("uniform", policies)
+
+
 def check_simple_stability_numeric(
     diagram: InfluenceDiagram, strategies: Iterable[Strategy]
 ) -> StabilityReport:
@@ -111,18 +127,23 @@ def check_simple_stability_numeric(
     Two strategies are never compared with each other: their joints
     differ only in action factors, which read observed variables alone
     and so cancel from every conditional of a block given the observed
-    past.  Each strategy's source is dropped before the next is built."""
+    past.  Each strategy's source is dropped before the next is built.
+
+    With no strategy the check covers the whole class of control
+    strategies: it compares with ``_uniform_strategy``, which by that
+    cancellation agrees with every strategy wherever that one is
+    defined, and whose support holds every strategy's support."""
     base = diagram.base
     obs = ExactSource(diagram)
     first = {}  # stage -> (row, witness) of its earliest divergence so far
-    for strategy in strategies:
+    for strategy in list(strategies) or [_uniform_strategy(base)]:
         other = ExactSource(diagram, strategy)
         for i, lo, hi, _ in base.stages:
             if lo == hi:
                 continue
             left, right = obs.given(lo, hi), other.given(lo, hi)
             defined = obs.support()[lo] & other.support()[lo]
-            bad = (defined & np.any(np.abs(left - right) > TOL, axis=-1)).reshape(-1)
+            bad = (defined & _row_test(np.abs(left - right) > TOL)).reshape(-1)
             row = int(np.argmax(bad))
             if bad[row] and (i not in first or row < first[i][0]):
                 event = np.unravel_index(row, defined.shape)
@@ -184,9 +205,9 @@ def check_sequential_irrelevance_numeric(
         )
         # The block given (past, hidden past), compared in each past row
         # with the first defined hidden configuration of that row.
-        cond, defined = _conditional(arr), arr.sum(axis=-1) > 0.0
+        cond, defined = _conditional(arr), _row_sums(arr) > 0.0
         first = np.argmax(defined, axis=1)
-        far = np.any(np.abs(cond - cond[np.arange(len(arr)), first][:, None]) > TOL, axis=-1)
+        far = _row_test(np.abs(cond - cond[np.arange(len(arr)), first][:, None]) > TOL)
         hits = np.argwhere(defined & far)
         if not len(hits):
             stages.append(StageVerdict(i, True))

@@ -81,6 +81,14 @@ class TestChecks:
         assert kv(out)["mode"] == "numeric"
         assert kv(out)["stage_2"] == "false"
 
+    @pytest.mark.parametrize("name", ["f2.id", "f4.id", "f2_wide.id"])
+    def test_numeric_stability_without_strategy_checks_the_uniform_one(self, name):
+        code, out, _ = run("stability", "--model", model(name), "--numeric")
+        assert code == 1
+        assert kv(out)["simple_stability"] == "false"
+        assert kv(out)["witness_2"] == "A1=0:obs!=uniform"
+        assert run("stability", "--model", model("f1.id"), "--numeric")[0] == 0
+
     def test_seqirrel(self):
         code, out, _ = run("seqirrel", "--model", model("f4.id"), "--strategy", "e")
         got = kv(out)

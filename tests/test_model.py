@@ -30,9 +30,12 @@ from regimes.model import (
     Policy,
     PrefixSource,
     Strategy,
+    SHORT_ROW,
     Variable,
     _conditional,
     _observed,
+    _row_sums,
+    _row_test,
     consequence_direct,
     factor_array,
     joint_distribution,
@@ -729,3 +732,61 @@ def test_factor_array_puts_each_entry_on_its_axes(seed):
             for ix in itertools.product(*map(range, array.shape)):
                 at = dict(zip(own, ix))
                 assert got[tuple(at.get(v, 0) for v in axes)] == array[ix]
+
+
+LEADING = {1: (), 2: (40,), 3: (5, 8), 4: (3, 4, 5)}  # the axes before the row, per ndim
+
+
+def special_rows(gen, shape) -> np.ndarray:
+    """Random rows of comparable magnitudes, so that the order of additions
+    moves last bits, with -0.0, NaN, +-inf and subnormals at random cells,
+    and some rows all -0.0 and some all subnormal."""
+    flat = gen.standard_normal((int(np.prod(shape[:-1])), shape[-1]))
+    flat *= 10.0 ** gen.integers(-3, 4, flat.shape)
+    specials = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310])
+    pick = gen.random(flat.shape) < 0.1
+    flat[pick] = gen.choice(specials, int(pick.sum()))
+    kind = gen.random(len(flat))
+    flat[kind < 0.1] = -0.0
+    flat[kind > 0.9] = gen.standard_normal(((kind > 0.9).sum(), shape[-1])) * 1e-310
+    return flat.reshape(shape)
+
+
+def left_to_right(rows: np.ndarray) -> np.ndarray:
+    """Each row summed by a scalar loop from 0.0, in column order."""
+    sums = []
+    for row in rows.reshape(-1, rows.shape[-1]).tolist():
+        total = 0.0
+        for x in row:
+            total += x
+        sums.append(total)
+    return np.array(sums).reshape(rows.shape[:-1])
+
+
+def bitwise(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ndim", sorted(LEADING))
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_sums_are_numpys_sums(width, ndim):
+    # Below SHORT_ROW cells numpy sums a row left to right from 0.0, and
+    # _row_sums adds whole columns in that order; from SHORT_ROW on both
+    # are numpy's pairwise sum.
+    rows = special_rows(rng(100 * ndim + width), LEADING[ndim] + (width,))
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        got, want = _row_sums(rows), rows.sum(axis=-1)
+    assert bitwise(got, want)
+    if width < SHORT_ROW:
+        assert bitwise(got, left_to_right(rows))
+
+
+@pytest.mark.parametrize("ndim", sorted(LEADING))
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_tests_are_any_and_all(width, ndim):
+    gen = rng(100 * ndim + width)
+    for density in (0.05, 0.5, 0.95):
+        mask = gen.random(LEADING[ndim] + (width,)) < density
+        assert bitwise(_row_test(mask), np.any(mask, axis=-1))
+        assert bitwise(_row_test(mask, every=True), np.all(mask, axis=-1))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from regimes.model import (
     factor_array,
     joint_distribution,
 )
+from regimes.optimize import _pure_strategy, _rows, strategy_count
 from regimes.stability import (
     DivergenceWitness,
     PathWitness,
@@ -126,9 +129,53 @@ class TestNumeric:
         rep = check_simple_stability_numeric(d, [strats["e2"]])
         assert not rep.stages[1].passed
 
-    def test_no_strategies_is_vacuous(self):
-        d, _ = f2()
-        assert check_simple_stability_numeric(d, []).overall
+    @pytest.mark.parametrize("make", [f2, f4, lambda: f2(wide=True)], ids=["f2", "f4", "f2_wide"])
+    def test_no_strategies_checks_the_whole_class(self, make):
+        # With no strategy the check compares with the uniform strategy, which
+        # stands for every control strategy, so it fails where graphical
+        # stability does.
+        d, _ = make()
+        report = check_simple_stability_numeric(d, [])
+        assert not report.overall
+        graphical = check_simple_stability_graphical(d)
+        assert [s.passed for s in report.stages] == [s.passed for s in graphical.stages]
+        assert {s.witness.right for s in report.stages if not s.passed} == {"uniform"}
+
+
+def pure_strategies(base):
+    """Every non-randomized full-history strategy of the base."""
+    choices = [
+        itertools.product(range(len(base.states[a])), repeat=_rows(base, i))
+        for i, a in enumerate(base.actions, start=1)
+    ]
+    for picks in itertools.product(*choices):
+        yield _pure_strategy(base, "pure", picks)
+
+
+def stage_events(report):
+    return [(s.stage, s.passed, s.witness and s.witness.event) for s in report.stages]
+
+
+def test_uniform_verdict_is_the_all_pure_verdict():
+    # On small random diagrams the check with no strategy, against the
+    # uniform one, gives each stage the verdict and the witness event of
+    # checking every pure full-history strategy.  The data are fixed before
+    # running: 40 derandomized draws of binary diagrams with one or two
+    # actions, so at most 1,024 strategies each; both verdicts must occur.
+    seen = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 10**6), st.integers(1, 2), st.booleans())
+    def check(seed, n_actions, confounded):
+        d = random_extended_id(seed, n_actions=n_actions, hidden_to_action=confounded)
+        assert strategy_count(d) <= 1024
+        uniform = check_simple_stability_numeric(d, [])
+        every = check_simple_stability_numeric(d, list(pure_strategies(d.base)))
+        assert stage_events(uniform) == stage_events(every)
+        seen.add(uniform.overall)
+
+    check()
+    assert seen == {True, False}
 
 
 PAIR_SEEDS = range(60)
