@@ -10,7 +10,8 @@ joint and on frequency counts; the optimizer reuses it with the action
 average replaced by a max or min.  ``live_frontier`` computes the
 histories the engine visits, as one mask per boundary like a source's
 ``support()``, and the positivity witness that the recursion and the
-numeric checks share.  The module also builds the auxiliary mixed-regime
+numeric checks share, both read off the source's support and the
+policies' zeros.  The module also builds the auxiliary mixed-regime
 diagrams used to justify the recursion when plain stability fails, and
 checks the mixed regimes P_i numerically, reading each as a bare table
 over the base and holding two at a time, the observational P_n and one
@@ -70,7 +71,7 @@ class HistoryValues(Mapping):
             yield from self.base.histories(mask)
 
     def __len__(self) -> int:
-        return sum(int(mask.sum()) for mask in self.live.values())
+        return sum(np.count_nonzero(mask) for mask in self.live.values())
 
 
 @dataclass(eq=False)
@@ -116,29 +117,33 @@ def live_frontier(source, policies: list[np.ndarray] | None = None):
 
     The frontier keeps the histories of ``source.support()`` whose every
     action the strategy allows (``policies`` as built by ``_policy_arrays``;
-    None allows every action), as one mask per stage boundary.  The witness
-    is the first strategy-positive action extension of a live history that
-    lies outside the support: earliest stage first, then the first such
-    cell in row-major order of declared states, the only one labelled.
-    It is None when there is no such extension.
+    None allows every action), one read-only mask per stage boundary: the
+    support is prefix-closed, so that is the support's mask and the positive
+    cells of every policy so far.  The witness is the first cell of the
+    source's ``gaps()`` that the strategy allows, earliest stage first, then
+    in row-major order of declared states; only it is labelled.  It is None
+    when there is none, and for None policies.
     """
     base, support = source.base, source.support()
-    masks, witness, prev = {}, None, None
+    masks, witness, allowed = {}, None, None
     for m in base.boundaries:
-        mask = support[m]
-        if prev is not None:
-            parent = masks[prev][(...,) + (None,) * (m - prev)]
-            if policies is not None and m in base.stage_of:
-                parent = parent & (policies[base.stage_of[m] - 1] > 0.0)
-                live = mask & parent
-                # Strategy-positive extensions that are observationally impossible.
-                if witness is None and np.count_nonzero(live) < np.count_nonzero(parent):
-                    witness = base.histories(parent > mask, 1)[0]
-                mask = live
-            else:
-                mask = mask & parent
-        masks[m] = mask
-        prev = m
+        if allowed is not None:
+            allowed = allowed[(...,) + (None,) * (m - allowed.ndim)]
+        i = base.stage_of.get(m) if policies is not None else None
+        if i is not None:
+            pos = policies[i - 1] > 0.0
+            if not pos.all():  # a policy with no zero prunes nothing
+                allowed = pos if allowed is None else allowed & pos
+            gap = source.gaps()[i - 1]
+            if witness is None and gap is not None:
+                holes = gap if allowed is None else gap & allowed
+                if holes.any():
+                    witness = base.histories(holes, 1)[0]
+        if allowed is None:
+            masks[m] = support[m]
+        else:
+            masks[m] = support[m] & allowed
+            masks[m].flags.writeable = False
     return masks, witness
 
 

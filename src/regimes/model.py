@@ -563,13 +563,14 @@ def response_weights(base: InfoBase, k: Mapping[str, float]) -> np.ndarray:
 def _response_rows(diagram: InfluenceDiagram, factors) -> np.ndarray:
     """The response's distribution under each strategy of a batch, from action
     factors on ``diagram.order`` behind a strategy axis: each joint summed as if
-    alone.  ``einsum`` adds the cells of each (strategy, response) pair in
-    row-major order of the axes between, as ``sum`` over those axes does, but
-    without running one inner loop per response row.  A response of one state
-    is the exception: its cells are contiguous, and there ``sum`` adds them
-    pairwise and ``einsum`` in its own unrolled order, so that mass may differ
-    from ``sum``'s in the last bit."""
+    alone, bitwise ``sum`` over the axes between.  ``einsum`` adds the cells of
+    each (strategy, response) pair in row-major order of those axes, as ``sum``
+    does, but without running one inner loop per response row.  A response of
+    one state goes to ``sum`` itself: its cells are contiguous, and there
+    ``sum`` adds them pairwise and ``einsum`` in its own unrolled order."""
     probs = _joint(diagram, factors)
+    if probs.shape[-1] == 1:
+        return probs.sum(axis=tuple(range(1, probs.ndim - 1)))
     return np.einsum(probs, range(probs.ndim), [0, probs.ndim - 1])
 
 
@@ -607,16 +608,19 @@ class PrefixSource:
     distribution of the positions ``lo..hi-1``; the backward recursion,
     the mixed-regime checks and the CLI's ``estimate`` read these stage
     arrays whole.  With ``alpha > 0`` every row is additively smoothed, so
-    every syntactically valid history counts as possible.
+    every syntactically valid history counts as possible.  The table is
+    non-negative, so a prefix has mass exactly when some extension does.
     """
 
     def __init__(self, base: InfoBase, table: np.ndarray, alpha: float = 0.0):
         if not 0.0 <= alpha < math.inf:
             raise InputError(f"alpha must be finite and non-negative, not {alpha!r}")
+        if not table.min(initial=0.0) >= 0.0:  # NaN fails it too
+            raise InputError("a source table must be non-negative, with no NaN entry")
         if alpha and not math.isfinite(alpha * table.size + table.sum()):
             raise InputError(f"alpha {alpha!r} overflows the smoothed row totals")
         self.base, self.alpha, self._table = base, float(alpha), table
-        self._marginals, self._given, self._support = {table.ndim: table}, {}, None
+        self._marginals, self._given, self._support, self._gaps = {table.ndim: table}, {}, None, None
 
     def marginal(self, m: int) -> np.ndarray:
         """The table summed over every position from m on; built when first read.
@@ -649,6 +653,18 @@ class PrefixSource:
                 for m in self.base.boundaries
             }
         return self._support
+
+    def gaps(self) -> list:
+        """Per action, the possible histories before it extended by each of its
+        impossible states, as a read-only mask after it; None where there is
+        none, as for every all-positive or smoothed table.  Cached."""
+        if self._gaps is None:
+            sup, self._gaps = self.support(), []
+            for _, _, lo, hi in self.base.stages[: self.base.n]:
+                gap = sup[lo][..., None] & ~sup[hi]
+                gap.flags.writeable = False
+                self._gaps.append(gap if gap.any() else None)
+        return self._gaps
 
 
 class ExactSource(PrefixSource):

@@ -14,6 +14,15 @@ the strategy-positive action extensions of live histories that the
 source deems impossible (``positivity_holes``), the least by stage, then
 by state indices in declared order, the action's last: the first in
 row-major order, whatever order the labels sort in.
+
+``reference_frontier`` is the frontier as a chain of boundary masks: each
+mask is the support's at that boundary AND the previous mask broadcast
+over the new positions AND, after an action, its policy's positive
+cells; the witness is the first cell of the first such chain step that
+keeps fewer cells than the previous mask and policy allow.  It assumes
+nothing of the support, so ``grecursion.live_frontier``, which reads the
+frontier off the support and the policies' zeros alone, must match it
+mask for mask and witness for witness.
 """
 
 from __future__ import annotations
@@ -81,6 +90,28 @@ def positivity_holes(source, strategy) -> list[tuple]:
         if holes:
             return holes
     return []
+
+
+def reference_frontier(source, policies=None):
+    """The live frontier and first positivity witness of ``live_frontier``,
+    by the chain of boundary masks."""
+    base, support = source.base, source.support()
+    masks, witness, prev = {}, None, None
+    for m in base.boundaries:
+        mask = support[m]
+        if prev is not None:
+            parent = masks[prev][(...,) + (None,) * (m - prev)]
+            if policies is not None and m in base.stage_of:
+                parent = parent & (policies[base.stage_of[m] - 1] > 0.0)
+                live = mask & parent
+                if witness is None and np.count_nonzero(live) < np.count_nonzero(parent):
+                    witness = base.histories(parent > mask, 1)[0]
+                mask = live
+            else:
+                mask = mask & parent
+        masks[m] = mask
+        prev = m
+    return masks, witness
 
 
 def reference_witness(source, strategy):

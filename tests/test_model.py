@@ -700,6 +700,17 @@ def test_given_rows_are_read_only(make):
     assert src.support()[0]
 
 
+@pytest.mark.parametrize("bad", [-1e-300, np.nan])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_negative_or_nan_table_rejected(bad, alpha):
+    """A support read off such a table need not be prefix-closed."""
+    d, _ = f1()
+    table = ExactSource(d).marginal(len(d.base.vars)).copy()
+    table[(1,) * table.ndim] = bad
+    with pytest.raises(InputError, match="non-negative, with no NaN"):
+        PrefixSource(d.base, table, alpha)
+
+
 def test_smoothed_support_holds_every_history():
     d, _ = f1()
     sup = labels(d.base, SOURCES["smoothed"](d).support())

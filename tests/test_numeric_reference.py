@@ -149,6 +149,31 @@ def test_oracle_matches_the_reference(d, strategies):
     same(_response_rows(d, factors), response_rows(d, factors))
 
 
+def one_state_response(seed: int) -> InfluenceDiagram:
+    """Six random binary covariates, some hidden, then the only action, then
+    a response of one state: each strategy's response row is one contiguous
+    run of 128 cells."""
+    gen = rng(seed)
+    names = [f"V{j}" for j in range(1, 7)] + ["A1", "Y"]
+    kinds = {v: "hid" if u < 0.3 else "obs" for v, u in zip(names[:6], gen.random(6))}
+    kinds.update(A1="act", Y="resp")
+    edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :] if gen.random() < 0.6]
+    edges.append(("sigma", "A1"))
+    states = {v: ("0",) if v == "Y" else B for v in names}
+    dag = Dag(("sigma", *names), edges)
+    cpts = {v: cpt_for(gen, v, [p for p in dag.parents(v) if p != "sigma"], states) for v in names}
+    return InfluenceDiagram([Variable(v, kinds[v], states[v]) for v in names], edges, cpts)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_state_response_rows_match_the_reference(seed):
+    d = one_state_response(seed)
+    strategies = [random_strategy(d, seed), random_strategy(d, 50 + seed, deterministic=True)]
+    for s in ["obs", *strategies]:
+        factors = _action_factors(d, s)
+        same(_response_rows(d, factors), response_rows(d, factors))
+
+
 def estimated_cases():
     for build in (f1, f2, f3, f4, f5):
         yield pytest.param(build()[0], id=build.__name__)
