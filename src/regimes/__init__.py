@@ -28,22 +28,18 @@ from .model import (
     consequence_direct,
     joint_distribution,
 )
-from .grecursion import (
-    RecursionTable,
-    build_dag_i,
-    g_recursion,
-    recursion_table,
-    verify_general_conditions,
-)
+from .grecursion import RecursionTable, g_recursion, recursion_table
 from .stability import (
     PositivityReport,
     StabilityReport,
+    build_dag_i,
     check_graphsep,
     check_positivity,
     check_sequential_irrelevance_numeric,
     check_sequential_randomization,
     check_simple_stability_graphical,
     check_simple_stability_numeric,
+    verify_general_conditions,
 )
 from .admissible import (
     AdmissibleSequence,

@@ -21,9 +21,8 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, InputError, ModelError
 from .graph import ancestral_closure, descendants, separated
-from .grecursion import _action_order, build_dag_i
 from .model import SIGMA, InfluenceDiagram, Strategy
-from .stability import _check_int_strategy
+from .stability import _action_order, _check_int_strategy, build_dag_i
 
 MAX_SEARCH_ACTIONS = 8
 

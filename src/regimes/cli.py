@@ -146,7 +146,7 @@ def cmd_graphsep(doc: ModelDocument, args) -> int:
 
 
 def cmd_verify_general(doc: ModelDocument, args) -> int:
-    report = grec.verify_general_conditions(doc.diagram, doc.strategy(args.strategy))
+    report = stab.verify_general_conditions(doc.diagram, doc.strategy(args.strategy))
     for key in ("support_biconditional", "l_factors", "action_factors", "y_bridge", "positivity"):
         _emit(key, getattr(report, key))
     _emit("all", report.overall)

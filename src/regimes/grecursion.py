@@ -11,12 +11,8 @@ average replaced by a max or min.  ``live_frontier`` computes the
 histories the engine visits, as one mask per boundary like a source's
 ``support()``, and the positivity witness that the recursion and the
 numeric checks share, both read off the source's support and the
-policies' zeros.  The module also builds the auxiliary mixed-regime
-diagrams used to justify the recursion when plain stability fails, and
-checks the mixed regimes P_i numerically, reading each as a bare table
-over the base and holding two at a time, the observational P_n and one
-other; their graphical check, ``check_graphsep``, is in ``stability``
-with the other stage-wise checks.
+policies' zeros.  Whether the numbers it returns are the strategy's
+consequences is for ``stability`` to license.
 """
 
 from __future__ import annotations
@@ -26,26 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PositivityError
-from .graph import Dag
-from .model import (
-    SIGMA,
-    ExactSource,
-    InfluenceDiagram,
-    InfoBase,
-    Strategy,
-    _action_factors,
-    _conditional,
-    _observed,
-    _response_rows,
-    _row_sums,
-    _row_test,
-    factor_array,
-    joint_distribution,
-    response_weights,
-)
-
-TOL = 1e-9  # absolute tolerance of every numeric check
+from .errors import PositivityError
+from .model import InfoBase, Strategy, factor_array, response_weights
 
 
 class HistoryValues(Mapping):
@@ -204,123 +182,3 @@ def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
 def g_recursion(source, strategy: Strategy, k) -> float:
     """Consequence of the strategy from observational ingredients."""
     return recursion_table(source, strategy, k).root
-
-
-def _action_order(diagram: InfluenceDiagram, action_order) -> tuple[str, ...]:
-    """``action_order`` as a tuple, the diagram's own order for None;
-    InputError unless it lists every action exactly once."""
-    if action_order is None:
-        return diagram.actions
-    order = tuple(action_order)
-    if sorted(order) != sorted(diagram.actions):
-        raise InputError("action order must be a permutation of the diagram's actions")
-    return order
-
-
-def build_dag_i(
-    diagram: InfluenceDiagram, i: int, action_order: tuple[str, ...] | None = None
-) -> Dag:
-    """Mixed-regime diagram: actions before stage i keep their
-    observational parents, actions after it their interventional parents,
-    and the stage-i action receives the only arrow out of the regime node."""
-    actions = _action_order(diagram, action_order)
-    if not 0 <= i <= len(actions) + 1:
-        raise InputError(f"stage index {i} outside 0..{len(actions) + 1}")
-    assignments = {}
-    for j, a in enumerate(actions, start=1):
-        if j < i:
-            assignments[a] = diagram.obs_parents[a]
-        elif j > i:
-            assignments[a] = diagram.int_parents[a]
-        else:
-            assignments[a] = diagram.domain_parents[a] + (SIGMA,)
-    return diagram.dag.with_parents(assignments)
-
-
-@dataclass(frozen=True)
-class GeneralConditionsReport:
-    """Numeric verification of the conditions licensing the recursion.
-
-    The mixed regime P_i runs the first i actions on their observational
-    tables and the rest on the strategy.  Three of the conditions hold for
-    these joints by construction, so they are reported true without being
-    computed:
-
-    - l-factors: P_{i-1} and the observational joint share every factor of
-      the variables before A_i, and the later factors sum out of the
-      marginal over them, so both give the same distribution of each
-      covariate block given the observed past before A_i;
-    - action factors: under P_{i-1} the action A_i follows its policy,
-      whose parents are earlier observables, so A_i given the observed
-      past is that policy's row;
-    - support biconditional: P_i and the observational joint share every
-      factor up to and including A_i, so they give the same marginal, and
-      the same support, over the base up to A_i.
-    """
-
-    y_bridge: bool
-    y_bridge_failures: tuple  # first 3 (stage, history) mismatches: stage, then row-major
-    positivity: bool  # strategy-positive extensions stay observationally possible
-    consequence_delta: float | None  # max |recursion - oracle| when everything holds
-    support_biconditional = l_factors = action_factors = True  # by construction
-
-    @property
-    def overall(self) -> bool:
-        return self.y_bridge and self.positivity
-
-
-def verify_general_conditions(
-    diagram: InfluenceDiagram, strategy: Strategy
-) -> GeneralConditionsReport:
-    """Check the artificial-distribution route stage by stage.
-
-    The response bridge compares, after each action, the response given
-    the observed past under P_{i-1} and P_i, over histories live under
-    both and under the strategy; the other three conditions hold by
-    construction (see ``GeneralConditionsReport``).  When every condition
-    holds, the recursion output is compared with the direct oracle for
-    each response state.
-    """
-    base = diagram.base
-    obs = ExactSource(diagram)
-    gamma, witness = live_frontier(obs, _policy_arrays(base, strategy))
-    full = len(base.vars)
-
-    def mixed(i: int) -> np.ndarray:
-        """P_i as a bare table over the base; P_n is obs."""
-        if i == base.n:
-            return obs.marginal(full)
-        regime = ["obs"] * i + [strategy] * (base.n - i)
-        return _observed(diagram, joint_distribution(diagram, regime))
-
-    def response(p: np.ndarray, m: int):
-        """P's support after m positions, and its response given each history
-        there; ``einsum`` sums the axes between several times faster than ``sum``."""
-        rows = np.einsum(p, range(full), [*range(m), full - 1])
-        return _row_sums(rows) > 0.0, _conditional(rows)
-
-    # Each P_{i-1} is dropped before P_i is built, so two tables are held at
-    # a time, obs and one other, each summed only at the boundaries read.
-    y_failures, p = [], mixed(0)
-    for i in range(1, base.n + 1):
-        m = base.after_a(i)
-        on_left, left = response(p, m)
-        del p
-        p = mixed(i)
-        on_right, right = response(p, m)
-        bad = gamma[m] & on_left & on_right & _row_test(np.abs(left - right) > TOL)
-        y_failures += [(i, h) for h in base.histories(bad, 3 - len(y_failures))]
-        del on_left, left, on_right, right, bad  # before the next P_i or the oracle
-
-    y_ok, delta = not y_failures, None
-    if y_ok and witness is None:
-        # One joint: an entry is bitwise ``consequence_direct`` of its indicator k.
-        oracle = _response_rows(diagram, _action_factors(diagram, strategy))[0].tolist()
-        delta = 0.0
-        for y_state, direct in zip(base.states[base.response], oracle):
-            k = {s: 1.0 if s == y_state else 0.0 for s in base.states[base.response]}
-            delta = max(delta, abs(g_recursion(obs, strategy, k) - direct))
-        if not delta <= TOL:
-            raise AssertionError(f"recursion disagrees with the oracle by {delta}")
-
-    return GeneralConditionsReport(y_ok, tuple(y_failures), witness is None, delta)

@@ -432,8 +432,7 @@ class _Parser:
         variables = [self.variables[v] for v in self.order]
         try:
             diagram = InfluenceDiagram(
-                variables, self.edges, self.cpts,
-                self.obs_parents or None, self.int_parents or None,
+                variables, self.edges, self.cpts, self.obs_parents, self.int_parents
             )
         except ModelError as exc:
             raise ParseError(str(exc), line=getattr(self, "_order_line", None)) from None

@@ -19,7 +19,6 @@ import numpy as np
 from fixtures import f4
 from regimes.errors import InputError
 from regimes.graph import Dag, separated
-from regimes.grecursion import build_dag_i
 from regimes.model import (
     SIGMA,
     Cpt,
@@ -31,6 +30,7 @@ from regimes.model import (
     Variable,
     factor_array,
 )
+from regimes.stability import build_dag_i
 
 B = ("0", "1")
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from regimes.grecursion import TOL
 from regimes.model import _joint, _observed, joint_distribution
-from regimes.stability import DivergenceWitness, StabilityReport, StageVerdict, _labels
+from regimes.stability import TOL, DivergenceWitness, StabilityReport, StageVerdict, _labels
 
 
 def conditional(rows: np.ndarray, alpha: float = 0.0) -> np.ndarray:

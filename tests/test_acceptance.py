@@ -22,7 +22,7 @@ from regimes.cli import main as cli_main
 from regimes.data import estimate_conditionals, sample
 from regimes.errors import ModelError
 from regimes.graph import Dag, ancestral_closure, separated
-from regimes.grecursion import build_dag_i, g_recursion
+from regimes.grecursion import g_recursion
 from regimes.model import (
     ExactSource,
     _action_factors,
@@ -32,6 +32,7 @@ from regimes.model import (
 )
 from regimes.optimize import enumerate_strategies, optimal_strategy
 from regimes.stability import (
+    build_dag_i,
     check_graphsep,
     check_sequential_randomization,
     check_simple_stability_graphical,

@@ -15,8 +15,8 @@ from regimes.admissible import (
 )
 from regimes.errors import CapacityError, InputError, ModelError
 from regimes.graph import descendants
-from regimes.grecursion import build_dag_i
 from regimes.model import Cpt, InfluenceDiagram, Variable
+from regimes.stability import build_dag_i
 
 
 class TestCandidateSequence:

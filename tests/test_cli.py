@@ -259,9 +259,15 @@ class TestErrorsAndDeterminism:
         code, _, err = run("stability", "--model", str(bad))
         assert code == 2 and "sums to" in err
 
-    def test_unknown_strategy(self):
-        code, _, err = run("grec", "--model", model("f1.id"), "--strategy", "zzz")
-        assert code == 2 and "unknown strategy" in err
+    def test_unknown_strategy(self, tmp_path):
+        code, _, err = run("grec", "--model", model("f1.id"), "--strategy", "nope")
+        declared = "declared: ['dyn', 'mix', 'stat']"
+        assert (code, err) == (2, f"error: unknown strategy 'nope'; {declared}\n")
+        text = Path(model("f1.id")).read_text()
+        bare = tmp_path / "bare.id"
+        bare.write_text(text[: text.index("strategy")])
+        code, _, err = run("grec", "--model", str(bare), "--strategy", "nope")
+        assert (code, err) == (2, "error: unknown strategy 'nope'; declared: none\n")
 
     @pytest.mark.parametrize(
         "argv",

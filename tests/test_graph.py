@@ -9,7 +9,7 @@ from helpers import random_dag, random_extended_id, rng
 from moral_reference import moral_ancestral, moralize, reference_path
 from regimes.errors import InputError, ModelError
 from regimes.graph import Dag, ancestral_closure, connecting_path, descendants, separated
-from regimes.grecursion import build_dag_i
+from regimes.stability import build_dag_i
 
 
 def chain(*names):

@@ -32,14 +32,7 @@ from recursion_reference import codes, positivity_holes, reference_arrays, refer
 from regimes import model
 from regimes.data import estimate_conditionals, sample
 from regimes.errors import InputError, PolicyError, PositivityError
-from regimes.grecursion import (
-    _policy_arrays,
-    build_dag_i,
-    g_recursion,
-    live_frontier,
-    recursion_table,
-    verify_general_conditions,
-)
+from regimes.grecursion import _policy_arrays, g_recursion, live_frontier, recursion_table
 from regimes.model import (
     Cpt,
     ExactSource,
@@ -51,7 +44,12 @@ from regimes.model import (
     joint_distribution,
 )
 from regimes.parser import parse_model
-from regimes.stability import check_graphsep, check_positivity
+from regimes.stability import (
+    build_dag_i,
+    check_graphsep,
+    check_positivity,
+    verify_general_conditions,
+)
 
 K01 = {"0": 0.0, "1": 1.0}
 
@@ -672,7 +670,7 @@ class TestVerifyGeneral:
         here = Path(__file__).resolve().parent
         code = (
             "from helpers import random_extended_id, random_strategy\n"
-            "from regimes.grecursion import verify_general_conditions\n"
+            "from regimes.stability import verify_general_conditions\n"
             "d = random_extended_id(0, n_actions=3, hidden_to_action=True)\n"
             "print(verify_general_conditions(d, random_strategy(d, 0)).y_bridge_failures)\n"
         )

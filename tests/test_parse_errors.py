@@ -93,6 +93,8 @@ CASES = {
     "parents_unknown_variable": edit("edge sigma A\n", "edge sigma A\nint-parents A L,Q\n"),
     # cpt
     "cpt_token_count": edit("cpt Y | L,A", "cpt Y L,A"),
+    "cpt_no_parent_list": edit("cpt Y | L,A", "cpt Y |"),
+    "cpt_no_bar": edit("cpt Y | L,A", "cpt Y x L,A"),
     "cpt_unknown_child": edit("cpt Y | L,A", "cpt Q | L,A"),
     "cpt_duplicate": edit("cpt A | L", "cpt L | -\nrow - : 0.2 0.3 0.5\ncpt A | L"),
     "cpt_unknown_parent": edit("cpt Y | L,A", "cpt Y | L,Q"),
@@ -103,12 +105,14 @@ CASES = {
     "strategy_named_obs": edit("strategy s", "strategy obs"),
     "assign_outside_strategy": edit("strategy s\n", ""),
     "assign_token_count": edit("assign A | L", "assign A L"),
+    "assign_no_parent_list": edit("assign A | L", "assign A |"),
     "assign_not_action": edit("assign A | L", "assign L | -"),
     "assign_duplicate": BASE + "assign A | -\nrow - : 0\n",
     "assign_unknown_parent": edit("assign A | L", "assign A | Q"),
     "assign_missing_rows": edit("row a : 1\n", "").replace("row c : 1\n", ""),
     # rows
     "row_no_colon": edit("row a : 0.5 0.5", "row a 0.5 0.5"),
+    "row_no_values": edit("row a : 0.5 0.5", "row a :"),
     "row_key_length": edit("row a : 0.5 0.5", "row a,0 : 0.5 0.5"),
     "row_unknown_state": edit("row a,1 : 0.5 0.5", "row a,2 : 0.5 0.5"),
     "row_duplicate_cpt": edit("row b : 0.5 0.5", "row a : 0.5 0.5"),

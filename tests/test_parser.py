@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from fixtures import f1, f2, f3, f4, f5
 from helpers import random_extended_id, random_strategy
+from regimes import parser
 from regimes.errors import ModelError, ParseError
 from regimes.model import Cpt, InfluenceDiagram, Policy, Strategy, Variable
 from regimes.parser import ModelDocument, format_model, parse_model
+from regimes.stability import build_dag_i
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -198,6 +200,21 @@ class TestRoundTrip:
         assert "row - : 0.5 0.5" in text and "row - : 1" in text
         assert parse_model(text) == doc
 
+    def test_obs_parents_annotation_survives(self):
+        # A1 keeps its domain arrow from L1 but its observational table
+        # reads nothing: the annotation, not the default, must reach the
+        # diagram, its text and its stage diagrams.
+        f1_text = (MODELS / "f1.id").read_text()
+        text = f1_text[: f1_text.index("strategy dyn")]
+        text = text.replace("-parents A1 L1\n", "-parents A1 -\n")
+        cpt = text[text.index("cpt A1 | L1") : text.index("cpt L2")]
+        doc = parse_model(text.replace(cpt, "cpt A1 | -\nrow - : 0.25 0.75\n"))
+        assert "edge L1 A1" in text
+        assert doc.diagram.obs_parents == {"A1": (), "A2": ("L1", "A1", "L2")}
+        out = format_model(doc)
+        assert "obs-parents A1 -" in out and parse_model(out) == doc
+        assert build_dag_i(doc.diagram, 2).parents("A1") == ()
+
     def test_shipped_files_match_builders(self):
         import fixtures as F
 
@@ -246,3 +263,14 @@ def test_oversized_table_header_fails_before_allocating():
     with pytest.raises(ParseError, match="exceeds") as err:
         parse_model(text)
     assert err.value.line == 26
+
+
+def test_table_cap_admits_a_table_of_exactly_its_cells(monkeypatch):
+    # f1's largest table is Y's: 16 parent rows of 2 states.
+    text = (MODELS / "f1.id").read_text()
+    monkeypatch.setattr(parser, "MAX_JOINT_CELLS", 32)
+    assert parse_model(text).diagram.cpts["Y"].table.array.size == 32
+    monkeypatch.setattr(parser, "MAX_JOINT_CELLS", 31)
+    with pytest.raises(ParseError, match="table for Y exceeds 31 cells") as err:
+        parse_model(text)
+    assert err.value.line == text.splitlines().index("cpt Y | L1,A1,L2,A2") + 1

@@ -25,12 +25,7 @@ from helpers import (
     zero_action_rows,
 )
 from regimes.errors import PositivityError
-from regimes.grecursion import (
-    _policy_arrays,
-    live_frontier,
-    recursion_table,
-    verify_general_conditions,
-)
+from regimes.grecursion import _policy_arrays, live_frontier, recursion_table
 from regimes.model import (
     ExactSource,
     Policy,
@@ -39,7 +34,7 @@ from regimes.model import (
     factor_array,
 )
 from regimes.optimize import enumerate_strategies, optimal_strategy
-from regimes.stability import check_graphsep
+from regimes.stability import check_graphsep, verify_general_conditions
 
 K01 = {"0": 0.0, "1": 1.0}
 

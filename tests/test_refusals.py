@@ -12,7 +12,7 @@ from regimes.admissible import check_admissible, compute_candidate_sequence, imp
 from regimes.data import Dataset, estimate_conditionals
 from regimes.errors import InputError, ModelError, PolicyError
 from regimes.graph import Dag
-from regimes.grecursion import build_dag_i, recursion_table
+from regimes.grecursion import recursion_table
 from regimes.model import (
     Cpt,
     ExactSource,
@@ -24,6 +24,7 @@ from regimes.model import (
     response_weights,
 )
 from regimes.optimize import enumerate_strategies, optimal_strategy
+from regimes.stability import build_dag_i
 
 B = ("0", "1")
 K01 = {"0": 0.0, "1": 1.0}
@@ -157,12 +158,13 @@ CASES = {
         lambda: recursion_table(ExactSource(f1()[0]), f1()[1]["dyn"], K01).values["0"],
         KeyError, "'0'",
     ),
+    # stability.build_dag_i
     "stage diagram for a partial order": (
         lambda: build_dag_i(f1()[0], 1, ("A1",)),
         InputError, "action order must be a permutation of the diagram's actions",
     ),
     "stage diagram past the last stage": (
-        lambda: build_dag_i(f1()[0], 4), InputError, "stage index 4 outside 0..3"
+        lambda: build_dag_i(f1()[0], 3), InputError, "stage index 3 outside 0..2"
     ),
     # data.estimate_conditionals
     "dataset over other columns": (

@@ -16,7 +16,7 @@ from helpers import (
     zero_covariate_rows,
 )
 from moral_reference import moral_ancestral
-from regimes.grecursion import _policy_arrays, build_dag_i, live_frontier
+from regimes.grecursion import _policy_arrays, live_frontier
 from regimes.model import (
     Cpt,
     ExactSource,
@@ -31,6 +31,7 @@ from regimes.stability import (
     DivergenceWitness,
     PathWitness,
     StageVerdict,
+    build_dag_i,
     check_graphsep,
     check_positivity,
     check_sequential_irrelevance_numeric,
