@@ -2,17 +2,18 @@
 
 The evaluator alternates an action-averaging step (strategy probabilities)
 and a covariate-averaging step (observational conditionals) from full
-histories down to the empty one, one stage array at a time: each step
-handles every history of a stage boundary at once.  Its conditionals are
-the ``given`` arrays of a ``PrefixSource``, the prefix marginals of one
-table over the observable base, so the same engine runs on the exact
-joint and on frequency counts; the optimizer reuses it with the action
-average replaced by a max or min.  ``live_frontier`` computes the
-histories the engine visits, as one mask per boundary like a source's
-``support()``, and the positivity witness that the recursion and the
-numeric checks share, both read off the source's support and the
-policies' zeros.  Whether the numbers it returns are the strategy's
-consequences is for ``stability`` to license.
+histories down to the empty one, one stage array at a time: each step is
+one broadcast product of weights and values over every history of a stage
+boundary, summed over the states by ``model._fold`` in declared order from
+0.0, as a per-history loop adds.  Its conditionals are the ``given``
+arrays of a ``PrefixSource``, the prefix marginals of one table over the
+observable base, so the same engine runs on the exact joint and on
+frequency counts; the optimizer reuses it with the action average replaced
+by a max or min.  ``live_frontier`` computes the histories the engine
+visits, as one mask per boundary like a source's ``support()``, and the
+positivity witness that the recursion and the numeric checks share, both
+read off the source's support and the policies' zeros.  Whether its
+numbers are the strategy's consequences is for ``stability`` to license.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError
-from .model import InfoBase, Strategy, factor_array, response_weights
+from .model import InfoBase, Strategy, _fold, factor_array, response_weights
 
 
 class HistoryValues(Mapping):
@@ -125,27 +126,17 @@ def live_frontier(source, policies: list[np.ndarray] | None = None):
     return masks, witness
 
 
-def _average(weights: np.ndarray, values: np.ndarray):
-    """Sum over the last axis of ``weights * values``, one state at a time
-    in declared order from 0.0, so every history adds its terms in the
-    same order as a scalar loop would."""
-    total = 0.0 + weights[..., 0] * values[..., 0]
-    for j in range(1, weights.shape[-1]):
-        total += weights[..., j] * values[..., j]
-    return total
-
-
 def _backward(source, k, action_step, policies=None):
     """Backward recursion over stage arrays, from full histories down to
     the empty one.
 
     Live full histories take the ``k`` value of their response state
     (``response_weights``) and covariate blocks are averaged over
-    ``source.given``; ``action_step(i, values)`` maps the value array
-    after the i-th action to the one before it, 0 off the live frontier.
-    Raises ``PositivityError`` with the ``live_frontier`` witness.
-    Returns the live frontier and one value array per stage boundary, 0
-    off it.
+    ``source.given`` by ``_fold``; ``action_step(i, values)`` maps the
+    value array after the i-th action to the one before it, 0 off the live
+    frontier.  Raises ``PositivityError`` with the ``live_frontier``
+    witness.  Returns the live frontier and one value array per stage
+    boundary, 0 off it.
 
     Only the leaves are masked.  The frontier is prefix-closed, so every
     extension of a pruned history is pruned and holds 0; an average of
@@ -165,17 +156,14 @@ def _backward(source, k, action_step, policies=None):
         if i <= base.n:
             v = values[hi] = action_step(i, v)
         cond = source.given(lo, hi)
-        v = values[lo] = _average(cond, v.reshape(cond.shape))
-    values[0] = np.asarray(v)  # the average over one row is a numpy scalar
+        v = values[lo] = _fold(cond * v.reshape(cond.shape), np.add)
     return live, values
 
 
 def recursion_table(source, strategy: Strategy, k) -> RecursionTable:
     """Run the backward recursion and keep every computed value."""
     policies = _policy_arrays(source.base, strategy)
-    live, arrays = _backward(
-        source, k, lambda i, v: _average(policies[i - 1], v), policies
-    )
+    live, arrays = _backward(source, k, lambda i, v: _fold(policies[i - 1] * v, np.add), policies)
     return RecursionTable(source.base, live, arrays)
 
 

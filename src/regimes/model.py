@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable, Mapping
@@ -68,45 +69,42 @@ class Variable:
             raise ModelError(f"duplicate state label on variable {self.name}")
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """The sum of each row (the last axis), bitwise ``rows.sum(axis=-1)``.
-    On a row of fewer than ``SHORT_ROW`` cells numpy adds left to right from
-    0.0, but runs one inner loop per row; adding whole columns in that order
-    gives the same bits many times faster (``0.0 +`` makes a row of negative
-    zeros sum to 0.0, as ``sum`` does).  Longer rows go to ``sum``, which
-    adds them pairwise."""
-    if rows.shape[-1] >= SHORT_ROW:
-        return rows.sum(axis=-1)
-    total = 0.0 + rows[..., 0]
+def _fold(rows: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """``ufunc`` (``np.add``, ``np.logical_or`` or ``np.logical_and``) over
+    each row (the last axis), one whole column at a time in declared order
+    from the ufunc's identity: the one column loop of the package, so every
+    row sum, row test and recursion average adds its terms in the order a
+    scalar loop would.  Starting from the identity makes a row of negative
+    zeros sum to 0.0, as ``sum`` does."""
+    total = np.asarray(ufunc(ufunc.identity, rows[..., 0]))  # 0-d for one row
     for j in range(1, rows.shape[-1]):
-        total += rows[..., j]
+        ufunc(total, rows[..., j], out=total)
     return total
 
 
-def _row_test(mask: np.ndarray, every: bool = False) -> np.ndarray:
-    """Whether any entry (every entry, with ``every``) of each row of a
-    boolean array is true: ``np.any`` (``np.all``) over the last axis,
-    column by column below ``SHORT_ROW`` cells as ``_row_sums`` adds."""
-    if mask.shape[-1] >= SHORT_ROW:
-        return mask.all(axis=-1) if every else mask.any(axis=-1)
-    combine = np.logical_and if every else np.logical_or
-    out = mask[..., 0].copy()
-    for j in range(1, mask.shape[-1]):
-        combine(out, mask[..., j], out=out)
-    return out
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """The sum of each row (the last axis), bitwise ``rows.sum(axis=-1)``.
+    On a row of fewer than ``SHORT_ROW`` cells numpy adds left to right from
+    0.0, but runs one inner loop per row; ``_fold`` adds whole columns in
+    that order, with the same bits many times faster.  Longer rows go to
+    ``sum``, which adds them pairwise."""
+    return rows.sum(axis=-1) if rows.shape[-1] >= SHORT_ROW else _fold(rows, np.add)
+
+
+def _row_test(mask: np.ndarray) -> np.ndarray:
+    """Whether any entry of each row of a boolean array is true: ``np.any``
+    over the last axis, folded below ``SHORT_ROW`` cells like ``_row_sums``."""
+    return mask.any(axis=-1) if mask.shape[-1] >= SHORT_ROW else _fold(mask, np.logical_or)
 
 
 def row_problems(probs: np.ndarray) -> tuple[int, str] | None:
     """The first row of a 2-D float array that is not a distribution, as
     ``(index, reason)``, or None.  The comparisons are written so that NaN
-    fails them.  Each row is summed left to right from its first entry at
-    any width (not pairwise, as ``_row_sums`` does from 8 cells), so any
-    batch of rows gets the same verdicts; ``0.0 +`` makes a row of negative
-    zeros sum to 0.0, as ``sum`` does."""
-    inside = _row_test((probs >= 0.0) & (probs <= 1.0), every=True)
-    total = 0.0 + probs[:, 0]
-    for c in range(1, probs.shape[1]):
-        total += probs[:, c]
+    fails them.  Each row is folded left to right at any width (not
+    pairwise, as ``_row_sums`` does from 8 cells), so any batch of rows gets
+    the same verdicts."""
+    inside = _fold((probs >= 0.0) & (probs <= 1.0), np.logical_and)
+    total = _fold(probs, np.add)
     ok = inside & (abs(total - 1.0) <= ROW_SUM_TOL)
     if ok.all():
         return None
@@ -143,11 +141,6 @@ class Table(Mapping):
 
     def __len__(self) -> int:
         return math.prod(len(s) for s in self.states)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Table) and other.states == self.states:
-            return np.array_equal(self.array, other.array)
-        return super().__eq__(other)
 
     def __repr__(self) -> str:
         return f"Table({dict(self)!r})"
@@ -538,8 +531,9 @@ def _observed(diagram: InfluenceDiagram, probs: np.ndarray) -> np.ndarray:
 
 def response_weights(base: InfoBase, k: Mapping[str, float]) -> np.ndarray:
     """The value ``k`` gives each response state, in declared order.  Raises
-    ``InputError`` unless ``k`` maps exactly the response states to finite
-    real numbers: like a table row, a string is not read as a number."""
+    ``InputError`` unless ``k`` maps exactly the response states to real
+    numbers of magnitude at most half the float maximum, which no average
+    overflows: like a table row, a string is not read as a number."""
     # The recursion and the oracle check k on every call, so the checks make
     # one pass and name a fault only once one shows; a dict skips the
     # ``Mapping`` ABC check, which costs several times a type test.
@@ -555,8 +549,12 @@ def response_weights(base: InfoBase, k: Mapping[str, float]) -> np.ndarray:
         unknown = sorted(set(k) - set(y_states), key=repr)
         raise InputError(f"k assigns values to unknown response states {unknown}")
     for s, v in zip(y_states, values):
-        if not (isinstance(v, float) or isinstance(v, Real)) or not math.isfinite(v):
-            raise InputError(f"k value {v!r} for response state {s} is not a finite number")
+        real = isinstance(v, float) or isinstance(v, Real)
+        if not real or not abs(v) <= sys.float_info.max / 2:
+            raise InputError(
+                f"k value {v!r} for response state {s} is not a finite number "
+                f"of magnitude at most {sys.float_info.max / 2!r}"
+            )
     return np.array(values, dtype=float)
 
 

@@ -261,3 +261,11 @@ class TestSearchAndCompleteness:
         d = InfluenceDiagram(names, edges, cpts)
         with pytest.raises(CapacityError):
             search_admissible_ordering(d)
+
+    def test_search_cap_admits_exactly_its_actions(self, monkeypatch):
+        d, _ = f1()
+        monkeypatch.setattr(adm, "MAX_SEARCH_ACTIONS", 2)
+        assert search_admissible_ordering(d).admissible
+        monkeypatch.setattr(adm, "MAX_SEARCH_ACTIONS", 1)
+        with pytest.raises(CapacityError, match="2 actions exceed the ordering-search cap of 1"):
+            search_admissible_ordering(d)

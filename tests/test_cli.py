@@ -160,6 +160,65 @@ def test_grec_names_the_first_hole_in_declared_state_order(tmp_path):
     assert err == "error: undefined observational conditional at history ('1', '1')\n"
 
 
+UNDERFLOWING_BRIDGE = """\
+var L kind=obs states=0,1
+var A kind=act states=0,1
+var Y kind=resp states=0,1
+order L A Y
+edge sigma A
+edge L A
+edge L Y
+edge A Y
+cpt L | -
+row - : 1.0 1e-300
+cpt A | L
+row 0 : 0.5 0.5
+row 1 : 0.0 1.0
+cpt Y | L,A
+row 0,0 : 0.5 0.5
+row 0,1 : 0.5 0.5
+row 1,0 : 0.5 0.5
+row 1,1 : 0.5 0.5
+strategy s
+assign A | L
+prow 0 : 0.5 0.5
+prow 1 : 1.0 1e-30
+"""
+
+
+def test_y_bridge_skips_a_history_whose_mass_underflows(tmp_path):
+    # History (1, 1) has mass 1e-300 observationally but 1e-330, which
+    # underflows to 0, under the strategy.  Both regimes give Y the same
+    # (0.5, 0.5) there, yet the strategy's empty row reads (0, 0): only the
+    # support masks of ``verify_general_conditions`` keep it out of the test.
+    path = tmp_path / "underflow.id"
+    path.write_text(UNDERFLOWING_BRIDGE)
+    code, out, _ = run("verify-general", "--model", str(path), "--strategy", "s")
+    assert code == 1 and kv(out)["y_bridge"] == "true" and kv(out)["positivity"] == "false"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("optimize", "--model", model(name)) for name in ("f1.id", "f2.id", "f3.id", "f5.id")),
+        ("grec", "--model", model("f1.id"), "--strategy", "stat"),
+        ("evaluate", "--model", model("f1.id"), "--strategy", "stat"),
+        ("estimate", "--model", model("f1.id"), "--data", "{rows}", "--strategy", "stat"),
+    ],
+    ids=lambda argv: "-".join((argv[0], Path(argv[2]).stem)),
+)
+def test_k_beyond_half_the_float_maximum_exits_2(tmp_path, argv):
+    # A row summing to just above 1 averaged these values to inf, which
+    # ``optimize`` printed with exit 0.
+    rows = tmp_path / "rows.txt"
+    run("simulate", "--model", model("f1.id"), "--regime", "obs", "--n", "50",
+        "--seed", "1", "--out", str(rows))
+    big = repr(sys.float_info.max)
+    code, out, err = run(*(a.format(rows=rows) for a in argv), "--k", f"0={big},1={big}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: k value {big} for response state 0 is not a finite number")
+
+
 class TestAdmissibleCommand:
     def test_f3_search(self):
         code, out, _ = run("admissible", "--model", model("f3.id"))

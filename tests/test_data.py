@@ -228,6 +228,12 @@ class TestSample:
         with pytest.raises(InputError):
             sample(d, "obs", 0, seed=1)
 
+    def test_seed_past_64_bits_rejected(self):
+        d, _ = f1()
+        assert sample(d, "obs", 1, seed=2**64 - 1).codes.shape == (1, 5)
+        with pytest.raises(InputError, match=r"seed 18446744073709551616 outside 0..2\*\*64-1"):
+            sample(d, "obs", 1, seed=2**64)
+
     def test_rows_beyond_memory_are_a_capacity_error(self):
         # 10^15 rows of five one-byte codes would need 5 PB, more than any
         # address space: the codes allocation fails at once, before any draw.

@@ -1,6 +1,8 @@
 import functools
 import itertools
+import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from helpers import (
     zero_covariate_rows,
 )
 from recursion_reference import possible
+from regimes import model
 from regimes.data import estimate_conditionals, sample
 from regimes.errors import CapacityError, InputError, ModelError, PolicyError
 from regimes.grecursion import RecursionTable, g_recursion
@@ -33,12 +36,14 @@ from regimes.model import (
     SHORT_ROW,
     Variable,
     _conditional,
+    _fold,
     _observed,
     _row_sums,
     _row_test,
     consequence_direct,
     factor_array,
     joint_distribution,
+    response_weights,
 )
 from regimes.parser import parse_model
 
@@ -779,6 +784,15 @@ def bitwise(got, want) -> bool:
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def bitwise_but_nan(got, want) -> bool:
+    """``bitwise`` on every cell but the NaNs, which must sit at the same
+    cells: a scalar loop's NaN bits from ``inf + -inf + nan`` depend on the
+    interpreter (and on a tracer), numpy's do not."""
+    nan = np.isnan(got)
+    numbers = bitwise(np.where(nan, 0.0, got), np.where(nan, 0.0, want))
+    return numbers and bitwise(nan, np.isnan(want))
+
+
 @pytest.mark.parametrize("ndim", sorted(LEADING))
 @pytest.mark.parametrize("width", range(1, 13))
 def test_row_sums_are_numpys_sums(width, ndim):
@@ -790,7 +804,7 @@ def test_row_sums_are_numpys_sums(width, ndim):
         got, want = _row_sums(rows), rows.sum(axis=-1)
     assert bitwise(got, want)
     if width < SHORT_ROW:
-        assert bitwise(got, left_to_right(rows))
+        assert bitwise_but_nan(got, left_to_right(rows))
 
 
 @pytest.mark.parametrize("ndim", sorted(LEADING))
@@ -800,4 +814,61 @@ def test_row_tests_are_any_and_all(width, ndim):
     for density in (0.05, 0.5, 0.95):
         mask = gen.random(LEADING[ndim] + (width,)) < density
         assert bitwise(_row_test(mask), np.any(mask, axis=-1))
-        assert bitwise(_row_test(mask, every=True), np.all(mask, axis=-1))
+        assert bitwise(_fold(mask, np.logical_and), np.all(mask, axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# Inputs and edges that no other test reaches: each test fails when its
+# comparison or type test is flipped
+
+
+def test_different_diagrams_compare_unequal():
+    assert f1()[0] == f1()[0]
+    assert f1()[0] != f1(seed=2)[0]  # same variables and edges, other tables
+    assert f1()[0] != f2()[0]
+
+
+def test_policy_reading_its_own_action_refused():
+    diagram, strategies = f1()
+    own = Policy(("A1",), {("0",): (1.0, 0.0), ("1",): (0.0, 1.0)})
+    strategy = Strategy("s", {**strategies["dyn"].policies, "A1": own})
+    with pytest.raises(PolicyError, match="policy for A1 reads A1, which does not precede it"):
+        diagram.base.validate_strategy(strategy)
+
+
+@pytest.mark.parametrize(
+    "k", [{"0": 0, "1": 1}, MappingProxyType({"0": 0.0, "1": 1.0})], ids=["ints", "proxy"]
+)
+def test_response_functional_of_ints_or_any_mapping_accepted(k):
+    assert bitwise(response_weights(f1()[0].base, k), np.array([0.0, 1.0]))
+
+
+def test_response_functional_bounded_by_half_the_float_maximum():
+    # A row may sum to just above 1 within ROW_SUM_TOL, so an average of
+    # values nearer the maximum could overflow to inf.
+    half = sys.float_info.max / 2
+    base = f1()[0].base
+    assert bitwise(response_weights(base, {"0": half, "1": -half}), np.array([half, -half]))
+    for v in (np.nextafter(half, np.inf), -sys.float_info.max, 10**400):
+        with pytest.raises(InputError, match="is not a finite number of magnitude at most"):
+            response_weights(base, {"0": 1.0, "1": v})
+
+
+@pytest.mark.parametrize("row", [np.array([0.25, 0.75]), (0, 1)], ids=["array", "ints"])
+def test_table_rows_of_arrays_or_ints_accepted(row):
+    v = Variable("Y", "resp", ("0", "1"))
+    d = InfluenceDiagram([v], [], {"Y": Cpt("Y", (), {(): row})})
+    assert bitwise(d.cpts["Y"].array, np.array([float(x) for x in row]))
+
+
+def test_infinite_alpha_refused_by_its_own_check():
+    with pytest.raises(InputError, match="alpha must be finite and non-negative, not inf"):
+        PrefixSource(f1()[0].base, np.ones((2,) * 5), alpha=np.inf)
+
+
+def test_joint_cap_admits_a_joint_of_exactly_its_cells(monkeypatch):
+    monkeypatch.setattr(model, "MAX_JOINT_CELLS", 32)  # f1 has five binary variables
+    assert joint_distribution(f1()[0], "obs").size == 32
+    monkeypatch.setattr(model, "MAX_JOINT_CELLS", 31)
+    with pytest.raises(CapacityError, match=r"would need 32 cells \(cap 31\)"):
+        joint_distribution(f1()[0], "obs")

@@ -156,6 +156,15 @@ class TestInvariances:
         with pytest.raises(CapacityError):
             enumerate_strategies(d, K01)
 
+    def test_enumeration_cap_admits_exactly_its_strategies(self, monkeypatch):
+        d, _ = f1()
+        monkeypatch.setattr(optimize, "MAX_ENUMERATED", strategy_count(d))
+        value = optimal_strategy(ExactSource(d), K01)[1]
+        assert enumerate_strategies(d, K01)[1] == pytest.approx(value, abs=1e-12)
+        monkeypatch.setattr(optimize, "MAX_ENUMERATED", strategy_count(d) - 1)
+        with pytest.raises(CapacityError, match=f"{strategy_count(d)} strategies exceed"):
+            enumerate_strategies(d, K01)
+
 
 # ---------------------------------------------------------------------------
 # The batched enumeration against the per-strategy loop it replaced

@@ -158,3 +158,31 @@ def test_no_unused_imports(path):
         (line, name) for name, line in _bound_imports(tree).items() if name not in _loaded(tree)
     )
     assert unused == [], f"{path.name} imports names it never reads: {unused}"
+
+
+def _column_loops(path: Path) -> list[tuple[str, int]]:
+    """``for`` loops over ``range(1, <array>.shape[...])``, as (the name of
+    the innermost function that holds each, its line)."""
+    tree = _tree(path)
+    owner = {}
+    for func in ast.walk(tree):  # breadth first, so inner functions win
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func))
+    return [
+        (owner.get(node, "<module>"), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For)
+        and re.fullmatch(r"range\(1, .+\.shape\[.+\]\)", ast.unparse(node.iter))
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_column_loop(path):
+    """Every short-row sum, row test and recursion average folds whole
+    columns through ``model._fold``, so one loop fixes the order of
+    additions that their bitwise guarantees rest on."""
+    loops = _column_loops(path)
+    own = [(name, line) for name, line in loops if (path.name, name) != ("model.py", "_fold")]
+    assert own == [], f"{path.name} loops over columns outside model._fold: {own}"
+    if path.name == "model.py":
+        assert [name for name, _ in loops] == ["_fold"]
